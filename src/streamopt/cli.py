@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .calibrate import corrected_read_cost, fit_linear
@@ -73,14 +74,25 @@ def _float_list(value: str) -> tuple[float, ...]:
 
 
 def _write_text(path, text: str):
-    """Atomic write: the target appears complete or not at all."""
+    """Atomic write: the target appears complete or not at all.
+
+    The text goes to a fresh temp file next to the target, so concurrent
+    writers never share one, and is then renamed over the target.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = None
     try:
-        tmp.write_text(text)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                                   suffix=".tmp")
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
         os.replace(tmp, path)
     except OSError as exc:
-        tmp.unlink(missing_ok=True)
+        if tmp is not None:
+            Path(tmp).unlink(missing_ok=True)
         raise DataError(f"cannot write '{path}': {exc}") from exc
 
 
@@ -222,6 +234,8 @@ def cmd_optimize(args) -> int:
 
     kind, weight = parse_objective(args.objective)
     best = result.best_scheme
+    relaxed_loss = result.best_loss_relaxed
+    best_read_cost = result.best_cost_discrete.total
     if kind != "T":
         # Re-rank the recorded restarts by the requested objective.
         def value(scheme):
@@ -232,7 +246,10 @@ def cmd_optimize(args) -> int:
             return read_cost(incidence, catalog, scheme).total + weight * s
 
         survivors = [r for r in result.per_restart if not r.failed]
-        best = min(survivors, key=lambda r: (value(r.scheme), r.index)).scheme
+        chosen = min(survivors, key=lambda r: (value(r.scheme), r.index))
+        best = chosen.scheme
+        relaxed_loss = chosen.relaxed_loss
+        best_read_cost = chosen.discrete_cost
 
     diag = {
         "instance": str(args.instance),
@@ -240,8 +257,8 @@ def cmd_optimize(args) -> int:
         "objective": args.objective,
         "seed": result.seed,
         "best": {
-            "relaxed_loss": result.best_loss_relaxed,
-            "read_cost": result.best_cost_discrete.total,
+            "relaxed_loss": relaxed_loss,
+            "read_cost": best_read_cost,
             "assignment": list(best.assignment),
             "empty_streams": list(best.empty_streams()),
         },
@@ -273,6 +290,15 @@ def _breakdowns(args, incidence, catalog, scheme):
     return t, s
 
 
+def _baseline_breakdowns(args, incidence, catalog, token):
+    """Breakdowns of a baseline scheme, which must cost more than zero."""
+    baseline = _load_named_scheme(token, incidence, catalog)
+    t, s = _breakdowns(args, incidence, catalog, baseline)
+    if t.total == 0 or s.total == 0:
+        raise DataError("baseline scheme has zero cost; cannot normalize")
+    return t, s
+
+
 def cmd_evaluate(args) -> int:
     incidence, catalog = load_instance(args.instance)
     scheme = _load_named_scheme(args.scheme, incidence, catalog)
@@ -301,11 +327,8 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     incidence, catalog = load_instance(args.instance)
     candidate = _load_named_scheme(args.scheme, incidence, catalog)
-    baseline = _load_named_scheme(args.baseline, incidence, catalog)
     t_c, s_c = _breakdowns(args, incidence, catalog, candidate)
-    t_b, s_b = _breakdowns(args, incidence, catalog, baseline)
-    if t_b.total == 0 or s_b.total == 0:
-        raise DataError("baseline scheme has zero cost; cannot normalize")
+    t_b, s_b = _baseline_breakdowns(args, incidence, catalog, args.baseline)
     rows = [
         ("read_cost", t_c.total, t_b.total, t_c.total / t_b.total),
         ("storage_kb", s_c.total, s_b.total, s_c.total / s_b.total),
@@ -324,22 +347,22 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     incidence, catalog = load_instance(args.instance)
+    header = "n_streams,read_cost,storage_kb"
+    if args.baseline:
+        # Checked before the sweep, so an unusable baseline fails fast.
+        t_b, s_b = _baseline_breakdowns(args, incidence, catalog,
+                                        args.baseline)
+        header += ",read_vs_baseline,storage_vs_baseline"
     config = OptimizerConfig(n_streams=1, n_restarts=args.restarts,
                              seed=args.seed)
     points = sweep_streams(incidence, catalog, args.streams, config,
                            base_kb=args.base_kb, shared_kb=args.shared_kb)
-    header = "n_streams,read_cost,storage_kb"
-    baseline = None
-    if args.baseline:
-        baseline = _load_named_scheme(args.baseline, incidence, catalog)
-        t_b, s_b = _breakdowns(args, incidence, catalog, baseline)
-        header += ",read_vs_baseline,storage_vs_baseline"
     rows = [header]
     for point in points:
         t = point.result.best_cost_discrete.total
         s = point.storage.total
         row = f"{point.n_streams},{t:.6g},{s:.6g}"
-        if baseline is not None:
+        if args.baseline:
             row += f",{t / t_b.total:.6g},{s / s_b.total:.6g}"
         rows.append(row)
     table = "\n".join(rows) + "\n"

@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DataError
 from .model import (EventLineIncidence, LineCatalog, ModuleIncidence, Scheme,
                     _log_keep_per_entry, _require_consistent)
+from .relax import LossEvaluator, one_hot
 
 DEFAULT_BASE_KB = 10.0
 DEFAULT_SHARED_KB = 50.0
@@ -67,28 +67,24 @@ def _stream_of_units(catalog: LineCatalog, scheme: Scheme) -> np.ndarray:
     return np.asarray(scheme.assignment, dtype=np.int64)
 
 
-def read_cost(incidence: EventLineIncidence, catalog: LineCatalog,
-              scheme: Scheme) -> CostBreakdown:
-    """Expected disk-read cost of a hard scheme, per stream and total.
+def _kept_events(incidence: EventLineIncidence, catalog: LineCatalog,
+                 entry_stream: np.ndarray, entries, n_streams: int) -> np.ndarray:
+    """Expected events per stream kept by at least one of the given entries.
 
-    With all prescales equal to 1 the expected event term is the exact count
-    of events passing at least one line of the stream.
+    P(event kept in stream) = 1 - prod(1 - prescale) over its passing entries.
     """
-    _require_consistent(incidence, catalog)
-    stream_of_unit = _stream_of_units(catalog, scheme)
-    n_streams = scheme.n_streams
-    stream_of_line = stream_of_unit[catalog.module_of_line]
-
-    log_keep = _log_keep_per_entry(incidence, catalog)
-    entry_stream = stream_of_line[incidence.line_index]
-    flat = incidence.event_index * n_streams + entry_stream
+    log_keep = _log_keep_per_entry(incidence, catalog)[entries]
+    flat = incidence.event_index[entries] * n_streams + entry_stream[entries]
     log_miss = np.bincount(flat, weights=log_keep,
                            minlength=incidence.n_events * n_streams)
-    # P(event read from stream) = 1 - prod(1 - prescale) over passing lines.
-    read_prob = -np.expm1(log_miss.reshape(incidence.n_events, n_streams))
-    expected_events = read_prob.sum(axis=0)
+    return -np.expm1(log_miss.reshape(incidence.n_events, n_streams)).sum(axis=0)
 
-    lines_per_stream = np.bincount(stream_of_line, minlength=n_streams)
+
+def _cost_breakdown(catalog: LineCatalog, stream_of_unit: np.ndarray,
+                    n_streams: int, expected_events) -> CostBreakdown:
+    lines_per_stream = np.bincount(stream_of_unit,
+                                   weights=catalog.module_line_counts,
+                                   minlength=n_streams)
     units_per_stream = np.bincount(stream_of_unit, minlength=n_streams)
     contributions = lines_per_stream * expected_events
     per_stream = tuple(
@@ -99,6 +95,21 @@ def read_cost(incidence: EventLineIncidence, catalog: LineCatalog,
     return CostBreakdown(per_stream, float(contributions.sum()))
 
 
+def read_cost(incidence: EventLineIncidence, catalog: LineCatalog,
+              scheme: Scheme) -> CostBreakdown:
+    """Expected disk-read cost of a hard scheme, per stream and total.
+
+    With all prescales equal to 1 the expected event term is the exact count
+    of events passing at least one line of the stream.
+    """
+    _require_consistent(incidence, catalog)
+    stream_of_unit = _stream_of_units(catalog, scheme)
+    entry_stream = stream_of_unit[catalog.module_of_line][incidence.line_index]
+    events = _kept_events(incidence, catalog, entry_stream, slice(None),
+                          scheme.n_streams)
+    return _cost_breakdown(catalog, stream_of_unit, scheme.n_streams, events)
+
+
 def storage_cost(incidence: EventLineIncidence, catalog: LineCatalog,
                  scheme: Scheme, *, base_kb: float = DEFAULT_BASE_KB,
                  shared_kb: float = DEFAULT_SHARED_KB) -> StorageBreakdown:
@@ -106,8 +117,7 @@ def storage_cost(incidence: EventLineIncidence, catalog: LineCatalog,
     _require_consistent(incidence, catalog)
     stream_of_unit = _stream_of_units(catalog, scheme)
     n_streams = scheme.n_streams
-    stream_of_line = stream_of_unit[catalog.module_of_line]
-    entry_stream = stream_of_line[incidence.line_index]
+    entry_stream = stream_of_unit[catalog.module_of_line][incidence.line_index]
 
     # Turbo payload: base_kb per expected pass of a turbo line.
     turbo = catalog.turbo_mask[incidence.line_index]
@@ -120,15 +130,20 @@ def storage_cost(incidence: EventLineIncidence, catalog: LineCatalog,
     # Shared payload: one shared_kb per event and stream where any
     # persist-reco line keeps the event.
     pr = catalog.persist_reco_mask[incidence.line_index]
-    log_keep = _log_keep_per_entry(incidence, catalog)[pr]
-    flat = incidence.event_index[pr] * n_streams + entry_stream[pr]
-    log_miss = np.bincount(flat, weights=log_keep,
-                           minlength=incidence.n_events * n_streams)
-    pr_prob = -np.expm1(log_miss.reshape(incidence.n_events, n_streams))
-    pr_events = pr_prob.sum(axis=0)
+    pr_events = _kept_events(incidence, catalog, entry_stream, pr, n_streams)
 
     sizes = base_kb * turbo_passes + shared_kb * pr_events
     return StorageBreakdown(tuple(float(v) for v in sizes), float(sizes.sum()))
+
+
+def _scheme_read_cost(evaluator: LossEvaluator, catalog: LineCatalog,
+                     scheme: Scheme) -> CostBreakdown:
+    """Read cost of a hard scheme from an evaluator over the folded incidence:
+    the relax kernel applied to the scheme's one-hot assignment."""
+    stream_of_unit = _stream_of_units(catalog, scheme)
+    events = evaluator.expected_events(one_hot(stream_of_unit,
+                                               scheme.n_streams))
+    return _cost_breakdown(catalog, stream_of_unit, scheme.n_streams, events)
 
 
 def read_cost_from_modules(module_incidence: ModuleIncidence,
@@ -142,41 +157,7 @@ def read_cost_from_modules(module_incidence: ModuleIncidence,
     """
     if module_incidence.n_modules != catalog.n_modules:
         raise DataError("module incidence does not match catalog")
-    stream_of_unit = _stream_of_units(catalog, scheme)
-    n_streams = scheme.n_streams
-
-    expected_events = np.zeros(n_streams)
-    if module_incidence.is_dense:
-        miss = 1.0 - module_incidence.values
-        for s in range(n_streams):
-            cols = np.nonzero(stream_of_unit == s)[0]
-            if cols.size:
-                expected_events[s] = float(
-                    (1.0 - np.prod(miss[:, cols], axis=1)).sum()
-                )
-    else:
-        values: sp.csr_matrix = module_incidence.values
-        for s in range(n_streams):
-            cols = np.nonzero(stream_of_unit == s)[0]
-            if not cols.size:
-                continue
-            sub = values[:, cols].copy()
-            with np.errstate(divide="ignore"):
-                sub.data = np.log1p(-sub.data)
-            log_miss = np.asarray(sub.sum(axis=1)).ravel()
-            expected_events[s] = float((-np.expm1(log_miss)).sum())
-
-    lines_per_stream = np.bincount(stream_of_unit,
-                                   weights=catalog.module_line_counts,
-                                   minlength=n_streams)
-    units_per_stream = np.bincount(stream_of_unit, minlength=n_streams)
-    contributions = lines_per_stream * expected_events
-    per_stream = tuple(
-        StreamCost(int(units_per_stream[s]), int(lines_per_stream[s]),
-                   float(expected_events[s]), float(contributions[s]))
-        for s in range(n_streams)
-    )
-    return CostBreakdown(per_stream, float(contributions.sum()))
+    return _scheme_read_cost(LossEvaluator(module_incidence), catalog, scheme)
 
 
 def extreme_schemes(catalog: LineCatalog) -> tuple[Scheme, Scheme]:

@@ -7,6 +7,11 @@ is kept by at least one of the module's lines after prescaling:
 
     fold[e, m] = 1 - prod_{l in m, e passes l} (1 - prescale[l])
 
+The fold is a sparse CSR matrix at every module count.  For evaluation it is
+recast as a binary incidence: each module becomes one 0/1 column per distinct
+fold value it takes, and identical event rows are merged with multiplicities
+(:meth:`ModuleIncidence.row_groups`).
+
 All objects are immutable after construction and safe to share between
 threads.
 """
@@ -16,7 +21,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,10 +29,6 @@ import scipy.sparse as sp
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
-
-#: fold_modules materializes a dense event-by-module matrix up to this many
-#: modules; beyond it the folded incidence stays sparse.
-DENSE_MODULE_THRESHOLD = 512
 
 _ROW_SUM_TOL = 1e-12
 
@@ -236,29 +237,40 @@ class EventLineIncidence:
                 f"n_lines={self._n_lines}, n_entries={self.n_entries})")
 
 
+class RowGroups(NamedTuple):
+    """A fold's distinct event rows, over binary (module, value) columns.
+
+    Column ``c`` stands for module ``column_module[c]`` at fold value
+    ``column_value[c]``; ``hits[r, c]`` is 1 when distinct row ``r`` has that
+    value in that module, and ``weights[r]`` counts the events with row ``r``.
+    """
+
+    hits: sp.csr_matrix
+    weights: np.ndarray
+    column_module: np.ndarray
+    column_value: np.ndarray
+
+
 class ModuleIncidence:
     """Per-event, per-module selection probabilities produced by folding.
 
-    ``values`` is a dense ``(n_events, n_modules)`` array for small module
-    counts, or a CSR matrix above :data:`DENSE_MODULE_THRESHOLD`.  All values
-    lie in [0, 1]; with unit prescales they are exactly 0 or 1.
+    ``values`` is an ``(n_events, n_modules)`` CSR matrix in canonical form
+    without stored zeros.  All values lie in (0, 1]; with unit prescales they
+    are exactly 1.
     """
 
     def __init__(self, n_events: int, n_modules: int, values):
         self._n_events = int(n_events)
         self._n_modules = int(n_modules)
-        if sp.issparse(values):
-            values = values.tocsr()
-            data = values.data
-        else:
-            values = np.ascontiguousarray(values, dtype=float)
-            if values.shape != (self._n_events, self._n_modules):
-                raise DataError(
-                    f"values shape {values.shape} does not match "
-                    f"({self._n_events}, {self._n_modules})"
-                )
-            values.setflags(write=False)
-            data = values
+        values = sp.csr_matrix(values, dtype=float)
+        if values.shape != (self._n_events, self._n_modules):
+            raise DataError(
+                f"values shape {values.shape} does not match "
+                f"({self._n_events}, {self._n_modules})"
+            )
+        values.sum_duplicates()
+        values.eliminate_zeros()
+        data = values.data
         if data.size and (np.min(data) < 0.0 or np.max(data) > 1.0):
             raise DataError("module incidence values must lie in [0, 1]")
         self._values = values
@@ -272,31 +284,65 @@ class ModuleIncidence:
         return self._n_modules
 
     @property
-    def values(self):
+    def values(self) -> sp.csr_matrix:
         return self._values
 
     @property
     def is_dense(self) -> bool:
-        return not sp.issparse(self._values)
+        """Always False: the fold is sparse at every module count."""
+        return False
 
     def to_dense(self) -> np.ndarray:
-        if self.is_dense:
-            return self._values
-        return np.asarray(self._values.todense())
+        return self._values.toarray()
 
-    def row_groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unique rows and their multiplicities (cached, dense only)."""
+    def row_groups(self) -> RowGroups:
+        """Distinct rows and their multiplicities (cached).
+
+        Rows are compared exactly, by their sorted column ids, and listed in
+        lexicographic order of those ids.
+        """
         cached = getattr(self, "_row_groups", None)
         if cached is None:
-            rows, counts = np.unique(self.to_dense(), axis=0, return_counts=True)
-            cached = (rows, counts.astype(float))
+            cached = self._group_rows()
             self._row_groups = cached
         return cached
 
+    def _group_rows(self) -> RowGroups:
+        values = self._values
+        nnz = values.nnz
+        # One column per distinct (module, value) pair, ordered by module, so
+        # each row's column ids come out sorted as its module ids are.
+        order = np.lexsort((values.data, values.indices))
+        module, value = values.indices[order], values.data[order]
+        first = np.ones(nnz, dtype=bool)
+        first[1:] = (np.diff(module) != 0) | (np.diff(value) != 0)
+        column = np.empty(nnz, dtype=np.int32)
+        column[order] = np.cumsum(first) - 1
+
+        # Exact row dedupe: lexsort the rows' column ids, padded with -1
+        # (the lengths key only keeps the key list non-empty).
+        lengths = np.diff(values.indptr)
+        row = np.repeat(np.arange(self._n_events), lengths)
+        padded = np.full((self._n_events, lengths.max(initial=0)), -1,
+                         dtype=np.int32)
+        padded[row, np.arange(nnz) - values.indptr[row]] = column
+        rows = np.lexsort((lengths, *padded.T[::-1]))
+        padded = padded[rows]
+        starts = np.flatnonzero(np.r_[True, np.any(padded[1:] != padded[:-1],
+                                                   axis=1)])
+        padded = padded[starts]
+        counts = lengths[rows[starts]]
+        hits = sp.csr_matrix(
+            (np.ones(counts.sum()), padded[padded >= 0],
+             np.r_[0, np.cumsum(counts)]),
+            shape=(len(starts), int(first.sum())),
+        )
+        weights = np.diff(np.r_[starts, self._n_events]).astype(float)
+        return RowGroups(hits, weights, module[first], value[first])
+
     def __repr__(self):
-        kind = "dense" if self.is_dense else "sparse"
         return (f"ModuleIncidence(n_events={self._n_events}, "
-                f"n_modules={self._n_modules}, {kind})")
+                f"n_modules={self._n_modules}, nnz={self._values.nnz})")
 
 
 @dataclass(frozen=True)
@@ -456,39 +502,28 @@ def _log_keep_per_entry(incidence: EventLineIncidence,
         return np.log1p(-catalog.prescales[incidence.line_index])
 
 
-def fold_modules(incidence: EventLineIncidence, catalog: LineCatalog, *,
-                 dense_threshold: int = DENSE_MODULE_THRESHOLD) -> ModuleIncidence:
+def fold_modules(incidence: EventLineIncidence,
+                 catalog: LineCatalog) -> ModuleIncidence:
     """Fold a line-level incidence into per-module selection probabilities.
 
     fold[e, m] = 1 - prod over passing lines l of module m of (1 - prescale[l]).
     Computed as -expm1(sum of log1p(-prescale)) for precision; a prescale of 1
-    contributes -inf to the sum and the folded value is exactly 1.
+    contributes -inf to the sum and the folded value is exactly 1.  Lines with
+    prescale 0 leave no entry.
     """
     _require_consistent(incidence, catalog)
     n_events, n_modules = incidence.n_events, catalog.n_modules
-    log_keep = _log_keep_per_entry(incidence, catalog)
     entry_module = catalog.module_of_line[incidence.line_index]
-    if n_modules <= dense_threshold:
-        flat = incidence.event_index * n_modules + entry_module
-        sums = np.bincount(flat, weights=log_keep,
-                           minlength=n_events * n_modules)
-        values = -np.expm1(sums.reshape(n_events, n_modules))
-        return ModuleIncidence(n_events, n_modules, values)
-    mat = sp.coo_matrix((log_keep, (incidence.event_index, entry_module)),
-                        shape=(n_events, n_modules)).tocsr()
-    mat.data = -np.expm1(mat.data)
+    # Sorted (event, module) keys are the CSR entries in row-major order.
+    keys, entry = np.unique(incidence.event_index * n_modules + entry_module,
+                            return_inverse=True)
+    values = -np.expm1(np.bincount(
+        entry, weights=_log_keep_per_entry(incidence, catalog),
+        minlength=len(keys)))
+    keys, values = keys[values > 0.0], values[values > 0.0]
+    events = keys // n_modules
+    mat = sp.csr_matrix(
+        (values, keys - events * n_modules,
+         np.searchsorted(events, np.arange(n_events + 1))),
+        shape=(n_events, n_modules))
     return ModuleIncidence(n_events, n_modules, mat)
-
-
-def fold_lines_subset(incidence: EventLineIncidence, catalog: LineCatalog,
-                      line_mask) -> np.ndarray:
-    """Dense fold over a subset of lines only (e.g. the persist-reco ones)."""
-    _require_consistent(incidence, catalog)
-    mask = np.asarray(line_mask, dtype=bool)
-    keep = mask[incidence.line_index]
-    log_keep = _log_keep_per_entry(incidence, catalog)[keep]
-    entry_module = catalog.module_of_line[incidence.line_index[keep]]
-    flat = incidence.event_index[keep] * catalog.n_modules + entry_module
-    sums = np.bincount(flat, weights=log_keep,
-                       minlength=incidence.n_events * catalog.n_modules)
-    return -np.expm1(sums.reshape(incidence.n_events, catalog.n_modules))

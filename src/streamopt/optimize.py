@@ -27,11 +27,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cost import (DEFAULT_BASE_KB, DEFAULT_SHARED_KB, CostBreakdown,
-                   StorageBreakdown, read_cost_from_modules, storage_cost)
+                   StorageBreakdown, _scheme_read_cost, storage_cost)
 from .errors import InfeasibleError, StreamOptError
 from .model import (EventLineIncidence, LineCatalog, ModuleIncidence, Scheme,
                     SoftAssignment, fold_modules)
-from .relax import LossEvaluator, softmax_rows
+from .relax import LossEvaluator, one_hot, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -135,6 +135,8 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
             f"n_streams={n_streams} exceeds the {n_modules} available modules"
         )
 
+    evaluator = LossEvaluator(module_incidence,
+                              catalog.module_line_counts.astype(float))
     if n_streams == 1 or n_streams == n_modules:
         # Both boundary cases are settled without optimization: one stream is
         # the only scheme, and one stream per module is provably optimal
@@ -144,14 +146,12 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
             scheme = Scheme(1, (0,) * n_modules)
         else:
             scheme = Scheme(n_streams, tuple(range(n_modules)))
-        breakdown = read_cost_from_modules(module_incidence, catalog, scheme)
+        breakdown = _scheme_read_cost(evaluator, catalog, scheme)
         record = RestartRecord(0, breakdown.total, breakdown.total, 0, 0.0,
                                scheme)
         return OptimizationResult(scheme, breakdown.total, breakdown,
                                   (record,), config.seed)
 
-    evaluator = LossEvaluator(module_incidence,
-                              catalog.module_line_counts.astype(float))
     rng = np.random.default_rng(config.seed)
     logits = rng.normal(0.0, config.init_scale,
                         size=(config.n_restarts, n_modules, n_streams))
@@ -164,14 +164,13 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
 
     cost_cache: dict[tuple[int, ...], float] = {}
 
-    def rounded_cost(assignment: tuple[int, ...]) -> float:
-        cost = cost_cache.get(assignment)
-        if cost is None:
-            scheme = Scheme(n_streams, assignment)
-            cost = read_cost_from_modules(module_incidence, catalog,
-                                          scheme).total
-            cost_cache[assignment] = cost
-        return cost
+    def cache_rounded_costs(assignments):
+        """Read cost of each new assignment, from one batched one-hot call."""
+        fresh = list(dict.fromkeys(a for a in assignments
+                                   if a not in cost_cache))
+        if fresh:
+            costs = evaluator.loss(one_hot(fresh, n_streams))
+            cost_cache.update(zip(fresh, costs.tolist()))
 
     n_active = config.n_restarts
     best_cost = np.full(n_active, np.inf)
@@ -196,10 +195,11 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
 
         # Round every restart whose argmax pattern moved and keep its best.
         rounded = np.argmax(probs, axis=2)
-        moved = np.any(rounded != previous, axis=1)
-        for k in np.nonzero(moved)[0]:
-            assignment = tuple(int(s) for s in rounded[k])
-            cost = rounded_cost(assignment)
+        moved = np.nonzero(np.any(rounded != previous, axis=1))[0]
+        assignments = [tuple(rounded[k].tolist()) for k in moved]
+        cache_rounded_costs(assignments)
+        for k, assignment in zip(moved, assignments):
+            cost = cost_cache[assignment]
             if cost < best_cost[k]:
                 best_cost[k] = cost
                 best_assignment[k] = assignment
@@ -243,7 +243,7 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
     if not survivors:
         raise StreamOptError("every restart diverged to a non-finite loss")
     best = min(survivors, key=lambda r: (r.discrete_cost, r.index))
-    breakdown = read_cost_from_modules(module_incidence, catalog, best.scheme)
+    breakdown = _scheme_read_cost(evaluator, catalog, best.scheme)
     return OptimizationResult(best.scheme, best.relaxed_loss, breakdown,
                               per_restart, config.seed)
 

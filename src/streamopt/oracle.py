@@ -1,9 +1,10 @@
 """Ground-truth reference for small instances.
 
 Exhaustive enumeration walks canonical set partitions (restricted-growth
-strings), so stream relabelings are never evaluated twice, and scores each
-partition with the exact discrete objective.  A Monte-Carlo sampler checks
-the analytic prescale expectations against realized Bernoulli draws.
+strings), so stream relabelings are never evaluated twice, and scores them
+with the exact discrete objective: the relax kernel applied to batches of
+one-hot partitions.  A Monte-Carlo sampler checks the analytic prescale
+expectations against realized Bernoulli draws.
 
 Both exist for verification at desk scale; the enumeration refuses instances
 beyond its caps rather than silently truncating.
@@ -11,19 +12,23 @@ beyond its caps rather than silently truncating.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from .cost import DEFAULT_BASE_KB, DEFAULT_SHARED_KB, parse_objective
 from .errors import InfeasibleError
-from .model import (EventLineIncidence, LineCatalog, Scheme, fold_lines_subset,
-                    fold_modules)
+from .model import EventLineIncidence, LineCatalog, Scheme, fold_modules
+from .relax import LossEvaluator, one_hot
 
 MAX_ORACLE_MODULES = 12
 MAX_ORACLE_STREAMS = 4
 DEFAULT_MAX_EVALUATIONS = 10_000_000
+
+# Partitions per kernel call are capped so that one (events, batch * streams)
+# intermediate stays under this many elements.
+_BATCH_ELEMS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -111,66 +116,51 @@ def enumerate_optimal(incidence: EventLineIncidence, catalog: LineCatalog,
         )
 
     kind, weight = parse_objective(objective)
-    n_events = incidence.n_events
-    line_counts = catalog.module_line_counts.astype(float)
-    need_read = kind in ("T", "weighted")
-    need_storage = kind in ("S", "weighted")
-    miss = None
-    if need_read:
-        miss = 1.0 - fold_modules(incidence, catalog).to_dense()
-    miss_pr = turbo_kb = None
-    if need_storage:
-        miss_pr = 1.0 - fold_lines_subset(incidence, catalog,
-                                          catalog.persist_reco_mask)
-        # Expected turbo payload is additive over modules.
+    read = shared = turbo_kb = None
+    if kind != "S":
+        read = LossEvaluator(fold_modules(incidence, catalog),
+                             catalog.module_line_counts.astype(float))
+    if kind != "T":
+        # The shared payload is kept by the persist-reco lines only, so fold
+        # with every other line's prescale set to 0.
+        pr_catalog = LineCatalog(
+            tuple(rec if rec.is_persist_reco else replace(rec, prescale=0.0)
+                  for rec in catalog.lines),
+            catalog.modules)
+        shared = LossEvaluator(fold_modules(incidence, pr_catalog))
+        # Expected turbo payload is additive over modules, so every
+        # partition stores the same amount of it.
         turbo = catalog.turbo_mask[incidence.line_index]
-        entry_module = catalog.module_of_line[incidence.line_index[turbo]]
-        turbo_kb = base_kb * np.bincount(
-            entry_module,
-            weights=catalog.prescales[incidence.line_index[turbo]],
-            minlength=n_modules,
-        )
+        turbo_kb = base_kb * catalog.prescales[
+            incidence.line_index[turbo]].sum()
 
-    def score(blocks) -> float:
-        value = 0.0
-        if need_read:
-            for cols in blocks:
-                expected = n_events - np.prod(miss[:, cols], axis=1).sum()
-                value += line_counts[cols].sum() * expected
-        if need_storage:
-            stored = 0.0
-            for cols in blocks:
-                shared_events = n_events - np.prod(miss_pr[:, cols], axis=1).sum()
-                stored += turbo_kb[cols].sum() + shared_kb * shared_events
-            value = stored if kind == "S" else value + weight * stored
-        return float(value)
+    def score(probs) -> np.ndarray:
+        if kind == "T":
+            return read.loss(probs)
+        stored = turbo_kb + shared_kb * shared.expected_events(probs).sum(axis=1)
+        if kind == "S":
+            return stored
+        return read.loss(probs) + weight * stored
 
-    best_cost = np.inf
-    best_code: list[int] | None = None
-    tail: list[tuple[float, int, tuple[int, ...]]] = []
-    n_evaluated = 0
-    for code in restricted_growth_strings(n_modules, n_streams):
-        blocks: list[list[int]] = [[] for _ in range(max(code) + 1)]
-        for module, block in enumerate(code):
-            blocks[block].append(module)
-        cost = score([np.asarray(b) for b in blocks])
-        if cost < best_cost:
-            best_cost = cost
-            best_code = list(code)
-        if top_k:
-            # Min-heap on (-cost, -seq): the root is the worst kept entry.
-            heapq.heappush(tail, (-cost, -n_evaluated, tuple(code)))
-            if len(tail) > top_k:
-                heapq.heappop(tail)
-        n_evaluated += 1
+    codes = np.fromiter(
+        chain.from_iterable(restricted_growth_strings(n_modules, n_streams)),
+        dtype=np.int8, count=total * n_modules).reshape(total, n_modules)
+    costs = np.empty(total)
+    batch = max(1, _BATCH_ELEMS // (incidence.n_events * n_streams))
+    for start in range(0, total, batch):
+        costs[start:start + batch] = score(
+            one_hot(codes[start:start + batch], n_streams))
 
+    # argmin and a stable sort keep the first of equal costs in enumeration
+    # order.
+    best = int(np.argmin(costs))
     ranked_tail = None
     if top_k:
-        ordered = sorted(((-c, -s, code) for c, s, code in tail))
-        ranked_tail = tuple((Scheme(n_streams, code), cost)
-                            for cost, _, code in ordered)
-    return OracleResult(Scheme(n_streams, tuple(best_code)), best_cost,
-                        n_evaluated, ranked_tail)
+        ranked_tail = tuple(
+            (Scheme(n_streams, tuple(codes[i].tolist())), float(costs[i]))
+            for i in np.argsort(costs, kind="stable")[:top_k])
+    return OracleResult(Scheme(n_streams, tuple(codes[best].tolist())),
+                        float(costs[best]), total, ranked_tail)
 
 
 def mc_prescale_check(incidence: EventLineIncidence, catalog: LineCatalog,

@@ -13,16 +13,23 @@ where ``fold`` is the per-module selection probability from
 discrete read cost exactly; in between it is a smooth surrogate (not the
 expectation of the discrete cost over rounded assignments).
 
-The gradient is closed-form.  Writing F[e,m,s] = 1 - fold[e,m] * L[m,s]:
+One kernel evaluates every product.  The fold is recast as a binary
+incidence H over columns c = (module m_c, fold value v_c), with identical
+event rows merged (:meth:`streamopt.model.ModuleIncidence.row_groups`), so
+that
 
-    d events(s) / d L[m, s] = sum_e fold[e, m] * prod_{m' != m} F[e, m', s]
+    log prod_m (1 - fold[e, m] L[m, s]) = (H @ log(1 - v_c L[m_c, s]))[e]
 
-The leave-one-out products are obtained from exclusive prefix/suffix
-cumulative products along the module axis, avoiding division by factors that
-approach zero as rows saturate.  When every fold value is 0 or 1 (unit
-prescales) the products instead collapse to sparse matmuls in log space,
-which is what makes 1e4+-event optimization runs cheap.  The chain rule
-through the softmax needs only the probabilities:
+costs time in proportion to the nonzeros.  Writing F[c, s] = 1 - v_c L[m_c, s]
+and miss[e, s] for the product, the gradient is
+
+    d events(s) / d L[m, s] = sum_{c: m_c = m} v_c (H^T (w * miss))[c] / F[c, s]
+
+with w the row multiplicities.  Factors that are exactly zero (v_c = 1 and
+L = 1, as in one-hot input) are left out of the log sum and counted per row
+and stream instead: a row with one zero factor contributes its remaining
+product to that factor's column only, and a row with two or more contributes
+nothing.  The chain rule through the softmax needs only the probabilities:
 dA[m, s] = L[m,s] * (G[m,s] - sum_s' G[m,s'] L[m,s']).
 """
 
@@ -34,13 +41,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import LineCatalog, ModuleIncidence, SoftAssignment
-
-_BLOCK_ELEMS = 2_000_000  # target elements of the (restarts, events, M, S) block
-
-# The sparse-binary gradient divides by 1 - L[m, s]; below this margin the
-# dense leave-one-out path is used instead (softmax rows only get that
-# saturated from one-hot inputs, never during optimization).
-_SATURATION_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,97 +62,97 @@ def softmax_rows(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def one_hot(assignments, n_streams: int) -> np.ndarray:
+    """One-hot probabilities of integer stream assignments: shape
+    ``(..., units)`` becomes ``(..., units, n_streams)``."""
+    assignments = np.asarray(assignments, dtype=np.intp)
+    probs = np.zeros(assignments.shape + (n_streams,))
+    np.put_along_axis(probs, assignments[..., None], 1.0, axis=-1)
+    return probs
+
+
 class LossEvaluator:
     """Repeated loss/gradient evaluation over one folded incidence.
 
-    Identical event rows are merged with multiplicities up front, which cuts
-    the dominant event dimension substantially on clustered data.  Probability
-    tensors may carry a leading batch axis (one slice per restart).
+    Probability tensors may carry a leading batch axis (one slice per
+    restart, or one one-hot scheme per slice).
     """
 
-    def __init__(self, module_incidence: ModuleIncidence,
-                 line_counts=None, *, block_elems: int = _BLOCK_ELEMS):
-        self._incidence = module_incidence
+    def __init__(self, module_incidence: ModuleIncidence, line_counts=None):
         self.n_modules = module_incidence.n_modules
         if line_counts is not None:
             line_counts = np.asarray(line_counts, dtype=float)
             if line_counts.shape != (self.n_modules,):
                 raise ValueError("line_counts must have one entry per module")
         self._line_counts = line_counts
-        self._block_elems = int(block_elems)
-        self._hits = None
-        if module_incidence.is_dense:
-            self._rows, self._weights = module_incidence.row_groups()
-            if np.all((self._rows == 0.0) | (self._rows == 1.0)):
-                # Unit prescales fold to a 0/1 incidence; the per-event
-                # products then collapse to one sparse matmul in log space.
-                self._hits = sp.csr_matrix(self._rows)
-        else:
-            self._rows = None
-            self._weights = None
+        groups = module_incidence.row_groups()
+        self._hits = groups.hits
+        self._hits_t = groups.hits.T
+        self._weights = groups.weights
+        self._column_module = groups.column_module
+        self._column_value = groups.column_value[:, None]
+        # Sums v_c * (per-column term) back onto each column's module; the
+        # columns come ordered by module, so each module's row is a range.
+        n_columns = len(groups.column_module)
+        self._to_modules = sp.csr_matrix(
+            (groups.column_value, np.arange(n_columns),
+             np.searchsorted(groups.column_module, np.arange(self.n_modules + 1))),
+            shape=(self.n_modules, n_columns))
 
     # -- internals ---------------------------------------------------------
-
-    def _blocks(self, n_batch: int, n_streams: int):
-        per_row = max(1, n_batch * self.n_modules * n_streams)
-        step = max(1, self._block_elems // per_row)
-        if self._rows is not None:
-            for start in range(0, len(self._rows), step):
-                stop = start + step
-                yield self._rows[start:stop], self._weights[start:stop]
-        else:
-            values = self._incidence.values
-            ones = None
-            for start in range(0, self._incidence.n_events, step):
-                stop = min(start + step, self._incidence.n_events)
-                block = np.asarray(values[start:stop].todense())
-                if ones is None or len(ones) != stop - start:
-                    ones = np.ones(stop - start)
-                yield block, ones
 
     def _check_probs(self, probs) -> tuple[np.ndarray, bool]:
         probs = np.asarray(probs, dtype=float)
         if probs.ndim == 2:
-            return probs[None, :, :], True
-        if probs.ndim == 3:
-            return probs, False
-        raise ValueError("probabilities must be (units, streams) or "
-                         "(batch, units, streams)")
+            probs = probs[None, :, :]
+            squeeze = True
+        elif probs.ndim == 3:
+            squeeze = False
+        else:
+            raise ValueError("probabilities must be (units, streams) or "
+                             "(batch, units, streams)")
+        if probs.shape[1] != self.n_modules:
+            raise ValueError(
+                f"probabilities have {probs.shape[1]} units, incidence has "
+                f"{self.n_modules} modules"
+            )
+        return probs, squeeze
 
     def _line_counts_or_raise(self) -> np.ndarray:
         if self._line_counts is None:
             raise ValueError("evaluator was built without per-module line counts")
         return self._line_counts
 
-    # -- evaluation --------------------------------------------------------
-
-    def _log_miss(self, probs: np.ndarray):
-        """Binary path: log prod_m(1 - L[m,s]) over each row's hit modules."""
+    def _forward(self, probs: np.ndarray):
+        """Per-row log product of the nonzero factors, per-row zero-factor
+        counts (None if there are none), and the column terms v_c L[m_c]."""
         n_batch, n_modules, n_streams = probs.shape
         flat = probs.transpose(1, 0, 2).reshape(n_modules,
                                                 n_batch * n_streams)
+        taken = self._column_value * flat[self._column_module]
+        zero = taken == 1.0
         with np.errstate(divide="ignore"):
-            log_keep = np.log1p(-flat)
-        return self._hits @ log_keep, flat
+            log_factor = np.log1p(-taken)
+        n_zero = None
+        if zero.any():
+            log_factor[zero] = 0.0
+            n_zero = self._hits @ zero.astype(float)
+        return self._hits @ log_factor, n_zero, taken, zero
+
+    def _events(self, log_partial, n_zero, n_batch: int) -> np.ndarray:
+        kept = -np.expm1(log_partial)
+        if n_zero is not None:
+            kept[n_zero > 0] = 1.0
+        # Summed row by row, so each stream's total is independent of what
+        # else is in the batch.
+        return (kept * self._weights[:, None]).sum(axis=0).reshape(n_batch, -1)
+
+    # -- evaluation --------------------------------------------------------
 
     def expected_events(self, probs) -> np.ndarray:
         probs, squeeze = self._check_probs(probs)
-        if probs.shape[1] != self.n_modules:
-            raise ValueError(
-                f"probabilities have {probs.shape[1]} units, incidence has "
-                f"{self.n_modules} modules"
-            )
-        n_batch, _, n_streams = probs.shape
-        if self._hits is not None:
-            log_miss, _ = self._log_miss(probs)
-            terms = -np.expm1(log_miss) * self._weights[:, None]
-            events = terms.sum(axis=0).reshape(n_batch, n_streams)
-            return events[0] if squeeze else events
-        events = np.zeros((n_batch, n_streams))
-        for rows, weights in self._blocks(n_batch, n_streams):
-            factors = 1.0 - rows[None, :, :, None] * probs[:, None, :, :]
-            miss = np.prod(factors, axis=2)
-            events += np.sum((1.0 - miss) * weights[None, :, None], axis=1)
+        log_partial, n_zero, _, _ = self._forward(probs)
+        events = self._events(log_partial, n_zero, probs.shape[0])
         return events[0] if squeeze else events
 
     def expected_lines(self, probs) -> np.ndarray:
@@ -173,38 +173,26 @@ class LossEvaluator:
         Returns ``(loss, grad)`` with batch shapes matching the input.
         """
         probs, squeeze = self._check_probs(probs)
-        if probs.shape[1] != self.n_modules:
-            raise ValueError("probability rows do not match module count")
         counts = self._line_counts_or_raise()
         n_batch, n_modules, n_streams = probs.shape
 
-        if (self._hits is not None
-                and np.min(1.0 - probs) > _SATURATION_MARGIN):
-            log_miss, flat = self._log_miss(probs)
-            miss = np.exp(log_miss)
-            events = ((1.0 - miss) * self._weights[:, None]).sum(axis=0)
-            events = events.reshape(n_batch, n_streams)
-            # Leave-one-out products: divide each row product back out by its
-            # own factor, which stays away from 0 by the saturation margin.
-            weighted = miss * self._weights[:, None]
-            devents_flat = (self._hits.T @ weighted) / (1.0 - flat)
-            devents = devents_flat.reshape(n_modules, n_batch,
-                                           n_streams).transpose(1, 0, 2)
+        log_partial, n_zero, taken, zero = self._forward(probs)
+        events = self._events(log_partial, n_zero, n_batch)
+        partial = np.exp(log_partial)
+        weights = self._weights[:, None]
+        if n_zero is None:
+            column = (self._hits_t @ (weights * partial)) / (1.0 - taken)
         else:
-            events = np.zeros((n_batch, n_streams))
-            devents = np.zeros((n_batch, n_modules, n_streams))
-            for rows, weights in self._blocks(n_batch, n_streams):
-                factors = 1.0 - rows[None, :, :, None] * probs[:, None, :, :]
-                fwd = np.cumprod(factors, axis=2)
-                events += np.sum(
-                    (1.0 - fwd[:, :, -1, :]) * weights[None, :, None], axis=1)
-                # Exclusive prefix/suffix products give prod_{m' != m} F.
-                prefix = np.ones_like(factors)
-                prefix[:, :, 1:, :] = fwd[:, :, :-1, :]
-                rev = np.cumprod(factors[:, :, ::-1, :], axis=2)[:, :, ::-1, :]
-                prefix[:, :, :-1, :] *= rev[:, :, 1:, :]
-                devents += np.einsum("um,bums->bms", rows * weights[:, None],
-                                     prefix)
+            miss = np.where(n_zero > 0, 0.0, partial)
+            column = (self._hits_t @ (weights * miss)) / np.where(
+                zero, 1.0, 1.0 - taken)
+            # A zero factor's leave-one-out product is the rest of its row,
+            # nonzero only where it is the row's single zero factor.
+            alone = self._hits_t @ (weights * np.where(n_zero == 1, partial,
+                                                       0.0))
+            column = np.where(zero, alone, column)
+        devents = (self._to_modules @ column).reshape(
+            n_modules, n_batch, n_streams).transpose(1, 0, 2)
 
         lines = np.einsum("m,bms->bs", counts, probs)
         loss = np.sum(lines * events, axis=-1)

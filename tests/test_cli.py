@@ -70,6 +70,32 @@ class TestOptimizeCommand:
         assert storage_cost(incidence, catalog, scheme).total <= \
             storage_cost(incidence, catalog, single).total * 1.05
 
+    @pytest.mark.parametrize("objective", ["S", "weighted:1"])
+    def test_diagnostics_describe_the_written_scheme(self, tmp_path, objective):
+        # Three latent clusters and four streams: both rankings pick a
+        # different restart than the read-cost ranking does.
+        inst = tmp_path / "p.inst"
+        assert main(["generate", "--events", "200", "--modules", "6",
+                     "--prescales", "1,0.5,0.2", "--clusters", "3",
+                     "--cross", "0.1", "--seed", "1", "--out", str(inst)]) == 0
+        out = tmp_path / "p.scheme"
+        assert main(["optimize", "--instance", str(inst), "--streams", "4",
+                     "--restarts", "6", "--seed", "1", "--objective",
+                     objective, "--out", str(out)]) == 0
+        assert main(["evaluate", "--instance", str(inst), "--scheme",
+                     str(out), "--out", str(tmp_path / "eval.json")]) == 0
+        evaluated = json.loads((tmp_path / "eval.json").read_text())
+        diag = json.loads((tmp_path / "p.scheme.diag.json").read_text())
+        best = diag["best"]
+        assert best["read_cost"] == pytest.approx(
+            evaluated["read_cost"]["total"], rel=1e-9)
+        chosen = [r for r in diag["restarts"]
+                  if r["read_cost"] == best["read_cost"]
+                  and r["relaxed_loss"] == best["relaxed_loss"]]
+        assert chosen
+        assert best["read_cost"] > min(r["read_cost"]
+                                       for r in diag["restarts"])
+
     def test_infeasible_exit_code(self, instance_path, tmp_path):
         code = main(["optimize", "--instance", str(instance_path),
                      "--streams", "40", "--out", str(tmp_path / "x.scheme")])
@@ -82,6 +108,19 @@ class TestOptimizeCommand:
                      "--out", str(missing_dir)])
         assert code == 2
         assert not missing_dir.exists()
+
+    def test_existing_tmp_file_left_untouched(self, instance_path, tmp_path):
+        out = tmp_path / "x.scheme"
+        stale = tmp_path / "x.scheme.tmp"
+        stale.write_text("someone else's file\n")
+        assert main(["optimize", "--instance", str(instance_path),
+                     "--streams", "2", "--restarts", "2",
+                     "--out", str(out)]) == 0
+        assert stale.read_text() == "someone else's file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "toy.inst", "x.scheme", "x.scheme.diag.json", "x.scheme.tmp"]
+        # The output gets the mode of a plain write, not the temp file's 0600.
+        assert out.stat().st_mode & 0o777 == stale.stat().st_mode & 0o777
 
 
 class TestEvaluateCommand:
@@ -163,6 +202,17 @@ class TestSweepCommand:
         values = rows[1].split(",")
         assert float(values[3]) == pytest.approx(1.0, rel=1e-9)
         assert float(values[4]) == pytest.approx(1.0, rel=1e-9)
+
+
+    def test_zero_storage_baseline_is_data_error(self, tmp_path, capsys):
+        inst = tmp_path / "bare.inst"
+        assert main(["generate", "--events", "100", "--modules", "4",
+                     "--turbo-frac", "0", "--persistreco-frac", "0",
+                     "--seed", "2", "--out", str(inst)]) == 0
+        code = main(["sweep", "--instance", str(inst), "--streams", "1,2",
+                     "--restarts", "2", "--baseline", "single-stream"])
+        assert code == 2
+        assert "zero cost" in capsys.readouterr().err
 
 
 class TestCalibrateCommand:

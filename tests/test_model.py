@@ -121,12 +121,12 @@ class TestFoldModules:
         cat = build_catalog([("a", 1.0, True, False, "m"),
                              ("b", 0.5, True, False, "m")])
         inc = EventLineIncidence(1, 2, [(0, 0), (0, 1)])
-        assert fold_modules(inc, cat).values[0, 0] == 1.0
+        assert fold_modules(inc, cat).to_dense()[0, 0] == 1.0
 
     def test_single_prescaled_line(self):
         cat = build_catalog([("b", 0.5, True, False, "m")])
         inc = EventLineIncidence(1, 1, [(0, 0)])
-        assert fold_modules(inc, cat).values[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert fold_modules(inc, cat).to_dense()[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_identity_embedding(self):
         # One module per line, unit prescales: folding is the identity.
@@ -137,7 +137,7 @@ class TestFoldModules:
         cat = build_catalog([(f"l{i}", 1.0, True, False, f"l{i}")
                              for i in range(6)])
         folded = fold_modules(inc, cat)
-        assert np.array_equal(folded.values, mat.astype(float))
+        assert np.array_equal(folded.to_dense(), mat.astype(float))
 
     def test_unit_prescales_give_binary_values(self):
         rng = np.random.default_rng(9)
@@ -146,7 +146,7 @@ class TestFoldModules:
         inc = EventLineIncidence.from_dense(mat)
         cat = build_catalog([(f"l{i}", 1.0, True, False, f"m{i % 2}")
                              for i in range(6)])
-        values = fold_modules(inc, cat).values
+        values = fold_modules(inc, cat).to_dense()
         assert np.all((values == 0.0) | (values == 1.0))
 
     def test_monotone_in_added_line(self):
@@ -166,21 +166,9 @@ class TestFoldModules:
             bigger = build_catalog(rows + [(f"l{n_lines-1}",
                                             float(prescales[-1]), True,
                                             False, "m")])
-            before = fold_modules(inc, smaller).values[:, 0]
-            after = fold_modules(inc, bigger).values[:, 0]
+            before = fold_modules(inc, smaller).to_dense()[:, 0]
+            after = fold_modules(inc, bigger).to_dense()[:, 0]
             assert np.all(after >= before - 1e-15)
-
-    def test_sparse_threshold_matches_dense(self):
-        rng = np.random.default_rng(11)
-        mat = rng.random((20, 8)) < 0.4
-        mat = mat[mat.any(axis=1)]
-        inc = EventLineIncidence.from_dense(mat)
-        cat = build_catalog([(f"l{i}", 0.7, True, False, f"m{i % 3}")
-                             for i in range(8)])
-        dense = fold_modules(inc, cat)
-        sparse = fold_modules(inc, cat, dense_threshold=1)
-        assert not sparse.is_dense
-        assert np.allclose(sparse.to_dense(), dense.values, rtol=0, atol=1e-15)
 
     def test_invalid_prescale_rejected(self):
         cat = build_catalog([("a", 2.0, True, False, "m")])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamopt import (EventLineIncidence, SoftAssignment,
+from streamopt import (EventLineIncidence, LossEvaluator, SoftAssignment,
                        expected_events, expected_lines, fold_modules,
                        loss_gradient, read_cost, relaxed_loss, softmax_rows)
 from helpers import build_catalog, random_instance, random_scheme
@@ -210,13 +210,73 @@ class TestLossGradient:
         assert np.allclose(loss_gradient(folded, cat, a),
                            loss_gradient(folded, cat, b), atol=1e-9)
 
-    def test_sparse_incidence_matches_dense(self):
-        rng = np.random.default_rng(40)
-        inc, cat = random_instance(rng, max_modules=6)
-        dense = fold_modules(inc, cat)
-        sparse = fold_modules(inc, cat, dense_threshold=1)
-        soft = SoftAssignment.from_logits(rng.normal(0, 1, (cat.n_modules, 2)))
-        assert relaxed_loss(sparse, cat, soft).value == pytest.approx(
-            relaxed_loss(dense, cat, soft).value, rel=1e-12)
-        assert np.allclose(loss_gradient(sparse, cat, soft),
-                           loss_gradient(dense, cat, soft), atol=1e-12)
+
+def dense_reference(fold, counts, probs):
+    """Loss, events and logit gradient from the dense product formula."""
+    factors = 1.0 - fold[None, :, :, None] * probs[:, None, :, :]
+    events = (1.0 - factors.prod(axis=2)).sum(axis=1)
+    lines = np.einsum("m,bms->bs", counts, probs)
+    leave_one_out = np.stack(
+        [np.delete(factors, m, axis=2).prod(axis=2)
+         for m in range(fold.shape[1])], axis=2)
+    devents = np.einsum("em,bems->bms", fold, leave_one_out)
+    grad_probs = (counts[None, :, None] * events[:, None, :]
+                  + lines[:, None, :] * devents)
+    inner = np.sum(grad_probs * probs, axis=-1, keepdims=True)
+    return (lines * events).sum(axis=-1), events, probs * (grad_probs - inner)
+
+
+class TestKernel:
+    def test_row_groups_rebuild_the_fold(self):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            inc, cat = random_instance(rng, max_modules=6)
+            folded = fold_modules(inc, cat)
+            groups = folded.row_groups()
+            assert groups.weights.sum() == inc.n_events
+            rows = np.zeros((len(groups.weights), cat.n_modules))
+            r, c = groups.hits.nonzero()
+            rows[r, groups.column_module[c]] = groups.column_value[c]
+            assert len(np.unique(rows, axis=0)) == len(rows)
+            rebuilt = np.repeat(rows, groups.weights.astype(int), axis=0)
+            for got, want in zip(np.unique(rebuilt, axis=0, return_counts=True),
+                                 np.unique(folded.to_dense(), axis=0,
+                                           return_counts=True)):
+                assert np.array_equal(got, want)
+
+    def test_matches_dense_formula_with_zero_factors(self):
+        rng = np.random.default_rng(42)
+        checked_zero = 0
+        for _ in range(10):
+            inc, cat = random_instance(rng, max_modules=6, rate_range=(0.1, 0.4))
+            folded = fold_modules(inc, cat)
+            fold = folded.to_dense()
+            counts = cat.module_line_counts.astype(float)
+            n_modules, n_streams = cat.n_modules, 3
+            soft = softmax_rows(rng.normal(0, 1, (n_modules, n_streams)))
+            # Half the modules exactly one-hot, so fold values of 1 meet
+            # L = 1; once with exact zeros elsewhere and once with tiny
+            # entries that let the saturated rows reach the logit gradient.
+            one_hot = soft.copy()
+            sure = rng.permutation(n_modules)[:(n_modules + 1) // 2]
+            one_hot[sure] = 0.0
+            one_hot[sure, rng.integers(0, n_streams, len(sure))] = 1.0
+            tiny = np.where(one_hot[sure] == 0.0, 1e-30, 1.0)
+            saturated = one_hot.copy()
+            saturated[sure] = tiny
+            probs = np.stack([soft, one_hot, saturated])
+            checked_zero += int(np.any(fold[:, sure] == 1.0))
+
+            evaluator = LossEvaluator(folded, counts)
+            want_loss, want_events, want_grad = dense_reference(fold, counts,
+                                                                probs)
+            loss, grad = evaluator.loss_and_gradient(probs)
+            np.testing.assert_allclose(loss, want_loss, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(evaluator.loss(probs), want_loss,
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(evaluator.expected_events(probs),
+                                       want_events, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(grad, want_grad, rtol=1e-9,
+                                       atol=1e-9 * np.abs(want_grad[0]).max()
+                                       * 1e-30)
+        assert checked_zero >= 5
