@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .calibrate import corrected_read_cost, fit_linear
 from .cost import (DEFAULT_BASE_KB, DEFAULT_SHARED_KB, extreme_schemes,
-                   parse_objective, read_cost, storage_cost)
+                   objective_total, parse_objective, read_cost, storage_cost)
 from .errors import DataError, InfeasibleError, StreamOptError
 from .instances import (SyntheticSpec, gen_synthetic, load_instance,
                         load_measurements, load_scheme, scheme_to_text)
@@ -64,6 +64,20 @@ def _int_range(value: str) -> tuple[int, int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad range '{value}' (use LO:HI)") from None
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: '{value}'") from None
+        if number < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {number}")
+        return number
+    return parse
 
 
 def _float_list(value: str) -> tuple[float, ...]:
@@ -134,7 +148,7 @@ def build_parser() -> _Parser:
                    metavar="P1,P2,...")
     p.add_argument("--persistreco-frac", type=float, default=0.25)
     p.add_argument("--turbo-frac", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -142,8 +156,8 @@ def build_parser() -> _Parser:
                        help="optimize a scheme and write it with diagnostics")
     p.add_argument("--instance", required=True)
     p.add_argument("--streams", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=_int_at_least(1), default=20)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--objective", type=_objective, default="T",
                    help="restart ranking objective: T, S, or weighted:<w>")
     p.add_argument("--out", required=True,
@@ -171,8 +185,8 @@ def build_parser() -> _Parser:
     p.add_argument("--instance", required=True)
     p.add_argument("--streams", type=_stream_list, required=True,
                    metavar="K1,K2,...")
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=_int_at_least(1), default=20)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--baseline",
                    help="scheme used to normalize the T and S columns")
     p.add_argument("--out", help="write the table as CSV instead of stdout")
@@ -202,20 +216,19 @@ def build_parser() -> _Parser:
 
 
 def cmd_generate(args) -> int:
-    spec = SyntheticSpec(
-        n_events=args.events,
-        n_modules=args.modules,
-        lines_per_module=args.lines_per_module,
-        n_latent_clusters=args.clusters,
-        intra_cluster_pass_rate=args.intra,
-        cross_cluster_pass_rate=args.cross,
-        prescale_options=args.prescales,
-        persist_reco_fraction=args.persistreco_frac,
-        turbo_fraction=args.turbo_frac,
-        seed=args.seed,
-    )
     try:
-        instance = gen_synthetic(spec)
+        instance = gen_synthetic(SyntheticSpec(
+            n_events=args.events,
+            n_modules=args.modules,
+            lines_per_module=args.lines_per_module,
+            n_latent_clusters=args.clusters,
+            intra_cluster_pass_rate=args.intra,
+            cross_cluster_pass_rate=args.cross,
+            prescale_options=args.prescales,
+            persist_reco_fraction=args.persistreco_frac,
+            turbo_fraction=args.turbo_frac,
+            seed=args.seed,
+        ))
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     _write_text(args.out, instance.to_text())
@@ -226,27 +239,23 @@ def cmd_generate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    if args.streams < 1:
+        raise InfeasibleError("stream counts must be >= 1")
     incidence, catalog = load_instance(args.instance)
     module_incidence = fold_modules(incidence, catalog)
     config = OptimizerConfig(n_streams=args.streams, n_restarts=args.restarts,
                              seed=args.seed)
     result = optimize(module_incidence, catalog, config)
 
-    kind, weight = parse_objective(args.objective)
     best = result.best_scheme
     relaxed_loss = result.best_loss_relaxed
     best_read_cost = result.best_cost_discrete.total
-    if kind != "T":
+    if args.objective != "T":
         # Re-rank the recorded restarts by the requested objective.
-        def value(scheme):
-            s = storage_cost(incidence, catalog, scheme,
-                             base_kb=args.base_kb, shared_kb=args.shared_kb).total
-            if kind == "S":
-                return s
-            return read_cost(incidence, catalog, scheme).total + weight * s
-
         survivors = [r for r in result.per_restart if not r.failed]
-        chosen = min(survivors, key=lambda r: (value(r.scheme), r.index))
+        chosen = min(survivors, key=lambda r: (objective_total(
+            incidence, catalog, r.scheme, args.objective,
+            base_kb=args.base_kb, shared_kb=args.shared_kb), r.index))
         best = chosen.scheme
         relaxed_loss = chosen.relaxed_loss
         best_read_cost = chosen.discrete_cost

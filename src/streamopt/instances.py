@@ -153,21 +153,21 @@ def _parse_instance(text: str) -> InstanceFile:
     line_index: dict[str, int] = {}
     for i, name in enumerate(catalog.line_names):
         line_index.setdefault(name, i)
+    unique_pairs = dict.fromkeys(raw_pairs)
+    if len(unique_pairs) != len(raw_pairs):
+        logger.warning("ignored %d duplicate incidence rows",
+                       len(raw_pairs) - len(unique_pairs))
     event_index: dict[str, int] = {}
-    pairs: list[tuple[int, int]] = []
-    for event, line_name in raw_pairs:
+    events: list[int] = []
+    lines: list[int] = []
+    for event, line_name in unique_pairs:
         li = line_index.get(line_name)
         if li is None:
             raise DataError(f"incidence references unknown line '{line_name}'")
-        ev = event_index.setdefault(event, len(event_index))
-        pairs.append((ev, li))
-
-    unique_pairs = sorted(set(pairs))
-    if len(unique_pairs) != len(pairs):
-        logger.warning("ignored %d duplicate incidence rows",
-                       len(pairs) - len(unique_pairs))
+        events.append(event_index.setdefault(event, len(event_index)))
+        lines.append(li)
     incidence = EventLineIncidence(len(event_index), catalog.n_lines,
-                                   unique_pairs)
+                                   np.column_stack((events, lines)))
     return InstanceFile(catalog, incidence, tuple(event_index))
 
 
@@ -333,6 +333,10 @@ class SyntheticSpec:
                 raise ValueError("prescales must lie in [0, 1]")
 
 
+# Events x lines cells drawn at once by the generator.
+_BLOCK_CELLS = 1 << 20
+
+
 def gen_synthetic(spec: SyntheticSpec) -> InstanceFile:
     """Generate a planted-cluster instance, deterministic for a given seed."""
     rng = np.random.default_rng(spec.seed)
@@ -357,16 +361,24 @@ def gen_synthetic(spec: SyntheticSpec) -> InstanceFile:
     catalog = LineCatalog(tuple(records))
 
     cluster_of_event = rng.integers(0, n_clusters, size=spec.n_events)
-    same = cluster_of_event[:, None] == np.asarray(cluster_of_line)[None, :]
-    pass_prob = np.where(same, spec.intra_cluster_pass_rate,
-                         spec.cross_cluster_pass_rate)
-    passes = rng.random(pass_prob.shape) < pass_prob
-    ev, li = np.nonzero(passes)
-    if ev.size == 0:
+    line_cluster = np.asarray(cluster_of_line)[None, :]
+    # Passes are drawn over blocks of event rows to bound memory; the blocks'
+    # draws concatenate to the one events x lines draw, so the output does
+    # not depend on the block size.
+    block = max(1, _BLOCK_CELLS // catalog.n_lines)
+    found = []
+    for start in range(0, spec.n_events, block):
+        rows = cluster_of_event[start:start + block]
+        pass_prob = np.where(rows[:, None] == line_cluster,
+                             spec.intra_cluster_pass_rate,
+                             spec.cross_cluster_pass_rate)
+        ev, li = np.nonzero(rng.random(pass_prob.shape) < pass_prob)
+        found.append(np.column_stack((ev + start, li)))
+    entries = np.concatenate(found)
+    if entries.size == 0:
         raise DataError("generator produced no passing events; raise the rates")
     incidence, dropped = EventLineIncidence.dropping_empty_events(
-        spec.n_events, catalog.n_lines, zip(ev.tolist(), li.tolist())
-    )
+        spec.n_events, catalog.n_lines, entries)
     if dropped:
         logger.info("synthetic instance kept %d of %d events",
                     incidence.n_events, spec.n_events)

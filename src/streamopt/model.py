@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -141,25 +141,25 @@ class LineCatalog:
 class EventLineIncidence:
     """Sparse binary event-by-line pass matrix.
 
-    Entries are canonicalized to lexicographic (event, line) order.  Every
-    event must pass at least one line; use :meth:`dropping_empty_events` to
-    ingest raw data that may contain events passing nothing.
+    ``entries`` is an ``(n, 2)`` integer array of (event, line) pairs or an
+    iterable of such pairs.  Entries are canonicalized to lexicographic
+    (event, line) order.  Every event must pass at least one line; use
+    :meth:`dropping_empty_events` to ingest raw data that may contain events
+    passing nothing.
     """
 
-    def __init__(self, n_events: int, n_lines: int,
-                 entries: Iterable[tuple[int, int]]):
+    def __init__(self, n_events: int, n_lines: int, entries):
         n_events = int(n_events)
         n_lines = int(n_lines)
         if n_events < 1 or n_lines < 1:
             raise DataError("incidence needs at least one event and one line")
-        arr = np.asarray(sorted(entries), dtype=np.int64)
-        if arr.size == 0:
-            raise DataError("incidence has no entries")
-        ev, li = arr[:, 0], arr[:, 1]
+        ev, li = _entry_columns(entries)
         if ev.min() < 0 or ev.max() >= n_events:
             raise DataError(f"event index out of range [0, {n_events})")
         if li.min() < 0 or li.max() >= n_lines:
             raise DataError(f"line index out of range [0, {n_lines})")
+        order = np.lexsort((li, ev))
+        ev, li = ev[order], li[order]
         dup = (np.diff(ev) == 0) & (np.diff(li) == 0)
         if dup.any():
             k = int(np.nonzero(dup)[0][0])
@@ -177,32 +177,29 @@ class EventLineIncidence:
 
     @classmethod
     def dropping_empty_events(
-        cls, n_events: int, n_lines: int, entries: Iterable[tuple[int, int]]
+        cls, n_events: int, n_lines: int, entries
     ) -> tuple["EventLineIncidence", int]:
         """Build an incidence, renumbering away events that pass no line.
 
         Returns the incidence and the number of dropped events; the count is
         also logged because it silently shrinks the dataset.
         """
-        arr = np.asarray(sorted(entries), dtype=np.int64)
-        if arr.size == 0:
-            raise DataError("incidence has no entries")
-        present = np.unique(arr[:, 0])
-        dropped = int(n_events) - len(present)
-        if dropped < 0:
-            raise DataError("entries reference more events than declared")
+        n_events = int(n_events)
+        ev, li = _entry_columns(entries)
+        if ev.min() < 0 or ev.max() >= n_events:
+            raise DataError(f"event index out of range [0, {n_events})")
+        present = np.bincount(ev, minlength=n_events) > 0
+        n_present = int(present.sum())
+        dropped = n_events - n_present
         if dropped:
             logger.info("dropped %d events that pass no line", dropped)
-            remap = np.full(int(n_events), -1, dtype=np.int64)
-            remap[present] = np.arange(len(present))
-            arr = np.column_stack([remap[arr[:, 0]], arr[:, 1]])
-        return cls(len(present), n_lines, map(tuple, arr)), dropped
+            ev = (np.cumsum(present) - 1)[ev]
+        return cls(n_present, n_lines, np.column_stack((ev, li))), dropped
 
     @classmethod
     def from_dense(cls, matrix) -> "EventLineIncidence":
         mat = np.asarray(matrix, dtype=bool)
-        ev, li = np.nonzero(mat)
-        return cls(mat.shape[0], mat.shape[1], zip(ev.tolist(), li.tolist()))
+        return cls(mat.shape[0], mat.shape[1], np.argwhere(mat))
 
     @property
     def n_events(self) -> int:
@@ -235,6 +232,18 @@ class EventLineIncidence:
     def __repr__(self):
         return (f"EventLineIncidence(n_events={self._n_events}, "
                 f"n_lines={self._n_lines}, n_entries={self.n_entries})")
+
+
+def _entry_columns(entries) -> tuple[np.ndarray, np.ndarray]:
+    """Event and line index columns of an entry array or iterable of pairs."""
+    if not isinstance(entries, np.ndarray):
+        entries = list(entries)
+    arr = np.asarray(entries, dtype=np.int64)
+    if arr.size == 0:
+        raise DataError("incidence has no entries")
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise DataError("incidence entries must be (event, line) pairs")
+    return arr[:, 0], arr[:, 1]
 
 
 class RowGroups(NamedTuple):
@@ -437,10 +446,14 @@ class SoftAssignment:
 
     def row_entropy(self) -> np.ndarray:
         """Shannon entropy (nats) of each row; 0 for one-hot rows."""
-        p = self._probs
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(p > 0.0, p * np.log(p), 0.0)
-        return -terms.sum(axis=1)
+        return _row_entropy(self._probs)
+
+
+def _row_entropy(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy (nats) along the last axis of a probability array."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
+    return -terms.sum(axis=-1)
 
 
 def validate_dataset(incidence: EventLineIncidence,

@@ -1,10 +1,10 @@
 """Gradient-descent driver: AdaMax on logits, multi-restart, rounding.
 
 Each restart starts from independent Gaussian logits and follows AdaMax
-(first-moment EMA, infinity-norm second moment, bias-corrected step) until
-the loss plateaus or the iteration cap is hit.  Restarts are ranked by the
-*discrete* read cost of rounded schemes, because the surrogate loss of a
-non-integral assignment is not the expected discrete cost.
+(first-moment EMA, infinity-norm second moment, bias-corrected step) for
+``max_iters`` steps.  Restarts are ranked by the *discrete* read cost of
+rounded schemes, because the surrogate loss of a non-integral assignment is
+not the expected discrete cost.
 
 The surrogate rewards spreading a module's probability over several streams
 (both loss factors shrink), so on instances with more streams than natural
@@ -14,9 +14,9 @@ rounds its assignment whenever the argmax pattern changes and keeps the best
 discrete cost seen along its whole trajectory, not just at the stopping
 point.
 
-All restarts advance together as one batched tensor; converged or diverged
-restarts are compacted out of the batch.  Results are bit-reproducible for a
-given seed and configuration.
+All restarts advance together as one batched tensor; a restart whose loss
+turns non-finite is compacted out of the batch.  Results are
+bit-reproducible for a given seed and configuration.
 """
 
 from __future__ import annotations
@@ -27,11 +27,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cost import (DEFAULT_BASE_KB, DEFAULT_SHARED_KB, CostBreakdown,
-                   StorageBreakdown, _scheme_read_cost, storage_cost)
+                   StorageBreakdown, _scheme_read_cost, extreme_schemes,
+                   storage_cost)
 from .errors import InfeasibleError, StreamOptError
 from .model import (EventLineIncidence, LineCatalog, ModuleIncidence, Scheme,
-                    SoftAssignment, fold_modules)
+                    SoftAssignment, _row_entropy, fold_modules)
 from .relax import LossEvaluator, one_hot, softmax_rows
+
+# AdaMax step size, moment decay rates and denominator guard, and the
+# standard deviation of the initial logits.
+STEP_SIZE = 0.002
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+INIT_SCALE = 0.1
 
 
 @dataclass(frozen=True)
@@ -39,13 +48,6 @@ class OptimizerConfig:
     n_streams: int
     n_restarts: int = 20
     max_iters: int = 5000
-    step_size: float = 0.002
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    plateau_tol: float = 1e-7
-    plateau_window: int = 100
-    init_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -55,20 +57,6 @@ class OptimizerConfig:
             raise ValueError("n_restarts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.plateau_tol <= 0:
-            raise ValueError("plateau_tol must be positive")
-        if self.plateau_window < 1:
-            raise ValueError("plateau_window must be >= 1")
-        if self.init_scale <= 0:
-            raise ValueError("init_scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -100,20 +88,10 @@ class SweepPoint:
     storage: StorageBreakdown
 
 
-def _round_probability_rows(probs: np.ndarray, n_streams: int) -> Scheme:
-    # argmax returns the lowest index on ties, which is the tie-break rule.
-    return Scheme(n_streams, tuple(int(s) for s in np.argmax(probs, axis=1)))
-
-
 def round_assignment(soft: SoftAssignment) -> Scheme:
     """Round soft probabilities to the most likely stream per unit."""
-    return _round_probability_rows(soft.probabilities, soft.n_streams)
-
-
-def _max_row_entropy(probs: np.ndarray) -> float:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
-    return float(np.max(-terms.sum(axis=1)))
+    # argmax returns the lowest index on ties, which is the tie-break rule.
+    return Scheme(soft.n_streams, np.argmax(soft.probabilities, axis=1))
 
 
 def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
@@ -142,10 +120,8 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
         # the only scheme, and one stream per module is provably optimal
         # (every other scheme merges some of its streams, and merging never
         # lowers the read cost).
-        if n_streams == 1:
-            scheme = Scheme(1, (0,) * n_modules)
-        else:
-            scheme = Scheme(n_streams, tuple(range(n_modules)))
+        single, per_unit = extreme_schemes(catalog)
+        scheme = single if n_streams == 1 else per_unit
         breakdown = _scheme_read_cost(evaluator, catalog, scheme)
         record = RestartRecord(0, breakdown.total, breakdown.total, 0, 0.0,
                                scheme)
@@ -153,12 +129,10 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
                                   (record,), config.seed)
 
     rng = np.random.default_rng(config.seed)
-    logits = rng.normal(0.0, config.init_scale,
+    logits = rng.normal(0.0, INIT_SCALE,
                         size=(config.n_restarts, n_modules, n_streams))
     moment = np.zeros_like(logits)
     inf_norm = np.zeros_like(logits)
-    window = config.plateau_window
-    ring = np.empty((window, config.n_restarts))
     origin = np.arange(config.n_restarts)
     records: dict[int, RestartRecord] = {}
 
@@ -185,7 +159,7 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
             return
         records[idx] = RestartRecord(idx, float(loss_value),
                                      float(best_cost[pos]), iterations,
-                                     _max_row_entropy(probs_row),
+                                     float(_row_entropy(probs_row).max()),
                                      Scheme(n_streams, best_assignment[pos]))
 
     beta1_power = 1.0
@@ -206,31 +180,22 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
         previous = rounded
 
         failed = ~np.isfinite(loss)
-        done = np.zeros_like(failed)
-        if step > window:
-            slot = ring[(step - 1) % window]  # loss from `window` steps ago
-            improvement = (slot - loss) / np.maximum(np.abs(slot), 1e-300)
-            done = improvement < config.plateau_tol
-        stop = failed | done
-        if stop.any():
-            for k in np.nonzero(stop)[0]:
-                finalize(int(origin[k]), probs[k], loss[k], step,
-                         bool(failed[k]), int(k))
-            keep = ~stop
+        if failed.any():
+            for k in np.nonzero(failed)[0]:
+                finalize(int(origin[k]), probs[k], loss[k], step, True, int(k))
+            keep = ~failed
             logits, moment, inf_norm = logits[keep], moment[keep], inf_norm[keep]
-            origin, ring = origin[keep], ring[:, keep]
-            loss, grad = loss[keep], grad[keep]
+            origin, grad = origin[keep], grad[keep]
             best_cost, previous = best_cost[keep], previous[keep]
             best_assignment = [a for a, ok in zip(best_assignment, keep) if ok]
             if logits.shape[0] == 0:
                 break
 
-        beta1_power *= config.beta1
-        moment = config.beta1 * moment + (1.0 - config.beta1) * grad
-        inf_norm = np.maximum(config.beta2 * inf_norm, np.abs(grad))
-        scale = config.step_size / (1.0 - beta1_power)
-        logits = logits - scale * moment / (inf_norm + config.epsilon)
-        ring[(step - 1) % window] = loss
+        beta1_power *= BETA1
+        moment = BETA1 * moment + (1.0 - BETA1) * grad
+        inf_norm = np.maximum(BETA2 * inf_norm, np.abs(grad))
+        scale = STEP_SIZE / (1.0 - beta1_power)
+        logits = logits - scale * moment / (inf_norm + EPSILON)
     else:
         probs = softmax_rows(logits)
         loss = np.atleast_1d(evaluator.loss(probs))

@@ -297,3 +297,23 @@ class TestUsageErrors:
     def test_bad_stream_list(self, instance_path, capsys):
         assert main(["sweep", "--instance", str(instance_path),
                      "--streams", "1,za"]) == 1
+
+    @pytest.mark.parametrize("argv, code", [
+        (["optimize", "--streams", "2", "--restarts", "0"], 1),
+        (["sweep", "--streams", "1,2", "--restarts", "-3"], 1),
+        (["optimize", "--streams", "2", "--seed", "-1"], 1),
+        (["sweep", "--streams", "1,2", "--seed", "-5"], 1),
+        (["optimize", "--streams", "0"], 3),
+        (["generate", "--prescales", "2"], 2),
+        (["generate", "--lines-per-module", "3:1"], 2),
+        (["generate", "--prescales", ","], 2),
+    ])
+    def test_bad_arguments_exit_without_traceback(self, instance_path,
+                                                  tmp_path, capsys, argv,
+                                                  code):
+        out = tmp_path / "out"
+        if argv[0] != "generate":
+            argv = argv + ["--instance", str(instance_path)]
+        assert main(argv + ["--out", str(out)]) == code
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()

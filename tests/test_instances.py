@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from streamopt import instances
 from streamopt import (DataError, InstanceFile, Scheme, SyntheticSpec,
                        gen_synthetic, load_instance, load_measurements,
                        load_scheme, validate_dataset, write_scheme)
@@ -149,6 +152,22 @@ class TestSyntheticGenerator:
         spec = SyntheticSpec(n_events=120, n_modules=6, seed=9,
                              prescale_options=(1.0, 0.5))
         assert gen_synthetic(spec).to_text() == gen_synthetic(spec).to_text()
+
+    @pytest.mark.parametrize("block_cells", [instances._BLOCK_CELLS, 1, 16])
+    def test_pinned_output(self, monkeypatch, block_cells):
+        # Pins the generator's random stream: catalog draws, cluster draws,
+        # pass draws (whatever their block size) and dropped-event renumbering.
+        monkeypatch.setattr(instances, "_BLOCK_CELLS", block_cells)
+        spec = SyntheticSpec(n_events=300, n_modules=7, lines_per_module=(1, 3),
+                             n_latent_clusters=3, intra_cluster_pass_rate=0.3,
+                             cross_cluster_pass_rate=0.01,
+                             prescale_options=(1.0, 0.5, 0.25),
+                             persist_reco_fraction=0.4, turbo_fraction=0.8,
+                             seed=20)
+        inst = gen_synthetic(spec)
+        assert inst.incidence.n_events == 256
+        assert hashlib.sha256(inst.to_text().encode()).hexdigest() == \
+            "91159388939ed365a5e250b60bc96e395274c494ea61838a83a056621d3b346d"
 
     def test_different_seeds_differ(self):
         a = gen_synthetic(SyntheticSpec(n_events=120, n_modules=6, seed=1))

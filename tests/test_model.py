@@ -47,6 +47,12 @@ class TestEventLineIncidence:
         assert inc.pairs() == [(0, 0), (1, 1)]
         assert "dropped 2 events" in caplog.text
 
+    def test_bad_entries_are_data_errors(self):
+        with pytest.raises(DataError, match="out of range"):
+            EventLineIncidence.dropping_empty_events(3, 2, [(0, 0), (5, 1)])
+        with pytest.raises(DataError, match="pairs"):
+            EventLineIncidence(1, 1, [(0, 0, 0)])
+
     def test_dense_round_trip(self):
         mat = np.array([[1, 0, 1], [0, 1, 0]], dtype=bool)
         assert np.array_equal(EventLineIncidence.from_dense(mat).to_dense(), mat)
