@@ -277,6 +277,8 @@ def cmd_optimize(args) -> int:
                 "relaxed_loss": None if r.failed else r.relaxed_loss,
                 "read_cost": None if r.failed else r.discrete_cost,
                 "iterations": r.iterations,
+                "stop_reason": r.stop_reason,
+                "best_found_at": None if r.failed else r.best_found_at,
                 "max_row_entropy": None if r.failed else r.max_row_entropy,
                 "failed": r.failed,
             }

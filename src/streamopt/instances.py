@@ -98,7 +98,12 @@ def _parse_float(token: str, lineno: int, what: str) -> float:
 
 
 def _split_row(line: str, lineno: int, n_fields: int) -> list[str]:
-    row = next(csv.reader([line]))
+    # On a line without quotes the csv reader returns exactly the
+    # comma-separated pieces (and nothing for an empty line).
+    if '"' in line or not line:
+        row = next(csv.reader([line]))
+    else:
+        row = line.split(",")
     if len(row) != n_fields:
         raise DataError(
             f"line {lineno}: expected {n_fields} fields, got {len(row)}"

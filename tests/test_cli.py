@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from streamopt import (Scheme, extreme_schemes, load_instance, load_scheme,
-                       read_cost, storage_cost, write_scheme)
+from streamopt import (OptimizerConfig, Scheme, extreme_schemes,
+                       load_instance, load_scheme, read_cost, storage_cost,
+                       write_scheme)
 from streamopt.cli import main
+from streamopt.optimize import SETTLED_ENTROPY
 
 
 @pytest.fixture
@@ -45,6 +47,14 @@ class TestOptimizeCommand:
         assert len(diag["restarts"]) == 8
         assert diag["best"]["read_cost"] == pytest.approx(
             read_cost(incidence, catalog, scheme).total)
+        for r in diag["restarts"]:
+            assert not r["failed"]
+            assert r["stop_reason"] in ("settled", "max_iters")
+            assert 1 <= r["best_found_at"] <= r["iterations"]
+            if r["stop_reason"] == "settled":
+                assert r["max_row_entropy"] < SETTLED_ENTROPY
+            else:
+                assert r["iterations"] == OptimizerConfig(3).max_iters
 
     def test_deterministic_under_seed(self, instance_path, tmp_path):
         outs = []

@@ -1,10 +1,14 @@
+import csv
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from streamopt import instances
-from streamopt import (DataError, InstanceFile, Scheme, SyntheticSpec,
+from streamopt import (DataError, EventLineIncidence, InstanceFile,
+                       LineCatalog, LineRecord, Scheme, SyntheticSpec,
                        gen_synthetic, load_instance, load_measurements,
                        load_scheme, validate_dataset, write_scheme)
 from streamopt.instances import scheme_from_text, scheme_to_text
@@ -210,3 +214,90 @@ class TestSyntheticGenerator:
             SyntheticSpec(prescale_options=(2.0,))
         with pytest.raises(ValueError):
             SyntheticSpec(lines_per_module=(3, 1))
+
+
+# -- properties ----------------------------------------------------------------
+
+# Every character ``str.splitlines`` breaks on, so a drawn line stays one line.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+single_lines = st.text(
+    st.one_of(st.sampled_from(',"ab '),
+              st.characters(blacklist_characters=LINE_BREAKS)),
+    min_size=1)
+names = st.text("abcdefghijklmnopqrstuvwxyz0123456789_.-", min_size=1,
+                max_size=8)
+
+
+@st.composite
+def instance_files(draw):
+    line_names = draw(st.lists(names, min_size=1, max_size=6, unique=True))
+    module_names = draw(st.lists(names, min_size=1, max_size=len(line_names),
+                                 unique=True))
+    # Each module gets its first line; the rest go anywhere.
+    modules = module_names + [draw(st.sampled_from(module_names))
+                              for _ in line_names[len(module_names):]]
+    lines = tuple(
+        LineRecord(name, draw(st.floats(0.0, 1.0)), draw(st.booleans()),
+                   draw(st.booleans()), module)
+        for name, module in zip(line_names, modules))
+    event_ids = draw(st.lists(names, min_size=1, max_size=8, unique=True))
+    n_lines = len(lines)
+    pairs = {(e, draw(st.integers(0, n_lines - 1)))
+             for e in range(len(event_ids))}
+    pairs |= draw(st.sets(st.tuples(st.integers(0, len(event_ids) - 1),
+                                    st.integers(0, n_lines - 1))))
+    incidence = EventLineIncidence(len(event_ids), n_lines, sorted(pairs))
+    return InstanceFile(LineCatalog(lines), incidence, tuple(event_ids))
+
+
+class TestProperties:
+    @given(single_lines)
+    def test_split_row_matches_csv_reader(self, line):
+        expected = next(csv.reader([line]))
+        assert instances._split_row(line, 7, len(expected)) == expected
+        with pytest.raises(DataError, match=(
+                f"line 7: expected {len(expected) + 1} fields, "
+                f"got {len(expected)}$")):
+            instances._split_row(line, 7, len(expected) + 1)
+
+    @given(instance_files())
+    def test_instance_text_round_trip(self, inst):
+        text = inst.to_text()
+        parsed = InstanceFile.from_text(text)
+        assert parsed.catalog == inst.catalog
+        assert parsed.event_ids == inst.event_ids
+        assert parsed.incidence.n_events == inst.incidence.n_events
+        assert parsed.incidence.n_lines == inst.incidence.n_lines
+        assert parsed.incidence.pairs() == inst.incidence.pairs()
+        assert parsed.to_text() == text
+
+    @given(instance_files(), st.data())
+    def test_scheme_text_round_trip(self, inst, data):
+        n_modules = inst.catalog.n_modules
+        n_streams = data.draw(st.integers(1, n_modules + 2))
+        assignment = data.draw(st.lists(st.integers(0, n_streams - 1),
+                                        min_size=n_modules,
+                                        max_size=n_modules))
+        scheme = Scheme(n_streams, tuple(assignment))
+        text = scheme_to_text(scheme, inst.catalog)
+        assert scheme_from_text(text, inst.catalog) == scheme
+
+    @given(instance_files(), st.data())
+    def test_malformed_instance_text_is_a_data_error(self, inst, data):
+        rows = inst.to_text().splitlines()
+        at = data.draw(st.integers(0, len(rows) - 1))
+        edit = data.draw(st.sampled_from(["replace", "insert", "delete",
+                                          "truncate"]))
+        if edit == "replace":
+            rows[at] = data.draw(st.text())
+        elif edit == "insert":
+            rows.insert(at, data.draw(st.text()))
+        elif edit == "delete":
+            del rows[at]
+        else:
+            rows[at] = rows[at][:data.draw(st.integers(0, len(rows[at])))]
+        try:
+            parsed = InstanceFile.from_text("\n".join(rows))
+        except DataError:
+            return
+        validate_dataset(parsed.incidence, parsed.catalog)

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,10 @@ from streamopt import (EventLineIncidence, InfeasibleError, OptimizerConfig,
                        Scheme, SoftAssignment, enumerate_optimal,
                        extreme_schemes, fold_modules, optimize, read_cost,
                        round_assignment, storage_cost, sweep_streams)
-from helpers import build_catalog, random_instance
+from helpers import build_catalog, random_clustered_instance, random_instance
+
+# The package binds the name ``optimize`` to the function.
+optimize_module = importlib.import_module("streamopt.optimize")
 
 
 def three_line_instance():
@@ -15,6 +20,17 @@ def three_line_instance():
                          ("l3", 1.0, True, False, "l3")])
     inc = EventLineIncidence(3, 3, [(0, 0), (2, 0), (0, 1), (1, 1), (1, 2)])
     return inc, cat
+
+
+def duplicate_module_instance():
+    """Two identical heavy modules plus two disjoint light ones."""
+    rows = [("a", 1.0, True, False, "A"), ("b", 1.0, True, False, "B"),
+            ("c", 1.0, True, False, "C"), ("d", 1.0, True, False, "D")]
+    cat = build_catalog(rows)
+    entries = [(e, 0) for e in range(10)] + [(e, 1) for e in range(10)]
+    entries += [(e, 2) for e in range(10, 15)]
+    entries += [(e, 3) for e in range(15, 20)]
+    return EventLineIncidence(20, 4, entries), cat
 
 
 class TestConfig:
@@ -60,15 +76,9 @@ class TestOptimize:
             read_cost(inc, cat, Scheme(1, (0, 0, 0))).total
 
     def test_duplicate_modules_stay_together(self):
-        # Two identical heavy modules plus two disjoint light ones: keeping
-        # the duplicates together is strictly optimal (oracle-confirmed).
-        rows = [("a", 1.0, True, False, "A"), ("b", 1.0, True, False, "B"),
-                ("c", 1.0, True, False, "C"), ("d", 1.0, True, False, "D")]
-        cat = build_catalog(rows)
-        entries = [(e, 0) for e in range(10)] + [(e, 1) for e in range(10)]
-        entries += [(e, 2) for e in range(10, 15)]
-        entries += [(e, 3) for e in range(15, 20)]
-        inc = EventLineIncidence(20, 4, entries)
+        # Keeping the duplicates together is strictly optimal
+        # (oracle-confirmed).
+        inc, cat = duplicate_module_instance()
         folded = fold_modules(inc, cat)
         oracle = enumerate_optimal(inc, cat, 2)
         result = optimize(folded, cat,
@@ -147,7 +157,49 @@ class TestOptimize:
         failed = [r for r in result.per_restart if r.failed]
         assert len(failed) == 1
         assert failed[0].scheme is None
+        assert failed[0].stop_reason == "non_finite"
         assert result.best_cost_discrete.total == 6.0
+
+
+class TestSettledStop:
+    def test_stopping_settled_restarts_changes_no_result(self, monkeypatch):
+        rng = np.random.default_rng(20261018)
+        settled = 0
+        for trial in range(5):
+            inc, cat, n_streams = random_clustered_instance(rng)
+            folded = fold_modules(inc, cat)
+            config = OptimizerConfig(n_streams=n_streams, n_restarts=4,
+                                     seed=700 + trial)
+            stopped = optimize(folded, cat, config)
+            with monkeypatch.context() as patch:
+                # No entropy is below zero, so no restart ever settles.
+                patch.setattr(optimize_module, "SETTLED_ENTROPY", 0.0)
+                full = optimize(folded, cat, config)
+            assert stopped.best_scheme == full.best_scheme
+            assert stopped.best_cost_discrete == full.best_cost_discrete
+            assert [r.discrete_cost for r in stopped.per_restart] == \
+                [r.discrete_cost for r in full.per_restart]
+            assert not any(r.iterations and r.stop_reason == "settled"
+                           for r in full.per_restart)
+            settled += sum(r.stop_reason == "settled"
+                           and r.iterations < config.max_iters
+                           for r in stopped.per_restart)
+        assert settled >= 1
+
+    def test_cap_below_the_settle_step(self):
+        inc, cat = duplicate_module_instance()
+        folded = fold_modules(inc, cat)
+        config = OptimizerConfig(n_streams=2, n_restarts=1, seed=1)
+        record = optimize(folded, cat, config).per_restart[0]
+        assert record.stop_reason == "settled"
+        assert record.max_row_entropy < optimize_module.SETTLED_ENTROPY
+        assert 1 <= record.best_found_at <= record.iterations
+        capped_at = record.iterations - 1
+        capped = optimize(folded, cat, OptimizerConfig(
+            n_streams=2, n_restarts=1, max_iters=capped_at, seed=1))
+        record = capped.per_restart[0]
+        assert record.stop_reason == "max_iters"
+        assert record.iterations == capped_at
 
 
 class TestSweep:
