@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from .calibrate import corrected_read_cost, fit_linear
@@ -241,11 +242,15 @@ def cmd_generate(args) -> int:
 def cmd_optimize(args) -> int:
     if args.streams < 1:
         raise InfeasibleError("stream counts must be >= 1")
+    start = time.perf_counter()
     incidence, catalog = load_instance(args.instance)
+    loaded = time.perf_counter()
     module_incidence = fold_modules(incidence, catalog)
+    folded = time.perf_counter()
     config = OptimizerConfig(n_streams=args.streams, n_restarts=args.restarts,
                              seed=args.seed)
     result = optimize(module_incidence, catalog, config)
+    optimized = time.perf_counter()
 
     best = result.best_scheme
     relaxed_loss = result.best_loss_relaxed
@@ -265,6 +270,11 @@ def cmd_optimize(args) -> int:
         "n_streams": args.streams,
         "objective": args.objective,
         "seed": result.seed,
+        "timings": {
+            "load_s": loaded - start,
+            "fold_s": folded - loaded,
+            "optimize_s": optimized - folded,
+        },
         "best": {
             "relaxed_loss": relaxed_loss,
             "read_cost": best_read_cost,

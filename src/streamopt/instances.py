@@ -111,13 +111,56 @@ def _split_row(line: str, lineno: int, n_fields: int) -> list[str]:
     return row
 
 
+def _read_incidence(lines: list[str], start: int, events: list[str],
+                    line_names: list[str]) -> int:
+    """Append the incidence rows from ``lines[start]`` up to the next section
+    header to ``events`` and ``line_names``; return that header's index.
+
+    A section without quotes is split in one pass over its joined text; a
+    section with quotes goes row by row through ``_split_row``.
+    """
+    rows = list(map(str.strip, lines[start:]))
+    end = len(rows)
+    for header in ("[catalog]", "[incidence]"):
+        try:
+            end = rows.index(header, 0, end)
+        except ValueError:
+            pass
+    del rows[end:]
+    joined = "\n".join(rows)
+    kept = range(len(rows))
+    if "" in rows or joined.startswith("#") or "\n#" in joined:
+        kept = [k for k, row in enumerate(rows) if row and row[0] != "#"]
+        rows = [rows[k] for k in kept]
+        joined = "\n".join(rows)
+    if not rows:
+        return start + end
+    if '"' in joined:
+        cells = [cell for k, row in zip(kept, rows)
+                 for cell in _split_row(row, start + k + 1, 2)]
+    else:
+        commas = [row.count(",") for row in rows]
+        if commas.count(1) != len(rows):
+            k = next(k for k, n in enumerate(commas) if n != 1)
+            _split_row(rows[k], start + kept[k] + 1, 2)
+        cells = joined.replace("\n", ",").split(",")
+    events.extend(cells[0::2])
+    line_names.extend(cells[1::2])
+    return start + end
+
+
 def _parse_instance(text: str) -> InstanceFile:
+    lines = text.splitlines()
     records: list[LineRecord] = []
-    raw_pairs: list[tuple[str, str]] = []
+    events: list[str] = []
+    line_names: list[str] = []
     section = None
     header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    index = 0
+    while index < len(lines):
+        line = lines[index].strip()
+        index += 1
+        lineno = index
         if not line or line.startswith("#"):
             continue
         if line == "[catalog]":
@@ -135,45 +178,50 @@ def _parse_instance(text: str) -> InstanceFile:
                     f"line {lineno}: expected header '{expected}', got '{line}'"
                 )
             header_seen = True
+            if section == "incidence":
+                index = _read_incidence(lines, index, events, line_names)
             continue
-        if section == "catalog":
-            name, prescale, turbo, pr, module = _split_row(line, lineno, 5)
-            records.append(LineRecord(
-                name=name,
-                prescale=_parse_float(prescale, lineno, "prescale"),
-                is_turbo=_parse_bool(turbo, lineno),
-                is_persist_reco=_parse_bool(pr, lineno),
-                module=module,
-            ))
-        else:
-            event, line_name = _split_row(line, lineno, 2)
-            raw_pairs.append((event, line_name))
+        name, prescale, turbo, pr, module = _split_row(line, lineno, 5)
+        records.append(LineRecord(
+            name=name,
+            prescale=_parse_float(prescale, lineno, "prescale"),
+            is_turbo=_parse_bool(turbo, lineno),
+            is_persist_reco=_parse_bool(pr, lineno),
+            module=module,
+        ))
 
     if not records:
         raise DataError("instance file has no catalog section or no lines")
-    if not raw_pairs:
+    if not events:
         raise DataError("instance file has no events")
 
     catalog = LineCatalog(tuple(records))
+    # Number events, and names as they appear, in order of first appearance;
+    # then drop repeated (event, name) rows over whole arrays.
+    event_ids = tuple(dict.fromkeys(events))
+    event_index = dict(zip(event_ids, range(len(event_ids))))
+    names = tuple(dict.fromkeys(line_names))
+    name_code = dict(zip(names, range(len(names))))
+    ev = np.fromiter(map(event_index.__getitem__, events), np.int64,
+                     len(events))
+    code = np.fromiter(map(name_code.__getitem__, line_names), np.int64,
+                       len(line_names))
+    _, first = np.unique(ev * len(names) + code, return_index=True)
+    if len(first) != len(events):
+        logger.warning("ignored %d duplicate incidence rows",
+                       len(events) - len(first))
+        ev, code = ev[first], code[first]
     line_index: dict[str, int] = {}
     for i, name in enumerate(catalog.line_names):
         line_index.setdefault(name, i)
-    unique_pairs = dict.fromkeys(raw_pairs)
-    if len(unique_pairs) != len(raw_pairs):
-        logger.warning("ignored %d duplicate incidence rows",
-                       len(raw_pairs) - len(unique_pairs))
-    event_index: dict[str, int] = {}
-    events: list[int] = []
-    lines: list[int] = []
-    for event, line_name in unique_pairs:
-        li = line_index.get(line_name)
-        if li is None:
-            raise DataError(f"incidence references unknown line '{line_name}'")
-        events.append(event_index.setdefault(event, len(event_index)))
-        lines.append(li)
-    incidence = EventLineIncidence(len(event_index), catalog.n_lines,
-                                   np.column_stack((events, lines)))
-    return InstanceFile(catalog, incidence, tuple(event_index))
+    unknown = [name for name in names if name not in line_index]
+    if unknown:
+        raise DataError(f"incidence references unknown line '{unknown[0]}'")
+    catalog_line = np.array([line_index[name] for name in names],
+                            dtype=np.int64)
+    incidence = EventLineIncidence(len(event_ids), catalog.n_lines,
+                                   np.column_stack((ev, catalog_line[code])))
+    return InstanceFile(catalog, incidence, event_ids)
 
 
 def load_instance(path) -> tuple[EventLineIncidence, LineCatalog]:
@@ -231,7 +279,8 @@ def scheme_from_text(text: str, catalog: LineCatalog) -> Scheme:
     missing = [name for name in catalog.modules if name not in mapping]
     if missing:
         raise DataError(f"scheme file does not assign module '{missing[0]}'")
-    unknown = [name for name in mapping if name not in catalog.modules]
+    known = set(catalog.modules)
+    unknown = [name for name in mapping if name not in known]
     if unknown:
         raise DataError(f"scheme file names unknown module '{unknown[0]}'")
     assignment = tuple(mapping[name] for name in catalog.modules)

@@ -187,31 +187,46 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
                                      Scheme(n_streams, best_assignment[pos]),
                                      stop_reason, int(best_step[pos]))
 
+    # A row's entropy is at least -ln of its largest probability, which is
+    # 1 / (its softmax sum), so a restart can have settled only once every
+    # row sum is below exp(SETTLED_ENTROPY); the 1% margin covers rounding.
+    settle_sum = math.exp(SETTLED_ENTROPY + 0.01)
     beta1_power = 1.0
     for step in range(1, config.max_iters + 1):
-        probs = softmax_rows(logits)
+        # softmax_rows in place, keeping the row sums for the settle check
+        # below.  Its finiteness check is left out: a restart whose loss
+        # turns non-finite leaves the batch.
+        probs = logits - logits.max(axis=2, keepdims=True)
+        np.exp(probs, out=probs)
+        sums = probs.sum(axis=2, keepdims=True)
+        probs /= sums
         loss, grad = evaluator.loss_and_gradient(probs)
 
         # Round every restart whose argmax pattern moved and keep its best.
-        rounded = np.argmax(probs, axis=2)
-        moved = np.nonzero(np.any(rounded != previous, axis=1))[0]
-        assignments = [tuple(rounded[k].tolist()) for k in moved]
-        cache_rounded_costs(assignments)
-        for k, assignment in zip(moved, assignments):
-            cost = cost_cache[assignment]
-            if cost < best_cost[k]:
-                best_cost[k] = cost
-                best_step[k] = step
-                best_assignment[k] = assignment
+        rounded = probs.argmax(axis=2)
+        moved = (rounded != previous).any(axis=1).nonzero()[0]
+        if moved.size:
+            assignments = [tuple(rounded[k].tolist()) for k in moved]
+            cache_rounded_costs(assignments)
+            for k, assignment in zip(moved, assignments):
+                cost = cost_cache[assignment]
+                if cost < best_cost[k]:
+                    best_cost[k] = cost
+                    best_step[k] = step
+                    best_assignment[k] = assignment
         previous = rounded
 
-        entropy = _row_entropy(probs).max(axis=1)
-        failed = ~np.isfinite(loss)
-        retire = failed | (entropy < SETTLED_ENTROPY)
+        retire = failed = ~np.isfinite(loss)
+        entropy = None
+        if sums.max(axis=1).min() < settle_sum:
+            entropy = _row_entropy(probs).max(axis=1)
+            retire = failed | (entropy < SETTLED_ENTROPY)
         if retire.any():
-            for k in np.nonzero(retire)[0]:
-                finalize(int(k), loss[k], entropy[k], step,
-                         "non_finite" if failed[k] else "settled")
+            for k in retire.nonzero()[0]:
+                if failed[k]:
+                    finalize(int(k), loss[k], math.nan, step, "non_finite")
+                else:
+                    finalize(int(k), loss[k], entropy[k], step, "settled")
             keep = ~retire
             logits, moment, inf_norm = logits[keep], moment[keep], inf_norm[keep]
             origin, grad = origin[keep], grad[keep]
@@ -221,11 +236,16 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
             if logits.shape[0] == 0:
                 break
 
+        # AdaMax in place, in the same order of operations as
+        # m = b1 m + (1 - b1) g; u = max(b2 u, |g|); x -= c m / (u + eps).
         beta1_power *= BETA1
-        moment = BETA1 * moment + (1.0 - BETA1) * grad
-        inf_norm = np.maximum(BETA2 * inf_norm, np.abs(grad))
-        scale = STEP_SIZE / (1.0 - beta1_power)
-        logits = logits - scale * moment / (inf_norm + EPSILON)
+        moment *= BETA1
+        moment += (1.0 - BETA1) * grad
+        inf_norm *= BETA2
+        np.maximum(inf_norm, np.abs(grad, out=grad), out=inf_norm)
+        step_term = (STEP_SIZE / (1.0 - beta1_power)) * moment
+        step_term /= np.add(inf_norm, EPSILON, out=grad)
+        logits -= step_term
     else:
         probs = softmax_rows(logits)
         loss = np.atleast_1d(evaluator.loss(probs))

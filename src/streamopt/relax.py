@@ -25,12 +25,22 @@ and miss[e, s] for the product, the gradient is
 
     d events(s) / d L[m, s] = sum_{c: m_c = m} v_c (H^T (w * miss))[c] / F[c, s]
 
-with w the row multiplicities.  Factors that are exactly zero (v_c = 1 and
-L = 1, as in one-hot input) are left out of the log sum and counted per row
-and stream instead: a row with one zero factor contributes its remaining
-product to that factor's column only, and a row with two or more contributes
-nothing.  The chain rule through the softmax needs only the probabilities:
+with w the row multiplicities.  The multiplicities are folded into H^T once,
+when the evaluator is built, so H^T (w * miss) is a single sparse product.
+Factors that are exactly zero (v_c = 1 and L = 1, as in one-hot
+input) are left out of the log sum and counted per row and stream instead: a
+row with one zero factor contributes its remaining product to that factor's
+column only, and a row with two or more contributes nothing.  The zero-factor
+bookkeeping runs only when some factor is exactly zero.  The chain rule
+through the softmax needs only the probabilities:
 dA[m, s] = L[m,s] * (G[m,s] - sum_s' G[m,s'] L[m,s']).
+
+Restarts are evaluated side by side, one column per (restart, stream), and
+every column is computed on its own: the event sum is the product of a
+single sparse row of multiplicities with the per-row terms, which adds the
+rows in their fixed order for each column.  So a restart's loss and gradient
+do not depend on what else is in the batch, which lets the optimizer drop
+restarts from the batch without moving the others' trajectories.
 """
 
 from __future__ import annotations
@@ -86,9 +96,16 @@ class LossEvaluator:
                 raise ValueError("line_counts must have one entry per module")
         self._line_counts = line_counts
         groups = module_incidence.row_groups()
-        self._hits = groups.hits
-        self._hits_t = groups.hits.T
-        self._weights = groups.weights
+        hits, weights = groups.hits, groups.weights
+        n_rows = len(weights)
+        self._hits = hits
+        # H^T with each row's multiplicity in place of its ones, and the
+        # multiplicities as one sparse row.
+        self._weighted_hits_t = sp.csc_matrix(
+            (np.repeat(weights, np.diff(hits.indptr)), hits.indices,
+             hits.indptr), shape=hits.shape[::-1])
+        self._weight_row = sp.csr_matrix(
+            (weights, np.arange(n_rows), [0, n_rows]), shape=(1, n_rows))
         self._column_module = groups.column_module
         self._column_value = groups.column_value[:, None]
         # Sums v_c * (per-column term) back onto each column's module; the
@@ -125,27 +142,30 @@ class LossEvaluator:
 
     def _forward(self, probs: np.ndarray):
         """Per-row log product of the nonzero factors, per-row zero-factor
-        counts (None if there are none), and the column terms v_c L[m_c]."""
+        counts and the zero-factor mask (both None when no factor is exactly
+        zero), and the column terms v_c L[m_c]."""
         n_batch, n_modules, n_streams = probs.shape
         flat = probs.transpose(1, 0, 2).reshape(n_modules,
                                                 n_batch * n_streams)
-        taken = self._column_value * flat[self._column_module]
+        taken = self._column_value * flat.take(self._column_module, axis=0)
+        # v_c L is below 1 unless both are exactly 1 (a NaN also takes the
+        # zero-factor branch, which then finds no zeros).
+        if taken.max(initial=0.0) < 1.0:
+            return self._hits @ np.log1p(-taken), None, taken, None
         zero = taken == 1.0
         with np.errstate(divide="ignore"):
             log_factor = np.log1p(-taken)
-        n_zero = None
-        if zero.any():
-            log_factor[zero] = 0.0
-            n_zero = self._hits @ zero.astype(float)
-        return self._hits @ log_factor, n_zero, taken, zero
+        log_factor[zero] = 0.0
+        return (self._hits @ log_factor, self._hits @ zero.astype(float),
+                taken, zero)
 
     def _events(self, log_partial, n_zero, n_batch: int) -> np.ndarray:
-        kept = -np.expm1(log_partial)
+        # kept = 1 - miss = -expm1(log miss), summed as -(w @ expm1): the
+        # sign flip is exact, and the product adds the rows in order.
+        kept_neg = np.expm1(log_partial)
         if n_zero is not None:
-            kept[n_zero > 0] = 1.0
-        # Summed row by row, so each stream's total is independent of what
-        # else is in the batch.
-        return (kept * self._weights[:, None]).sum(axis=0).reshape(n_batch, -1)
+            kept_neg[n_zero > 0] = -1.0
+        return -(self._weight_row @ kept_neg).reshape(n_batch, -1)
 
     # -- evaluation --------------------------------------------------------
 
@@ -179,30 +199,31 @@ class LossEvaluator:
         log_partial, n_zero, taken, zero = self._forward(probs)
         events = self._events(log_partial, n_zero, n_batch)
         partial = np.exp(log_partial)
-        weights = self._weights[:, None]
         if n_zero is None:
-            column = (self._hits_t @ (weights * partial)) / (1.0 - taken)
+            column = self._weighted_hits_t @ partial
+            column /= 1.0 - taken
         else:
             miss = np.where(n_zero > 0, 0.0, partial)
-            column = (self._hits_t @ (weights * miss)) / np.where(
+            column = (self._weighted_hits_t @ miss) / np.where(
                 zero, 1.0, 1.0 - taken)
             # A zero factor's leave-one-out product is the rest of its row,
             # nonzero only where it is the row's single zero factor.
-            alone = self._hits_t @ (weights * np.where(n_zero == 1, partial,
-                                                       0.0))
+            alone = self._weighted_hits_t @ np.where(n_zero == 1, partial,
+                                                     0.0)
             column = np.where(zero, alone, column)
         devents = (self._to_modules @ column).reshape(
             n_modules, n_batch, n_streams).transpose(1, 0, 2)
 
         lines = np.einsum("m,bms->bs", counts, probs)
-        loss = np.sum(lines * events, axis=-1)
-        grad_probs = (counts[None, :, None] * events[:, None, :]
-                      + lines[:, None, :] * devents)
-        inner = np.sum(grad_probs * probs, axis=-1, keepdims=True)
-        grad_logits = probs * (grad_probs - inner)
+        loss = (lines * events).sum(axis=-1)
+        # d loss / d L, then through the softmax.
+        grad = counts[:, None] * events[:, None, :]
+        grad += lines[:, None, :] * devents
+        grad -= (grad * probs).sum(axis=-1, keepdims=True)
+        grad *= probs
         if squeeze:
-            return float(loss[0]), grad_logits[0]
-        return loss, grad_logits
+            return float(loss[0]), grad[0]
+        return loss, grad
 
 
 def expected_lines(catalog: LineCatalog, probs: SoftAssignment) -> np.ndarray:

@@ -44,6 +44,9 @@ class TestOptimizeCommand:
         assert scheme.n_streams == 3
         diag = json.loads((tmp_path / "best.scheme.diag.json").read_text())
         assert diag["seed"] == 2
+        assert set(diag["timings"]) == {"load_s", "fold_s", "optimize_s"}
+        assert all(isinstance(t, float) and t >= 0.0
+                   for t in diag["timings"].values())
         assert len(diag["restarts"]) == 8
         assert diag["best"]["read_cost"] == pytest.approx(
             read_cost(incidence, catalog, scheme).total)

@@ -89,6 +89,55 @@ class TestInstanceFormat:
             load_instance(tmp_path / "absent.inst")
 
 
+class TestIncidenceErrors:
+    """Exact messages and line numbers of errors in the incidence section.
+
+    ``SAMPLE`` has 10 lines, so appended rows start at line 11.
+    """
+
+    @staticmethod
+    def error(text: str) -> str:
+        with pytest.raises(DataError) as info:
+            InstanceFile.from_text(text)
+        return str(info.value)
+
+    def test_after_comment_and_blank_lines(self):
+        gap = "\n# a comment\n   \n  # indented comment\n"
+        assert self.error(SAMPLE + gap + "ev_c,l1,extra\n") == \
+            "line 15: expected 2 fields, got 3"
+        assert self.error(SAMPLE + gap + "ev_c,l1\n ev_d \n") == \
+            "line 16: expected 2 fields, got 1"
+        head, rows = SAMPLE.split("event,line\n")
+        assert self.error(head + gap + "event,lines\n" + rows) == \
+            "line 11: expected header 'event,line', got 'event,lines'"
+
+    def test_inside_a_second_incidence_section(self):
+        second = "[incidence]\n\nevent,line\nev_c,l1\n# done\nev_d\n"
+        assert self.error(SAMPLE + second) == \
+            "line 16: expected 2 fields, got 1"
+        assert self.error(SAMPLE + "[incidence]\nev_c,l1\n") == \
+            "line 12: expected header 'event,line', got 'ev_c,l1'"
+        assert self.error(SAMPLE + "[incidence]\nevent,line\nev_c,l7\n") == \
+            "incidence references unknown line 'l7'"
+        # Rows of every section count, in order, and a catalog section in
+        # between ends the first one.
+        more = ("[catalog]\nname,prescale,turbo,persist_reco,module\n"
+                "l4,1.0,1,0,m3\n[incidence]\nevent,line\nev_c,l4\nev_a,l4\n")
+        inst = InstanceFile.from_text(SAMPLE + more)
+        assert inst.event_ids == ("ev_a", "ev_b", "ev_c")
+        assert inst.incidence.pairs() == [(0, 0), (0, 1), (0, 3), (1, 2),
+                                          (2, 3)]
+
+    def test_on_a_quoted_row(self):
+        assert self.error(SAMPLE + '"ev,c",l1,"x"\n') == \
+            "line 11: expected 2 fields, got 3"
+        assert self.error(SAMPLE + 'ev_c,l1\n"ev,c,l1\n') == \
+            "line 12: expected 2 fields, got 1"
+        inst = InstanceFile.from_text(SAMPLE + '"ev,c",l1\n"ev_b",l3\n')
+        assert inst.event_ids == ("ev_a", "ev_b", "ev,c")
+        assert inst.incidence.pairs() == [(0, 0), (0, 1), (1, 2), (2, 0)]
+
+
 class TestSchemeFiles:
     def test_round_trip_bit_exact(self, tmp_path):
         inst = InstanceFile.from_text(SAMPLE)

@@ -280,3 +280,47 @@ class TestKernel:
                                        atol=1e-9 * np.abs(want_grad[0]).max()
                                        * 1e-30)
         assert checked_zero >= 5
+
+    def test_batch_independence(self):
+        # A restart's loss and gradient must not depend on what else is in
+        # the batch: the optimizer drops restarts from the batch as they
+        # settle, and the others must keep their exact trajectories.
+        rng = np.random.default_rng(43)
+        with_zero = without_zero = 0
+        for trial in range(12):
+            inc, cat = random_instance(rng, max_modules=6,
+                                       rate_range=(0.1, 0.4),
+                                       prescale_mix=trial % 3 != 0)
+            folded = fold_modules(inc, cat)
+            fold = folded.to_dense()
+            evaluator = LossEvaluator(folded,
+                                      cat.module_line_counts.astype(float))
+            n_modules, n_streams = cat.n_modules, 3
+            batch = softmax_rows(rng.normal(0, 1, (6, n_modules, n_streams)))
+            # Slices 1 and 4 have exactly one-hot modules, so fold values of
+            # 1 meet L = 1 there; the other slices have no zero factor.
+            for b in (1, 4):
+                sure = rng.permutation(n_modules)[:(n_modules + 1) // 2]
+                batch[b, sure] = 0.0
+                batch[b, sure, rng.integers(0, n_streams, len(sure))] = 1.0
+            zero = [bool(np.any((fold[:, :, None] == 1.0)
+                                & (batch[b][None] == 1.0)))
+                    for b in range(len(batch))]
+            with_zero += sum(zero)
+            without_zero += len(zero) - sum(zero)
+
+            loss, grad = evaluator.loss_and_gradient(batch)
+            events = evaluator.expected_events(batch)
+            for b in range(len(batch)):
+                alone_loss, alone_grad = evaluator.loss_and_gradient(batch[b])
+                assert alone_loss == loss[b]
+                assert np.array_equal(alone_grad, grad[b])
+                assert np.array_equal(evaluator.expected_events(batch[b]),
+                                      events[b])
+                # Also in a smaller batch that mixes slices with and without
+                # zero factors.
+                pair = [b, (b + 3) % len(batch)]
+                pair_loss, pair_grad = evaluator.loss_and_gradient(batch[pair])
+                assert pair_loss[0] == loss[b]
+                assert np.array_equal(pair_grad[0], grad[b])
+        assert with_zero >= 5 and without_zero >= 40
