@@ -265,6 +265,7 @@ def cmd_optimize(args) -> int:
         relaxed_loss = chosen.relaxed_loss
         best_read_cost = chosen.discrete_cost
 
+    groups = module_incidence.row_groups()
     diag = {
         "instance": str(args.instance),
         "n_streams": args.streams,
@@ -274,6 +275,12 @@ def cmd_optimize(args) -> int:
             "load_s": loaded - start,
             "fold_s": folded - loaded,
             "optimize_s": optimized - folded,
+        },
+        "kernel": {
+            "events": module_incidence.n_events,
+            "unique_rows": len(groups.weights),
+            "columns": groups.hits.shape[1],
+            "nonzeros": groups.hits.nnz,
         },
         "best": {
             "relaxed_loss": relaxed_loss,

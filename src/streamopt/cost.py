@@ -153,7 +153,10 @@ def read_cost_from_modules(module_incidence: ModuleIncidence,
 
     Identical to :func:`read_cost` for every hard scheme (the per-stream
     keep probability factors over modules); used where the line-level
-    incidence is no longer at hand.
+    incidence is no longer at hand.  It builds a new evaluator on every
+    call.  It is kept because the benchmark's scheme check compares it with
+    :func:`read_cost`, which ties the folded kernel to the line-level
+    definition on every written scheme.
     """
     if module_incidence.n_modules != catalog.n_modules:
         raise DataError("module incidence does not match catalog")

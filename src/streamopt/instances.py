@@ -30,8 +30,8 @@ import numpy as np
 
 from .calibrate import MeasurementRecord
 from .errors import DataError
-from .model import EventLineIncidence, LineCatalog, LineRecord, Scheme, \
-    validate_dataset
+from .model import (EventLineIncidence, LineCatalog, LineRecord, Scheme,
+                    _strictly_increasing, validate_dataset)
 
 logger = logging.getLogger(__name__)
 
@@ -81,13 +81,14 @@ class InstanceFile:
         return cls.from_text(text)
 
 
+_FLAGS = {"1": True, "true": True, "0": False, "false": False}
+
+
 def _parse_bool(token: str, lineno: int) -> bool:
-    lowered = token.strip().lower()
-    if lowered in ("1", "true"):
-        return True
-    if lowered in ("0", "false"):
-        return False
-    raise DataError(f"line {lineno}: expected 0/1 flag, got '{token}'")
+    flag = _FLAGS.get(token.strip().lower())
+    if flag is None:
+        raise DataError(f"line {lineno}: expected 0/1 flag, got '{token}'")
+    return flag
 
 
 def _parse_float(token: str, lineno: int, what: str) -> float:
@@ -111,56 +112,19 @@ def _split_row(line: str, lineno: int, n_fields: int) -> list[str]:
     return row
 
 
-def _read_incidence(lines: list[str], start: int, events: list[str],
-                    line_names: list[str]) -> int:
-    """Append the incidence rows from ``lines[start]`` up to the next section
-    header to ``events`` and ``line_names``; return that header's index.
-
-    A section without quotes is split in one pass over its joined text; a
-    section with quotes goes row by row through ``_split_row``.
-    """
-    rows = list(map(str.strip, lines[start:]))
-    end = len(rows)
-    for header in ("[catalog]", "[incidence]"):
-        try:
-            end = rows.index(header, 0, end)
-        except ValueError:
-            pass
-    del rows[end:]
-    joined = "\n".join(rows)
-    kept = range(len(rows))
-    if "" in rows or joined.startswith("#") or "\n#" in joined:
-        kept = [k for k, row in enumerate(rows) if row and row[0] != "#"]
-        rows = [rows[k] for k in kept]
-        joined = "\n".join(rows)
-    if not rows:
-        return start + end
-    if '"' in joined:
-        cells = [cell for k, row in zip(kept, rows)
-                 for cell in _split_row(row, start + k + 1, 2)]
-    else:
-        commas = [row.count(",") for row in rows]
-        if commas.count(1) != len(rows):
-            k = next(k for k, n in enumerate(commas) if n != 1)
-            _split_row(rows[k], start + kept[k] + 1, 2)
-        cells = joined.replace("\n", ",").split(",")
-    events.extend(cells[0::2])
-    line_names.extend(cells[1::2])
-    return start + end
-
-
 def _parse_instance(text: str) -> InstanceFile:
-    lines = text.splitlines()
+    return _parse_bulk(text) or _parse_rows(text)
+
+
+def _parse_rows(text: str) -> InstanceFile:
+    """Parse an instance row by row; every parse error is raised here."""
     records: list[LineRecord] = []
     events: list[str] = []
     line_names: list[str] = []
     section = None
     header_seen = False
-    index = 0
-    while index < len(lines):
-        line = lines[index].strip()
-        index += 1
-        lineno = index
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
         if not line or line.startswith("#"):
             continue
         if line == "[catalog]":
@@ -178,8 +142,11 @@ def _parse_instance(text: str) -> InstanceFile:
                     f"line {lineno}: expected header '{expected}', got '{line}'"
                 )
             header_seen = True
-            if section == "incidence":
-                index = _read_incidence(lines, index, events, line_names)
+            continue
+        if section == "incidence":
+            event, name = _split_row(line, lineno, 2)
+            events.append(event)
+            line_names.append(name)
             continue
         name, prescale, turbo, pr, module = _split_row(line, lineno, 5)
         records.append(LineRecord(
@@ -196,21 +163,9 @@ def _parse_instance(text: str) -> InstanceFile:
         raise DataError("instance file has no events")
 
     catalog = LineCatalog(tuple(records))
-    # Number events, and names as they appear, in order of first appearance;
-    # then drop repeated (event, name) rows over whole arrays.
-    event_ids = tuple(dict.fromkeys(events))
-    event_index = dict(zip(event_ids, range(len(event_ids))))
-    names = tuple(dict.fromkeys(line_names))
-    name_code = dict(zip(names, range(len(names))))
-    ev = np.fromiter(map(event_index.__getitem__, events), np.int64,
-                     len(events))
-    code = np.fromiter(map(name_code.__getitem__, line_names), np.int64,
-                       len(line_names))
-    _, first = np.unique(ev * len(names) + code, return_index=True)
-    if len(first) != len(events):
-        logger.warning("ignored %d duplicate incidence rows",
-                       len(events) - len(first))
-        ev, code = ev[first], code[first]
+    ev, event_ids = _number(events)
+    code, names = _number(line_names)
+    ev, code = _drop_duplicates(ev, code, len(names))
     line_index: dict[str, int] = {}
     for i, name in enumerate(catalog.line_names):
         line_index.setdefault(name, i)
@@ -222,6 +177,184 @@ def _parse_instance(text: str) -> InstanceFile:
     incidence = EventLineIncidence(len(event_ids), catalog.n_lines,
                                    np.column_stack((ev, catalog_line[code])))
     return InstanceFile(catalog, incidence, event_ids)
+
+
+def _number(keys: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Codes of ``keys`` by first appearance, and the distinct keys."""
+    index: dict[str, int] = {}
+    codes = [index.setdefault(key, len(index)) for key in keys]
+    return np.array(codes, dtype=np.int64), tuple(index)
+
+
+def _drop_duplicates(ev: np.ndarray, code: np.ndarray,
+                     n_codes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Drop repeated (event, code) rows, with a warning.
+
+    Strictly increasing rows cannot repeat, so they are returned as they are;
+    otherwise the rows come back sorted.
+    """
+    if _strictly_increasing(ev, code):
+        return ev, code
+    _, first = np.unique(ev * n_codes + code, return_index=True)
+    if len(first) != len(ev):
+        logger.warning("ignored %d duplicate incidence rows",
+                       len(ev) - len(first))
+    return ev[first], code[first]
+
+
+_COMMA, _NEWLINE, _HASH = b",\n#"
+# _BYTE_MASKS[k] keeps the first k bytes of a little-endian 8-byte word.
+_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
+
+
+def _parse_bulk(text: str) -> InstanceFile | None:
+    """Parse a plain instance over whole sections, or return None.
+
+    *Plain* means ASCII without quotes, blank or comment rows, or any space
+    or control character but the newline, each section with its column
+    header, and every row with the right number of fields naming a catalog
+    line.  Then ``str.splitlines`` and ``str.strip`` see exactly the newline
+    rows, and the result is the row-by-row parse's.  Any other text, valid
+    or not, returns None and goes through :func:`_parse_rows`.
+    """
+    if not text.isascii() or '"' in text:
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    if np.count_nonzero(data <= 32) != np.count_nonzero(data == _NEWLINE):
+        return None
+    bodies = {"catalog": [data[:0]], "incidence": [data[:0]]}
+    heads = _section_heads(text)
+    if not heads or heads[0][0] != 0:
+        return None
+    for (at, name), (end, _) in zip(heads, heads[1:] + [(len(text), "")]):
+        body = at + len(name) + 3
+        header = CATALOG_HEADER if name == "catalog" else INCIDENCE_HEADER
+        if body < end and not text.startswith(header + "\n", body, end):
+            return None
+        bodies[name].append(data[min(body + len(header) + 1, end):end])
+    catalog_rows = np.concatenate(bodies["catalog"])
+    incidence_rows = np.concatenate(bodies["incidence"])
+    records = _bulk_catalog(catalog_rows)
+    if not records or not incidence_rows.size:
+        return None
+    catalog = LineCatalog(tuple(records))
+    numbered = _bulk_incidence(incidence_rows, catalog.line_names)
+    if numbered is None:
+        return None
+    event_ids, ev, li = numbered
+    ev, li = _drop_duplicates(ev, li, catalog.n_lines)
+    incidence = EventLineIncidence(len(event_ids), catalog.n_lines,
+                                   np.column_stack((ev, li)))
+    return InstanceFile(catalog, incidence, event_ids)
+
+
+def _section_heads(text: str) -> list[tuple[int, str]]:
+    """Offsets and names of the section header rows, in order."""
+    heads = []
+    for name in ("catalog", "incidence"):
+        tag = f"[{name}]\n"
+        at = text.find(tag)
+        while at >= 0:
+            if at == 0 or text[at - 1] == "\n":
+                heads.append((at, name))
+            at = text.find(tag, at + len(tag))
+    return sorted(heads)
+
+
+def _field_ends(rows: np.ndarray, n_fields: int) -> np.ndarray | None:
+    """Offsets of each row's separators, one row per line of ``rows``.
+
+    Returns an ``(n_rows, n_fields)`` array: ``n_fields - 1`` commas and the
+    newline, when every row of the newline-terminated ``rows`` has exactly
+    ``n_fields`` fields and none starts with ``#``; otherwise None.
+    """
+    at = np.flatnonzero((rows == _COMMA) | (rows == _NEWLINE))
+    if at.size % n_fields:
+        return None
+    at = at.reshape(-1, n_fields)
+    if ((rows[at[:, :-1]] != _COMMA).any()
+            or (rows[at[:, -1]] != _NEWLINE).any()
+            or rows[0] == _HASH or (rows[at[:-1, -1] + 1] == _HASH).any()):
+        return None
+    return at
+
+
+def _bulk_catalog(rows: np.ndarray) -> list[LineRecord] | None:
+    """The line records of the catalog rows, or None if one is malformed."""
+    if not rows.size or _field_ends(rows, 5) is None:
+        return None
+    cells = rows.tobytes().decode("ascii").replace("\n", ",").split(",")
+    names, prescales, turbo, pr, modules = (cells[k:-1:5] for k in range(5))
+    try:
+        prescales = list(map(float, prescales))
+    except ValueError:
+        return None
+    flags = {token: _FLAGS.get(token.lower()) for token in {*turbo, *pr}}
+    if None in flags.values():
+        return None
+    return list(map(LineRecord, names, prescales, map(flags.get, turbo),
+                    map(flags.get, pr), modules))
+
+
+def _bulk_incidence(rows: np.ndarray, line_names: tuple[str, ...]
+                    ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray] | None:
+    """Event ids, event numbers and catalog lines of the incidence rows.
+
+    Fields are compared as zero-padded byte strings.  An event is looked up
+    once per run of rows that name it, and each line name by binary search
+    in the catalog's names.  Returns None when a line name is not in the
+    catalog, or when the fields are too uneven to pad.
+    """
+    ends = _field_ends(rows, 2)
+    if ends is None:
+        return None
+    comma, newline = ends.T
+    start = np.concatenate(([0], newline[:-1] + 1))
+    events = _field_keys(rows, start, comma)
+    names = _field_keys(rows, comma + 1, newline)
+    if events is None or names is None:
+        return None
+
+    runs = np.flatnonzero(events[1:] != events[:-1]) + 1
+    runs = np.concatenate(([0], runs))
+    run_ev, event_ids = _number(events[runs].astype(str).tolist())
+    ev = np.repeat(run_ev, np.diff(runs, append=len(events)))
+
+    # The catalog's names as keys of the same width, lowest line first among
+    # equal names; a name wider than every row's cannot match.
+    width = names.dtype.itemsize
+    fits = [i for i, name in enumerate(line_names) if len(name) <= width]
+    catalog = np.array([line_names[i] for i in fits], dtype=f"S{width}")
+    order = np.argsort(catalog, kind="stable")
+    catalog = catalog[order]
+    at = np.minimum(np.searchsorted(catalog, names), len(catalog) - 1)
+    if not len(catalog) or (catalog[at] != names).any():
+        return None
+    return event_ids, ev, np.asarray(fits, dtype=np.int64)[order[at]]
+
+
+def _field_keys(rows: np.ndarray, start: np.ndarray,
+                stop: np.ndarray) -> np.ndarray | None:
+    """Each field ``rows[start:stop]`` as a zero-padded byte string.
+
+    The width is the longest field rounded up to whole 8-byte words.  Padded
+    keys may take at most twice the bytes of ``rows``; wider fields return
+    None.
+    """
+    length = stop - start
+    words = max(1, -(-int(length.max()) // 8))
+    if len(start) * words * 8 > 2 * len(rows):
+        return None
+    padded = np.concatenate((rows, np.zeros(8 * words, np.uint8)))
+    # The little-endian 8-byte word that starts at each byte of ``padded``.
+    word_at = np.ndarray((len(padded) - 7,), "<u8", padded, strides=(1,))
+    word = 8 * np.arange(words)
+    keys = word_at[start[:, None] + word]
+    in_word = np.minimum(np.maximum(length[:, None] - word, 0), 8)
+    keys &= _BYTE_MASKS[in_word]
+    return keys.view(f"S{8 * words}").ravel()
 
 
 def load_instance(path) -> tuple[EventLineIncidence, LineCatalog]:

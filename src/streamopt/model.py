@@ -143,7 +143,8 @@ class EventLineIncidence:
 
     ``entries`` is an ``(n, 2)`` integer array of (event, line) pairs or an
     iterable of such pairs.  Entries are canonicalized to lexicographic
-    (event, line) order.  Every event must pass at least one line; use
+    (event, line) order; entries already in that order, without repeats, are
+    only checked.  Every event must pass at least one line; use
     :meth:`dropping_empty_events` to ingest raw data that may contain events
     passing nothing.
     """
@@ -158,12 +159,16 @@ class EventLineIncidence:
             raise DataError(f"event index out of range [0, {n_events})")
         if li.min() < 0 or li.max() >= n_lines:
             raise DataError(f"line index out of range [0, {n_lines})")
-        order = np.lexsort((li, ev))
-        ev, li = ev[order], li[order]
-        dup = (np.diff(ev) == 0) & (np.diff(li) == 0)
-        if dup.any():
-            k = int(np.nonzero(dup)[0][0])
-            raise DataError(f"duplicate incidence entry ({ev[k]}, {li[k]})")
+        if _strictly_increasing(ev, li):
+            ev, li = ev.copy(), li.copy()
+        else:
+            order = np.lexsort((li, ev))
+            ev, li = ev[order], li[order]
+            dup = (np.diff(ev) == 0) & (np.diff(li) == 0)
+            if dup.any():
+                k = int(np.nonzero(dup)[0][0])
+                raise DataError(
+                    f"duplicate incidence entry ({ev[k]}, {li[k]})")
         passes = np.bincount(ev, minlength=n_events)
         if (passes == 0).any():
             missing = int(np.nonzero(passes == 0)[0][0])
@@ -234,6 +239,12 @@ class EventLineIncidence:
                 f"n_lines={self._n_lines}, n_entries={self.n_entries})")
 
 
+def _strictly_increasing(major: np.ndarray, minor: np.ndarray) -> bool:
+    """Whether the (major, minor) pairs are in strictly increasing order."""
+    step = major[1:] - major[:-1]
+    return bool(np.all((step > 0) | ((step == 0) & (minor[1:] > minor[:-1]))))
+
+
 def _entry_columns(entries) -> tuple[np.ndarray, np.ndarray]:
     """Event and line index columns of an entry array or iterable of pairs."""
     if not isinstance(entries, np.ndarray):
@@ -280,7 +291,8 @@ class ModuleIncidence:
         values.sum_duplicates()
         values.eliminate_zeros()
         data = values.data
-        if data.size and (np.min(data) < 0.0 or np.max(data) > 1.0):
+        # Negated so that NaN, which fails every comparison, is rejected.
+        if data.size and not (np.min(data) >= 0.0 and np.max(data) <= 1.0):
             raise DataError("module incidence values must lie in [0, 1]")
         self._values = values
 
@@ -319,14 +331,14 @@ class ModuleIncidence:
     def _group_rows(self) -> RowGroups:
         values = self._values
         nnz = values.nnz
-        # One column per distinct (module, value) pair, ordered by module, so
-        # each row's column ids come out sorted as its module ids are.
-        order = np.lexsort((values.data, values.indices))
-        module, value = values.indices[order], values.data[order]
-        first = np.ones(nnz, dtype=bool)
-        first[1:] = (np.diff(module) != 0) | (np.diff(value) != 0)
-        column = np.empty(nnz, dtype=np.int32)
-        column[order] = np.cumsum(first) - 1
+        # One column per distinct (module, value) pair, ordered by module and
+        # then value, so each row's column ids come out sorted as its module
+        # ids are.  The pairs are numbered through integer codes of the
+        # distinct values.
+        distinct, code = np.unique(values.data, return_inverse=True)
+        pairs, column = np.unique(
+            values.indices.astype(np.int64) * len(distinct) + code,
+            return_inverse=True)
 
         # Exact row dedupe: lexsort the rows' column ids, padded with -1
         # (the lengths key only keeps the key list non-empty).
@@ -344,10 +356,12 @@ class ModuleIncidence:
         hits = sp.csr_matrix(
             (np.ones(counts.sum()), padded[padded >= 0],
              np.r_[0, np.cumsum(counts)]),
-            shape=(len(starts), int(first.sum())),
+            shape=(len(starts), len(pairs)),
         )
         weights = np.diff(np.r_[starts, self._n_events]).astype(float)
-        return RowGroups(hits, weights, module[first], value[first])
+        return RowGroups(hits, weights,
+                         (pairs // len(distinct)).astype(values.indices.dtype),
+                         distinct[pairs % len(distinct)])
 
     def __repr__(self):
         return (f"ModuleIncidence(n_events={self._n_events}, "

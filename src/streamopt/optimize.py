@@ -115,6 +115,27 @@ def round_assignment(soft: SoftAssignment) -> Scheme:
     return Scheme(soft.n_streams, np.argmax(soft.probabilities, axis=1))
 
 
+def _settle_sum(entropy: float) -> float:
+    """Bound on the softmax row sum of any row with entropy below ``entropy``.
+
+    A row with entropy below ln 2 has a largest probability p > 1/2, since
+    its entropy is at least -ln p.  For p >= 1/2 its entropy is at least the
+    binary entropy h(p) = -p ln p - (1-p) ln(1-p), which falls as p grows.
+    So the row has p above the root p* of h(p*) = ``entropy`` in [1/2, 1],
+    and row sum 1/p below 1/p*.  The root is found by bisection, from below.
+    """
+    if entropy >= math.log(2.0):
+        return math.inf
+    low, high = 0.5, 1.0
+    for _ in range(60):
+        mid = (low + high) / 2
+        if -mid * math.log(mid) - (1.0 - mid) * math.log1p(-mid) > entropy:
+            low = mid
+        else:
+            high = mid
+    return 1.0 / low
+
+
 def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
              config: OptimizerConfig) -> OptimizationResult:
     """Minimize the surrogate loss and return the best rounded scheme.
@@ -187,10 +208,10 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
                                      Scheme(n_streams, best_assignment[pos]),
                                      stop_reason, int(best_step[pos]))
 
-    # A row's entropy is at least -ln of its largest probability, which is
-    # 1 / (its softmax sum), so a restart can have settled only once every
-    # row sum is below exp(SETTLED_ENTROPY); the 1% margin covers rounding.
-    settle_sum = math.exp(SETTLED_ENTROPY + 0.01)
+    # A restart can have settled only once every softmax row sum (1 / the
+    # row's largest probability) is below this; the 0.01 margin covers
+    # rounding.
+    settle_sum = _settle_sum(SETTLED_ENTROPY + 0.01)
     beta1_power = 1.0
     for step in range(1, config.max_iters + 1):
         # softmax_rows in place, keeping the row sums for the settle check

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from streamopt import (OptimizerConfig, Scheme, extreme_schemes,
-                       load_instance, load_scheme, read_cost, storage_cost,
-                       write_scheme)
+                       fold_modules, load_instance, load_scheme, read_cost,
+                       storage_cost, write_scheme)
 from streamopt.cli import main
 from streamopt.optimize import SETTLED_ENTROPY
 
@@ -47,6 +47,14 @@ class TestOptimizeCommand:
         assert set(diag["timings"]) == {"load_s", "fold_s", "optimize_s"}
         assert all(isinstance(t, float) and t >= 0.0
                    for t in diag["timings"].values())
+        groups = fold_modules(incidence, catalog).row_groups()
+        assert diag["kernel"] == {
+            "events": incidence.n_events,
+            "unique_rows": len(groups.weights),
+            "columns": groups.hits.shape[1],
+            "nonzeros": groups.hits.nnz,
+        }
+        assert diag["kernel"]["unique_rows"] <= incidence.n_events
         assert len(diag["restarts"]) == 8
         assert diag["best"]["read_cost"] == pytest.approx(
             read_cost(incidence, catalog, scheme).total)

@@ -138,6 +138,87 @@ class TestIncidenceErrors:
         assert inst.incidence.pairs() == [(0, 0), (0, 1), (1, 2), (2, 0)]
 
 
+class TestLoaderCases:
+    """Inputs that must parse exactly as their plainest equivalent."""
+
+    @staticmethod
+    def parsed(text: str) -> tuple:
+        inst = InstanceFile.from_text(text)
+        inc = inst.incidence
+        return (inst.catalog, inst.event_ids, inc.n_events, inc.n_lines,
+                inc.event_index.tolist(), inc.line_index.tolist())
+
+    @staticmethod
+    def generated() -> InstanceFile:
+        return gen_synthetic(SyntheticSpec(n_events=80, n_modules=5,
+                                           prescale_options=(1.0, 0.5),
+                                           seed=3))
+
+    def test_event_coming_back_keeps_its_first_number(self):
+        inst = InstanceFile.from_text(SAMPLE + "ev_c,l3\nev_a,l3\n")
+        assert inst.event_ids == ("ev_a", "ev_b", "ev_c")
+        assert inst.incidence.pairs() == [(0, 0), (0, 1), (0, 2), (1, 2),
+                                          (2, 2)]
+
+    def test_unsorted_section_parses_as_its_sorted_permutation(self):
+        inst = self.generated()
+        head, rows = inst.to_text().split("event,line\n")
+        rows = rows.splitlines()
+        shuffled = [rows[k] for k in np.random.default_rng(0).permutation(
+            len(rows))]
+        # Sorting by (first appearance of the event, catalog line) keeps
+        # every event's number, so both texts describe the same instance.
+        first = {}
+        for row in shuffled:
+            first.setdefault(row.split(",")[0], len(first))
+        names = inst.catalog.line_names
+        ordered = sorted(shuffled, key=lambda row: (
+            first[row.split(",")[0]], names.index(row.split(",")[1])))
+        assert shuffled != ordered
+        assert self.parsed(head + "event,line\n" + "\n".join(shuffled)) == \
+            self.parsed(head + "event,line\n" + "\n".join(ordered))
+
+    def test_crlf_parses_as_lf(self):
+        text = self.generated().to_text()
+        assert self.parsed(text.replace("\n", "\r\n")) == self.parsed(text)
+        assert self.parsed(SAMPLE.replace("\n", "\r\n")) == \
+            self.parsed(SAMPLE)
+
+    def test_trailing_whitespace_is_ignored(self):
+        text = self.generated().to_text()
+        padded = "\n".join(row + " \t" for row in text.splitlines())
+        assert self.parsed(padded) == self.parsed(text)
+
+    def test_missing_final_newline(self):
+        text = self.generated().to_text()
+        assert self.parsed(text.rstrip("\n")) == self.parsed(text)
+
+    def test_duplicate_warning_counts_rows(self, caplog):
+        with caplog.at_level("WARNING"):
+            inst = InstanceFile.from_text(
+                SAMPLE + "ev_b,l3\nev_a,l1\nev_b,l3\n")
+        assert inst.incidence.pairs() == [(0, 0), (0, 1), (1, 2)]
+        assert caplog.messages == ["ignored 3 duplicate incidence rows"]
+
+    def test_incidence_canonicalises_unsorted_arrays(self):
+        ev = np.array([2, 0, 1, 0, 2])
+        li = np.array([0, 3, 1, 1, 2])
+        order = np.lexsort((li, ev))
+        unsorted = EventLineIncidence(3, 4, np.column_stack((ev, li)))
+        ordered = EventLineIncidence(3, 4, np.column_stack((ev[order],
+                                                            li[order])))
+        assert unsorted.event_index.tolist() == [0, 0, 1, 2, 2]
+        assert unsorted.line_index.tolist() == [1, 3, 1, 0, 2]
+        assert unsorted.event_index.tolist() == ordered.event_index.tolist()
+        assert unsorted.line_index.tolist() == ordered.line_index.tolist()
+
+    def test_incidence_rejects_duplicated_arrays(self):
+        for entries in ([(1, 0), (0, 2), (1, 0)], [(0, 2), (1, 0), (1, 0)]):
+            with pytest.raises(DataError) as info:
+                EventLineIncidence(2, 3, np.array(entries))
+            assert str(info.value) == "duplicate incidence entry (1, 0)"
+
+
 class TestSchemeFiles:
     def test_round_trip_bit_exact(self, tmp_path):
         inst = InstanceFile.from_text(SAMPLE)
@@ -319,6 +400,32 @@ class TestProperties:
         assert parsed.incidence.n_lines == inst.incidence.n_lines
         assert parsed.incidence.pairs() == inst.incidence.pairs()
         assert parsed.to_text() == text
+
+    @given(instance_files(), st.data())
+    def test_bulk_parse_matches_row_parse(self, inst, data):
+        # The row-by-row parse is the reference: the bulk parse takes every
+        # canonical text, and whatever it takes it must read the same way.
+        text = inst.to_text()
+        assert instances._parse_bulk(text) is not None
+        rows = text.splitlines()
+        for _ in range(data.draw(st.integers(0, 3))):
+            i = data.draw(st.integers(0, len(rows) - 1))
+            j = data.draw(st.integers(0, len(rows) - 1))
+            edit = data.draw(st.sampled_from(["swap", "copy", "delete"]))
+            if edit == "swap":
+                rows[i], rows[j] = rows[j], rows[i]
+            elif edit == "copy":
+                rows.insert(j, rows[i])
+            elif len(rows) > 1:
+                del rows[i]
+        text = "\n".join(rows) + data.draw(st.sampled_from(["", "\n"]))
+        bulk = instances._parse_bulk(text)
+        if bulk is not None:
+            reference = instances._parse_rows(text)
+            assert bulk.catalog == reference.catalog
+            assert bulk.event_ids == reference.event_ids
+            assert bulk.incidence.n_events == reference.incidence.n_events
+            assert bulk.incidence.pairs() == reference.incidence.pairs()
 
     @given(instance_files(), st.data())
     def test_scheme_text_round_trip(self, inst, data):

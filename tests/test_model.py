@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamopt import (DataError, EventLineIncidence, LineCatalog, LineRecord,
-                       Scheme, SoftAssignment, fold_modules, validate_dataset)
+                       ModuleIncidence, Scheme, SoftAssignment, fold_modules,
+                       validate_dataset)
 from helpers import build_catalog
 
 
@@ -61,6 +62,13 @@ class TestEventLineIncidence:
         inc = EventLineIncidence(1, 1, [(0, 0)])
         with pytest.raises(ValueError):
             inc.event_index[0] = 5
+
+
+class TestModuleIncidence:
+    @pytest.mark.parametrize("bad", [-0.5, 1.5, float("nan")])
+    def test_values_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(DataError, match=r"lie in \[0, 1\]"):
+            ModuleIncidence(2, 2, np.array([[1.0, 0.0], [bad, 0.5]]))
 
 
 class TestCatalog:

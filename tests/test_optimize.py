@@ -8,6 +8,7 @@ from streamopt import (EventLineIncidence, InfeasibleError, OptimizerConfig,
                        Scheme, SoftAssignment, enumerate_optimal,
                        extreme_schemes, fold_modules, optimize, read_cost,
                        round_assignment, storage_cost, sweep_streams)
+from streamopt.model import _row_entropy
 from helpers import build_catalog, random_clustered_instance, random_instance
 
 # The package binds the name ``optimize`` to the function.
@@ -185,6 +186,28 @@ class TestSettledStop:
                            and r.iterations < config.max_iters
                            for r in stopped.per_restart)
         assert settled >= 1
+
+    def test_every_settled_row_passes_the_gate(self):
+        # The gate skips the entropy pass unless every row sum of a restart
+        # is below the bound, so it must hold for every row that could
+        # settle, including the worst case of one runner-up stream.
+        bound = optimize_module._settle_sum(
+            optimize_module.SETTLED_ENTROPY + 0.01)
+        assert bound == pytest.approx(1.1028, abs=1e-4)
+        rng = np.random.default_rng(7)
+        settled = 0
+        for n_streams in (2, 3, 5, 8, 20):
+            logits = rng.normal(0.0, 1.0, (20000, n_streams))
+            logits *= rng.uniform(0.0, 12.0, (20000, 1))
+            logits[:5000, 2:] -= 40.0  # nearly two-point rows
+            probs = logits - logits.max(axis=1, keepdims=True)
+            np.exp(probs, out=probs)
+            sums = probs.sum(axis=1)
+            probs /= sums[:, None]
+            below = _row_entropy(probs) < optimize_module.SETTLED_ENTROPY
+            settled += below.sum()
+            assert (sums[below] < bound).all()
+        assert settled > 10000
 
     def test_cap_below_the_settle_step(self):
         inc, cat = duplicate_module_instance()

@@ -244,6 +244,32 @@ class TestKernel:
                                            return_counts=True)):
                 assert np.array_equal(got, want)
 
+    def test_row_groups_match_loop_reference(self):
+        # Columns are the distinct (module, value) pairs in sorted order, and
+        # the distinct rows, as tuples of their sorted column ids, are listed
+        # in lexicographic order.
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            inc, cat = random_instance(rng, max_modules=6)
+            folded = fold_modules(inc, cat)
+            values, groups = folded.values, folded.row_groups()
+            entries = []
+            for e in range(inc.n_events):
+                part = slice(values.indptr[e], values.indptr[e + 1])
+                entries.append(list(zip(values.indices[part].tolist(),
+                                        values.data[part].tolist())))
+            pairs = sorted({pair for row in entries for pair in row})
+            column = {pair: c for c, pair in enumerate(pairs)}
+            rows = [tuple(column[pair] for pair in row) for row in entries]
+            distinct = sorted(set(rows))
+            assert groups.column_module.tolist() == [m for m, _ in pairs]
+            assert groups.column_value.tolist() == [v for _, v in pairs]
+            assert groups.column_module.dtype == values.indices.dtype
+            assert [tuple(groups.hits[r].indices.tolist())
+                    for r in range(len(distinct))] == distinct
+            assert groups.weights.tolist() == [rows.count(row)
+                                               for row in distinct]
+
     def test_matches_dense_formula_with_zero_factors(self):
         rng = np.random.default_rng(42)
         checked_zero = 0
