@@ -16,15 +16,13 @@ from .instances import (InstanceFile, SyntheticSpec, gen_synthetic,
                         load_instance, load_measurements, load_scheme,
                         write_scheme)
 from .model import (EventLineIncidence, LineCatalog, LineRecord,
-                    ModuleIncidence, Scheme, SoftAssignment, fold_modules,
-                    validate_dataset)
+                    ModuleIncidence, Scheme, fold_modules, validate_dataset)
 from .optimize import (OptimizationResult, OptimizerConfig, RestartRecord,
-                       SweepPoint, optimize, round_assignment, sweep_streams)
+                       SweepPoint, optimize, sweep_streams)
 from .oracle import (MonteCarloCheck, OracleResult, count_partitions,
                      enumerate_optimal, mc_prescale_check,
                      restricted_growth_strings)
-from .relax import (LossEvaluator, RelaxedLoss, expected_events,
-                    expected_lines, loss_gradient, relaxed_loss, softmax_rows)
+from .relax import LossEvaluator, softmax_rows
 
 __version__ = "0.1.0"
 
@@ -33,14 +31,12 @@ __all__ = [
     "InfeasibleError", "InstanceFile", "LineCatalog", "LineRecord",
     "LossEvaluator", "MeasurementRecord", "ModuleIncidence",
     "MonteCarloCheck", "OptimizationResult", "OptimizerConfig",
-    "OracleResult", "RelaxedLoss", "RestartRecord", "Scheme",
-    "SoftAssignment", "StorageBreakdown", "StreamCost", "StreamOptError",
-    "SweepPoint", "SyntheticSpec", "corrected_read_cost", "count_partitions",
-    "enumerate_optimal", "expected_events", "expected_lines",
+    "OracleResult", "RestartRecord", "Scheme", "StorageBreakdown",
+    "StreamCost", "StreamOptError", "SweepPoint", "SyntheticSpec",
+    "corrected_read_cost", "count_partitions", "enumerate_optimal",
     "extreme_schemes", "fit_linear", "fold_modules", "gen_synthetic",
-    "load_instance", "load_measurements", "load_scheme", "loss_gradient",
-    "mc_prescale_check", "objective_total", "optimize", "parse_objective",
-    "read_cost", "read_cost_from_modules", "relaxed_loss",
-    "restricted_growth_strings", "round_assignment", "softmax_rows",
+    "load_instance", "load_measurements", "load_scheme", "mc_prescale_check",
+    "objective_total", "optimize", "parse_objective", "read_cost",
+    "read_cost_from_modules", "restricted_growth_strings", "softmax_rows",
     "storage_cost", "sweep_streams", "validate_dataset", "write_scheme",
 ]

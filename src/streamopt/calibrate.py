@@ -26,15 +26,13 @@ DEFAULT_MEASUREMENT_SCATTER = 0.02
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """One measured stream of one scheme, with optional model terms."""
+    """One measured stream of one scheme."""
 
     scheme_id: str
     stream_id: int
     n_lines: int
     measured_time_s: float
     measured_size_kb: float
-    model_read_term: float | None = None
-    model_storage_term: float | None = None
 
 
 @dataclass(frozen=True)
@@ -60,17 +58,25 @@ def fit_linear(x, y) -> CalibrationReport:
         raise DataError(f"length mismatch: {len(x)} x values, {len(y)} y values")
     if len(x) < 2:
         raise DataError("fit_linear needs at least 2 points")
+    # Deviations are divided by their largest magnitude before squaring, so
+    # that sums of squares neither underflow to 0 nor overflow.
     x_mean = x.mean()
-    y_mean = y.mean()
-    sxx = float(((x - x_mean) ** 2).sum())
-    if sxx == 0.0:
+    x_dev = x - x_mean
+    x_scale = np.abs(x_dev).max()
+    if x_scale == 0.0:
         raise DataError("x is constant; the slope is undefined")
-    slope = float(((x - x_mean) * (y - y_mean)).sum()) / sxx
+    x_dev /= x_scale
+    y_mean = y.mean()
+    y_dev = y - y_mean
+    slope = float((x_dev * y_dev).sum() / (x_dev ** 2).sum() / x_scale)
     intercept = y_mean - slope * x_mean
-    residuals = y - (slope * x + intercept)
-    ss_res = float((residuals ** 2).sum())
-    ss_tot = float(((y - y_mean) ** 2).sum())
-    r_squared = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    y_scale = np.abs(y_dev).max()
+    if y_scale == 0.0:
+        r_squared = 0.0
+    else:
+        residuals = (y - (slope * x + intercept)) / y_scale
+        r_squared = 1.0 - float((residuals ** 2).sum()
+                                / ((y_dev / y_scale) ** 2).sum())
     return CalibrationReport(slope, float(intercept), r_squared, len(x))
 
 

@@ -111,7 +111,7 @@ def _write_text(path, text: str):
         raise DataError(f"cannot write '{path}': {exc}") from exc
 
 
-def _load_named_scheme(token: str, incidence, catalog) -> Scheme:
+def _load_named_scheme(token: str, catalog) -> Scheme:
     """A scheme file path or one of the built-ins single-stream/per-module."""
     single, per_unit = extreme_schemes(catalog)
     if token == "single-stream":
@@ -320,7 +320,7 @@ def _breakdowns(args, incidence, catalog, scheme):
 
 def _baseline_breakdowns(args, incidence, catalog, token):
     """Breakdowns of a baseline scheme, which must cost more than zero."""
-    baseline = _load_named_scheme(token, incidence, catalog)
+    baseline = _load_named_scheme(token, catalog)
     t, s = _breakdowns(args, incidence, catalog, baseline)
     if t.total == 0 or s.total == 0:
         raise DataError("baseline scheme has zero cost; cannot normalize")
@@ -329,7 +329,7 @@ def _baseline_breakdowns(args, incidence, catalog, token):
 
 def cmd_evaluate(args) -> int:
     incidence, catalog = load_instance(args.instance)
-    scheme = _load_named_scheme(args.scheme, incidence, catalog)
+    scheme = _load_named_scheme(args.scheme, catalog)
     t, s = _breakdowns(args, incidence, catalog, scheme)
     print("stream  units  lines  expected_events  read_contribution  storage_kb")
     for i, (row, size) in enumerate(zip(t.per_stream, s.per_stream)):
@@ -354,7 +354,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     incidence, catalog = load_instance(args.instance)
-    candidate = _load_named_scheme(args.scheme, incidence, catalog)
+    candidate = _load_named_scheme(args.scheme, catalog)
     t_c, s_c = _breakdowns(args, incidence, catalog, candidate)
     t_b, s_b = _baseline_breakdowns(args, incidence, catalog, args.baseline)
     rows = [

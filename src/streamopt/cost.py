@@ -160,7 +160,9 @@ def read_cost_from_modules(module_incidence: ModuleIncidence,
     """
     if module_incidence.n_modules != catalog.n_modules:
         raise DataError("module incidence does not match catalog")
-    return _scheme_read_cost(LossEvaluator(module_incidence), catalog, scheme)
+    return _scheme_read_cost(
+        LossEvaluator(module_incidence, catalog.module_line_counts), catalog,
+        scheme)
 
 
 def extreme_schemes(catalog: LineCatalog) -> tuple[Scheme, Scheme]:

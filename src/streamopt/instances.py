@@ -211,14 +211,18 @@ def _parse_bulk(text: str) -> InstanceFile | None:
     """Parse a plain instance over whole sections, or return None.
 
     *Plain* means ASCII without quotes, blank or comment rows, or any space
-    or control character but the newline, each section with its column
-    header, and every row with the right number of fields naming a catalog
-    line.  Then ``str.splitlines`` and ``str.strip`` see exactly the newline
-    rows, and the result is the row-by-row parse's.  Any other text, valid
-    or not, returns None and goes through :func:`_parse_rows`.
+    or control character but the newline (CRLF line ends are read as LF
+    first), each section with its column header, and every row with the
+    right number of fields naming a catalog line.  Then ``str.splitlines``
+    and ``str.strip`` see exactly the newline rows, and the result is the
+    row-by-row parse's.  Any other text, valid or not, returns None and
+    goes through :func:`_parse_rows`.
     """
     if not text.isascii() or '"' in text:
         return None
+    if "\r" in text:
+        # Gated: replace copies the whole text even when nothing matches.
+        text = text.replace("\r\n", "\n")
     if not text.endswith("\n"):
         text += "\n"
     data = np.frombuffer(text.encode("ascii"), np.uint8)

@@ -19,7 +19,7 @@ threads.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -29,8 +29,6 @@ import scipy.sparse as sp
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
-
-_ROW_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,20 +56,19 @@ class LineRecord:
 
 @dataclass(frozen=True)
 class LineCatalog:
-    """Ordered collection of lines plus the ordered list of their modules."""
+    """Ordered collection of lines; their modules are listed in order of
+    first appearance."""
 
     lines: tuple[LineRecord, ...]
-    modules: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "lines", tuple(self.lines))
         if not self.lines:
             raise DataError("catalog must contain at least one line")
-        if self.modules:
-            object.__setattr__(self, "modules", tuple(self.modules))
-        else:
-            seen = dict.fromkeys(rec.module for rec in self.lines)
-            object.__setattr__(self, "modules", tuple(seen))
+
+    @cached_property
+    def modules(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(rec.module for rec in self.lines))
 
     @property
     def n_lines(self) -> int:
@@ -104,20 +101,11 @@ class LineCatalog:
         return arr
 
     @cached_property
-    def _module_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.modules)}
-
-    @cached_property
     def module_of_line(self) -> np.ndarray:
-        """Module index of each line; raises on unknown module references."""
-        idx = np.empty(self.n_lines, dtype=np.int64)
-        for i, rec in enumerate(self.lines):
-            j = self._module_index.get(rec.module)
-            if j is None:
-                raise DataError(
-                    f"line '{rec.name}' references unknown module '{rec.module}'"
-                )
-            idx[i] = j
+        """Module index of each line."""
+        index = {name: i for i, name in enumerate(self.modules)}
+        idx = np.array([index[rec.module] for rec in self.lines],
+                       dtype=np.int64)
         idx.setflags(write=False)
         return idx
 
@@ -126,16 +114,6 @@ class LineCatalog:
         counts = np.bincount(self.module_of_line, minlength=self.n_modules)
         counts.setflags(write=False)
         return counts
-
-    def line_index(self, name: str) -> int:
-        try:
-            return self.line_names.index(name)
-        except ValueError:
-            raise DataError(f"unknown line name '{name}'") from None
-
-    def singleton_modules(self) -> "LineCatalog":
-        """Copy of the catalog with one module per line (line-level runs)."""
-        return LineCatalog(tuple(replace(rec, module=rec.name) for rec in self.lines))
 
 
 class EventLineIncidence:
@@ -405,64 +383,6 @@ class Scheme:
         return tuple(s for s in range(self.n_streams) if s not in used)
 
 
-class SoftAssignment:
-    """Row-stochastic unit-to-stream probabilities, optionally with logits.
-
-    Built either from logits (row-wise softmax, all entries strictly inside
-    (0, 1)) or as an exact one-hot embedding of a hard :class:`Scheme`.
-    """
-
-    def __init__(self, probabilities, logits=None):
-        probs = np.ascontiguousarray(probabilities, dtype=float)
-        if probs.ndim != 2:
-            raise ValueError("probabilities must be a 2-d matrix")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("probabilities must be finite")
-        if probs.min() < 0.0 or probs.max() > 1.0:
-            raise ValueError("probabilities must lie in [0, 1]")
-        if np.max(np.abs(probs.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
-            raise ValueError("probability rows must sum to 1")
-        probs.setflags(write=False)
-        self._probs = probs
-        if logits is not None:
-            logits = np.ascontiguousarray(logits, dtype=float)
-            logits.setflags(write=False)
-        self._logits = logits
-
-    @classmethod
-    def from_logits(cls, logits) -> "SoftAssignment":
-        from .relax import softmax_rows
-
-        logits = np.ascontiguousarray(logits, dtype=float)
-        return cls(softmax_rows(logits), logits)
-
-    @classmethod
-    def one_hot(cls, scheme: Scheme) -> "SoftAssignment":
-        probs = np.zeros((scheme.n_units, scheme.n_streams))
-        probs[np.arange(scheme.n_units), scheme.assignment] = 1.0
-        return cls(probs)
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return self._probs
-
-    @property
-    def logits(self) -> np.ndarray | None:
-        return self._logits
-
-    @property
-    def n_units(self) -> int:
-        return self._probs.shape[0]
-
-    @property
-    def n_streams(self) -> int:
-        return self._probs.shape[1]
-
-    def row_entropy(self) -> np.ndarray:
-        """Shannon entropy (nats) of each row; 0 for one-hot rows."""
-        return _row_entropy(self._probs)
-
-
 def _row_entropy(probs: np.ndarray) -> np.ndarray:
     """Shannon entropy (nats) along the last axis of a probability array."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -485,28 +405,14 @@ def validate_dataset(incidence: EventLineIncidence,
             f"{catalog.n_lines}"
         )
     seen_names: set[str] = set()
-    module_index = {name: i for i, name in enumerate(catalog.modules)}
     for rec in catalog.lines:
         if not 0.0 <= rec.prescale <= 1.0:
             violations.append(
                 f"line '{rec.name}': prescale {rec.prescale} outside [0, 1]"
             )
-        if rec.module not in module_index:
-            violations.append(
-                f"line '{rec.name}': module '{rec.module}' not in catalog modules"
-            )
         if rec.name in seen_names:
             violations.append(f"duplicate line name '{rec.name}'")
         seen_names.add(rec.name)
-    seen_modules: set[str] = set()
-    for name in catalog.modules:
-        if name in seen_modules:
-            violations.append(f"duplicate module name '{name}'")
-        seen_modules.add(name)
-    populated = {rec.module for rec in catalog.lines}
-    for name in catalog.modules:
-        if name not in populated:
-            violations.append(f"module '{name}' contains no lines")
     return violations
 
 

@@ -38,7 +38,7 @@ from .cost import (DEFAULT_BASE_KB, DEFAULT_SHARED_KB, CostBreakdown,
                    storage_cost)
 from .errors import InfeasibleError, StreamOptError
 from .model import (EventLineIncidence, LineCatalog, ModuleIncidence, Scheme,
-                    SoftAssignment, _row_entropy, fold_modules)
+                    _row_entropy, fold_modules)
 from .relax import LossEvaluator, one_hot, softmax_rows
 
 # AdaMax step size, moment decay rates and denominator guard, and the
@@ -109,12 +109,6 @@ class SweepPoint:
     storage: StorageBreakdown
 
 
-def round_assignment(soft: SoftAssignment) -> Scheme:
-    """Round soft probabilities to the most likely stream per unit."""
-    # argmax returns the lowest index on ties, which is the tie-break rule.
-    return Scheme(soft.n_streams, np.argmax(soft.probabilities, axis=1))
-
-
 def _settle_sum(entropy: float) -> float:
     """Bound on the softmax row sum of any row with entropy below ``entropy``.
 
@@ -155,8 +149,7 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
             f"n_streams={n_streams} exceeds the {n_modules} available modules"
         )
 
-    evaluator = LossEvaluator(module_incidence,
-                              catalog.module_line_counts.astype(float))
+    evaluator = LossEvaluator(module_incidence, catalog.module_line_counts)
     if n_streams == 1 or n_streams == n_modules:
         # Both boundary cases are settled without optimization: one stream is
         # the only scheme, and one stream per module is provably optimal
@@ -223,7 +216,8 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
         probs /= sums
         loss, grad = evaluator.loss_and_gradient(probs)
 
-        # Round every restart whose argmax pattern moved and keep its best.
+        # Round every restart whose argmax pattern moved and keep its best;
+        # argmax breaks ties toward the lowest stream.
         rounded = probs.argmax(axis=2)
         moved = (rounded != previous).any(axis=1).nonzero()[0]
         if moved.size:

@@ -24,11 +24,13 @@ from .relax import LossEvaluator, one_hot
 
 MAX_ORACLE_MODULES = 12
 MAX_ORACLE_STREAMS = 4
-DEFAULT_MAX_EVALUATIONS = 10_000_000
 
 # Partitions per kernel call are capped so that one (events, batch * streams)
 # intermediate stays under this many elements.
 _BATCH_ELEMS = 1 << 17
+# Monte-Carlo draws per batch.  The generator fills each batch row by row,
+# so the samples do not depend on it.
+_MC_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,6 @@ class OracleResult:
     best_scheme: Scheme
     best_cost: float
     n_evaluated: int
-    ranked_tail: tuple[tuple[Scheme, float], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,6 @@ def restricted_growth_strings(n_items: int, max_blocks: int):
 
 def enumerate_optimal(incidence: EventLineIncidence, catalog: LineCatalog,
                       n_streams: int, objective: str = "T", *,
-                      max_evaluations: int = DEFAULT_MAX_EVALUATIONS,
-                      top_k: int = 0,
                       base_kb: float = DEFAULT_BASE_KB,
                       shared_kb: float = DEFAULT_SHARED_KB) -> OracleResult:
     """Exactly minimize the discrete objective over all schemes.
@@ -108,26 +107,22 @@ def enumerate_optimal(incidence: EventLineIncidence, catalog: LineCatalog,
             f"oracle caps at {MAX_ORACLE_STREAMS} streams (got {n_streams}); "
             "reduce the instance"
         )
+    # At most count_partitions(12, 4) = 700,075 partitions within the caps.
     total = count_partitions(n_modules, n_streams)
-    if total > max_evaluations:
-        raise InfeasibleError(
-            f"{total} partitions exceed the evaluation cap {max_evaluations}; "
-            "reduce the instance"
-        )
 
     kind, weight = parse_objective(objective)
     read = shared = turbo_kb = None
     if kind != "S":
         read = LossEvaluator(fold_modules(incidence, catalog),
-                             catalog.module_line_counts.astype(float))
+                             catalog.module_line_counts)
     if kind != "T":
         # The shared payload is kept by the persist-reco lines only, so fold
         # with every other line's prescale set to 0.
         pr_catalog = LineCatalog(
             tuple(rec if rec.is_persist_reco else replace(rec, prescale=0.0)
-                  for rec in catalog.lines),
-            catalog.modules)
-        shared = LossEvaluator(fold_modules(incidence, pr_catalog))
+                  for rec in catalog.lines))
+        shared = LossEvaluator(fold_modules(incidence, pr_catalog),
+                               catalog.module_line_counts)
         # Expected turbo payload is additive over modules, so every
         # partition stores the same amount of it.
         turbo = catalog.turbo_mask[incidence.line_index]
@@ -151,23 +146,16 @@ def enumerate_optimal(incidence: EventLineIncidence, catalog: LineCatalog,
         costs[start:start + batch] = score(
             one_hot(codes[start:start + batch], n_streams))
 
-    # argmin and a stable sort keep the first of equal costs in enumeration
-    # order.
+    # argmin keeps the first of equal costs in enumeration order.
     best = int(np.argmin(costs))
-    ranked_tail = None
-    if top_k:
-        ranked_tail = tuple(
-            (Scheme(n_streams, tuple(codes[i].tolist())), float(costs[i]))
-            for i in np.argsort(costs, kind="stable")[:top_k])
     return OracleResult(Scheme(n_streams, tuple(codes[best].tolist())),
-                        float(costs[best]), total, ranked_tail)
+                        float(costs[best]), total)
 
 
 def mc_prescale_check(incidence: EventLineIncidence, catalog: LineCatalog,
                       scheme: Scheme, n_samples: int, seed: int, *,
                       base_kb: float = DEFAULT_BASE_KB,
-                      shared_kb: float = DEFAULT_SHARED_KB,
-                      chunk: int = 1024) -> MonteCarloCheck:
+                      shared_kb: float = DEFAULT_SHARED_KB) -> MonteCarloCheck:
     """Sample prescale outcomes and measure the realized discrete T and S.
 
     Each (event, line) pass survives independently with the line's prescale;
@@ -208,7 +196,7 @@ def mc_prescale_check(incidence: EventLineIncidence, catalog: LineCatalog,
     storage_samples = np.empty(n_samples)
     pos = 0
     while pos < n_samples:
-        batch = min(chunk, n_samples - pos)
+        batch = min(_MC_CHUNK, n_samples - pos)
         kept = rng.random((batch, len(ev))) < p_entry[None, :]
         read = np.zeros(batch)
         stored = np.zeros(batch)

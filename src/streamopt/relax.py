@@ -45,21 +45,10 @@ restarts from the batch without moving the others' trajectories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
-from .model import LineCatalog, ModuleIncidence, SoftAssignment
-
-
-@dataclass(frozen=True)
-class RelaxedLoss:
-    """Surrogate loss value with its per-stream factors."""
-
-    value: float
-    per_stream_expected_lines: np.ndarray
-    per_stream_expected_events: np.ndarray
+from .model import ModuleIncidence
 
 
 def softmax_rows(logits) -> np.ndarray:
@@ -82,18 +71,18 @@ def one_hot(assignments, n_streams: int) -> np.ndarray:
 
 
 class LossEvaluator:
-    """Repeated loss/gradient evaluation over one folded incidence.
+    """Repeated loss/gradient evaluation over one folded incidence, with
+    ``line_counts`` the number of lines in each module.
 
     Probability tensors may carry a leading batch axis (one slice per
     restart, or one one-hot scheme per slice).
     """
 
-    def __init__(self, module_incidence: ModuleIncidence, line_counts=None):
+    def __init__(self, module_incidence: ModuleIncidence, line_counts):
         self.n_modules = module_incidence.n_modules
-        if line_counts is not None:
-            line_counts = np.asarray(line_counts, dtype=float)
-            if line_counts.shape != (self.n_modules,):
-                raise ValueError("line_counts must have one entry per module")
+        line_counts = np.asarray(line_counts, dtype=float)
+        if line_counts.shape != (self.n_modules,):
+            raise ValueError("line_counts must have one entry per module")
         self._line_counts = line_counts
         groups = module_incidence.row_groups()
         hits, weights = groups.hits, groups.weights
@@ -135,11 +124,6 @@ class LossEvaluator:
             )
         return probs, squeeze
 
-    def _line_counts_or_raise(self) -> np.ndarray:
-        if self._line_counts is None:
-            raise ValueError("evaluator was built without per-module line counts")
-        return self._line_counts
-
     def _forward(self, probs: np.ndarray):
         """Per-row log product of the nonzero factors, per-row zero-factor
         counts and the zero-factor mask (both None when no factor is exactly
@@ -177,8 +161,7 @@ class LossEvaluator:
 
     def expected_lines(self, probs) -> np.ndarray:
         probs, squeeze = self._check_probs(probs)
-        counts = self._line_counts_or_raise()
-        lines = np.einsum("m,bms->bs", counts, probs)
+        lines = np.einsum("m,bms->bs", self._line_counts, probs)
         return lines[0] if squeeze else lines
 
     def loss(self, probs):
@@ -193,7 +176,7 @@ class LossEvaluator:
         Returns ``(loss, grad)`` with batch shapes matching the input.
         """
         probs, squeeze = self._check_probs(probs)
-        counts = self._line_counts_or_raise()
+        counts = self._line_counts
         n_batch, n_modules, n_streams = probs.shape
 
         log_partial, n_zero, taken, zero = self._forward(probs)
@@ -225,36 +208,3 @@ class LossEvaluator:
             return float(loss[0]), grad[0]
         return loss, grad
 
-
-def expected_lines(catalog: LineCatalog, probs: SoftAssignment) -> np.ndarray:
-    """Expected number of lines per stream: sum_m n_lines[m] * L[m, s]."""
-    if probs.n_units != catalog.n_modules:
-        raise ValueError(
-            f"assignment has {probs.n_units} units, catalog has "
-            f"{catalog.n_modules} modules"
-        )
-    return catalog.module_line_counts.astype(float) @ probs.probabilities
-
-
-def expected_events(module_incidence: ModuleIncidence,
-                    probs: SoftAssignment) -> np.ndarray:
-    """Expected number of events per stream under soft assignment."""
-    evaluator = LossEvaluator(module_incidence)
-    return evaluator.expected_events(probs.probabilities)
-
-
-def relaxed_loss(module_incidence: ModuleIncidence, catalog: LineCatalog,
-                 soft: SoftAssignment) -> RelaxedLoss:
-    """Evaluate the grouped surrogate loss for a soft assignment."""
-    lines = expected_lines(catalog, soft)
-    events = expected_events(module_incidence, soft)
-    return RelaxedLoss(float(np.sum(lines * events)), lines, events)
-
-
-def loss_gradient(module_incidence: ModuleIncidence, catalog: LineCatalog,
-                  soft: SoftAssignment) -> np.ndarray:
-    """Analytic gradient of the surrogate loss with respect to the logits."""
-    evaluator = LossEvaluator(module_incidence,
-                              catalog.module_line_counts.astype(float))
-    _, grad = evaluator.loss_and_gradient(soft.probabilities)
-    return grad

@@ -8,13 +8,13 @@ import time
 
 import numpy as np
 
-from streamopt import (OptimizerConfig, Scheme, SoftAssignment,
+from streamopt import (LossEvaluator, OptimizerConfig, Scheme,
                        enumerate_optimal, extreme_schemes, fit_linear,
-                       fold_modules, load_instance, loss_gradient,
-                       mc_prescale_check, corrected_read_cost,
-                       MeasurementRecord, optimize, read_cost, relaxed_loss,
-                       storage_cost)
+                       fold_modules, load_instance, mc_prescale_check,
+                       corrected_read_cost, MeasurementRecord, optimize,
+                       read_cost, softmax_rows, storage_cost)
 from streamopt.cli import main
+from streamopt.relax import one_hot
 from helpers import random_clustered_instance, random_instance, random_scheme
 
 
@@ -33,10 +33,11 @@ def test_integer_equivalence_suite():
     for _ in range(200):
         inc, cat = random_instance(rng, max_events=500, max_modules=20,
                                    rate_range=(0.01, 0.3))
-        folded = fold_modules(inc, cat)
+        evaluator = LossEvaluator(fold_modules(inc, cat),
+                                  cat.module_line_counts)
         n_streams = int(rng.integers(1, 9))
         scheme = random_scheme(rng, cat.n_modules, n_streams)
-        loss = relaxed_loss(folded, cat, SoftAssignment.one_hot(scheme)).value
+        loss = evaluator.loss(one_hot(scheme.assignment, n_streams))
         cost = read_cost(inc, cat, scheme).total
         assert abs(loss - cost) <= 1e-9 * max(cost, 1.0), \
             f"loss {loss} != cost {cost}"
@@ -52,11 +53,11 @@ def test_gradient_suite():
     for trial in range(50):
         inc, cat = random_instance(rng, max_events=200, max_modules=20,
                                    rate_range=(0.01, 0.25))
-        folded = fold_modules(inc, cat)
+        evaluator = LossEvaluator(fold_modules(inc, cat),
+                                  cat.module_line_counts)
         n_streams = int(rng.integers(2, 9))
         logits = rng.normal(0.0, 1.0, (cat.n_modules, n_streams))
-        analytic = loss_gradient(folded, cat,
-                                 SoftAssignment.from_logits(logits))
+        _, analytic = evaluator.loss_and_gradient(softmax_rows(logits))
         numeric = np.zeros_like(logits)
         for i in range(logits.shape[0]):
             for j in range(logits.shape[1]):
@@ -64,10 +65,8 @@ def test_gradient_suite():
                 plus[i, j] += step
                 minus = logits.copy()
                 minus[i, j] -= step
-                f_plus = relaxed_loss(
-                    folded, cat, SoftAssignment.from_logits(plus)).value
-                f_minus = relaxed_loss(
-                    folded, cat, SoftAssignment.from_logits(minus)).value
+                f_plus = evaluator.loss(softmax_rows(plus))
+                f_minus = evaluator.loss(softmax_rows(minus))
                 numeric[i, j] = (f_plus - f_minus) / (2 * step)
         scale = max(np.abs(numeric).max(), 1e-12)
         rel = np.abs(analytic - numeric).max() / scale

@@ -37,6 +37,23 @@ class TestFitLinear:
         report = fit_linear([0.0, 1.0], [0.0, 1.0])
         assert report.measurement_scatter == 0.02
 
+    def test_tiny_spread_is_not_constant(self):
+        # The squared deviations of this x underflow to 0; it must still fit.
+        x = np.array([0.0, 2.48e-232, 4.63e-240])
+        y = np.array([1.0, 3.0, 2.0])
+        base = fit_linear(x, y)
+        scaled = fit_linear(x, 2.0 * y)
+        assert np.isfinite(base.slope) and base.slope != 0.0
+        assert scaled.slope == pytest.approx(2.0 * base.slope, rel=1e-12)
+        assert scaled.r_squared == pytest.approx(base.r_squared, rel=1e-12)
+
+    def test_tiny_target_keeps_its_r_squared(self):
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        y = np.array([1.0, 2.1, 2.9, 4.2])
+        report = fit_linear(x, 1e-170 * y)
+        assert report.r_squared == pytest.approx(fit_linear(x, y).r_squared,
+                                                 rel=1e-12)
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(-100, 100), min_size=3, max_size=12, unique=True),
            st.floats(0.1, 50), st.floats(-50, 50))

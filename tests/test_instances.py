@@ -183,6 +183,14 @@ class TestLoaderCases:
         assert self.parsed(text.replace("\n", "\r\n")) == self.parsed(text)
         assert self.parsed(SAMPLE.replace("\n", "\r\n")) == \
             self.parsed(SAMPLE)
+        # CRLF text takes the bulk parse and reads as the row parse does; a
+        # lone CR still goes row by row.
+        crlf = SAMPLE.replace("\n", "\r\n")
+        bulk, rows = instances._parse_bulk(crlf), instances._parse_rows(crlf)
+        assert bulk is not None
+        assert (bulk.catalog, bulk.event_ids, bulk.incidence.pairs()) == \
+            (rows.catalog, rows.event_ids, rows.incidence.pairs())
+        assert instances._parse_bulk(SAMPLE.replace("ev_b", "ev\rb")) is None
 
     def test_trailing_whitespace_is_ignored(self):
         text = self.generated().to_text()

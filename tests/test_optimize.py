@@ -5,9 +5,9 @@ import pytest
 
 from streamopt import relax
 from streamopt import (EventLineIncidence, InfeasibleError, OptimizerConfig,
-                       Scheme, SoftAssignment, enumerate_optimal,
-                       extreme_schemes, fold_modules, optimize, read_cost,
-                       round_assignment, storage_cost, sweep_streams)
+                       Scheme, enumerate_optimal, extreme_schemes,
+                       fold_modules, optimize, read_cost, storage_cost,
+                       sweep_streams)
 from streamopt.model import _row_entropy
 from helpers import build_catalog, random_clustered_instance, random_instance
 
@@ -42,20 +42,6 @@ class TestConfig:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             OptimizerConfig(**bad)
-
-
-class TestRoundAssignment:
-    def test_argmax(self):
-        soft = SoftAssignment(np.array([[0.25, 0.75]]))
-        assert round_assignment(soft).assignment == (1,)
-
-    def test_tie_breaks_to_lowest_stream(self):
-        soft = SoftAssignment(np.array([[0.5, 0.5]]))
-        assert round_assignment(soft).assignment == (0,)
-
-    def test_one_hot_round_trip(self):
-        scheme = Scheme(3, (2, 0, 1, 1))
-        assert round_assignment(SoftAssignment.one_hot(scheme)) == scheme
 
 
 class TestOptimize:

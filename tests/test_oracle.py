@@ -16,6 +16,13 @@ def three_line_instance():
     return inc, cat
 
 
+def partition_costs(inc, cat, n_streams):
+    """Line-level read cost of every canonical partition, in enumeration
+    order."""
+    return [read_cost(inc, cat, Scheme(n_streams, code)).total
+            for code in restricted_growth_strings(cat.n_modules, n_streams)]
+
+
 class TestPartitionEnumeration:
     def test_three_items_two_blocks(self):
         codes = [tuple(a) for a in restricted_growth_strings(3, 2)]
@@ -43,11 +50,11 @@ class TestPartitionEnumeration:
 class TestEnumerateOptimal:
     def test_three_line_instance(self):
         inc, cat = three_line_instance()
-        result = enumerate_optimal(inc, cat, 2, top_k=4)
+        result = enumerate_optimal(inc, cat, 2)
         assert result.best_cost == 6.0
         assert result.best_scheme.assignment == (0, 1, 1)
         assert result.n_evaluated == 4
-        assert [round(c, 6) for _, c in result.ranked_tail] == [6.0, 7.0, 8.0, 9.0]
+        assert sorted(partition_costs(inc, cat, 2)) == [6.0, 7.0, 8.0, 9.0]
 
     def test_single_stream_single_evaluation(self):
         inc, cat = three_line_instance()
@@ -58,10 +65,12 @@ class TestEnumerateOptimal:
     def test_best_cost_bounds_every_partition(self):
         rng = np.random.default_rng(52)
         inc, cat = random_instance(rng, max_modules=5)
-        result = enumerate_optimal(inc, cat, 3, top_k=100)
-        costs = [c for _, c in result.ranked_tail]
-        assert result.best_cost == min(costs)
-        assert costs == sorted(costs)
+        result = enumerate_optimal(inc, cat, 3)
+        costs = partition_costs(inc, cat, 3)
+        assert result.n_evaluated == len(costs)
+        assert result.best_cost == pytest.approx(min(costs), rel=1e-9)
+        assert read_cost(inc, cat, result.best_scheme).total == \
+            pytest.approx(result.best_cost, rel=1e-9)
 
     def test_module_reordering_invariance(self):
         rng = np.random.default_rng(53)
@@ -112,11 +121,6 @@ class TestEnumerateOptimal:
         inc, cat = three_line_instance()
         with pytest.raises(InfeasibleError, match="streams"):
             enumerate_optimal(inc, cat, 5)
-
-    def test_evaluation_cap(self):
-        inc, cat = three_line_instance()
-        with pytest.raises(InfeasibleError, match="cap"):
-            enumerate_optimal(inc, cat, 2, max_evaluations=3)
 
 
 class TestMonteCarlo:

@@ -1,0 +1,7 @@
+import streamopt
+
+
+def test_public_names_resolve_once():
+    names = streamopt.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(streamopt, n)] == []

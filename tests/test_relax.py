@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamopt import (EventLineIncidence, LossEvaluator, SoftAssignment,
-                       expected_events, expected_lines, fold_modules,
-                       loss_gradient, read_cost, relaxed_loss, softmax_rows)
+from streamopt import (EventLineIncidence, LossEvaluator, fold_modules,
+                       read_cost, softmax_rows)
+from streamopt.model import _row_entropy
+from streamopt.relax import one_hot
 from helpers import build_catalog, random_instance, random_scheme
 
 
-def finite_difference_gradient(module_incidence, catalog, logits, step=1e-5):
+def evaluator_of(inc, cat):
+    """Evaluator over the folded incidence, with the catalog's line counts."""
+    return LossEvaluator(fold_modules(inc, cat), cat.module_line_counts)
+
+
+def finite_difference_gradient(evaluator, logits, step=1e-5):
     grad = np.zeros_like(logits)
     for i in range(logits.shape[0]):
         for j in range(logits.shape[1]):
@@ -19,10 +25,8 @@ def finite_difference_gradient(module_incidence, catalog, logits, step=1e-5):
             plus[i, j] += step
             minus = logits.copy()
             minus[i, j] -= step
-            f_plus = relaxed_loss(module_incidence, catalog,
-                                  SoftAssignment.from_logits(plus)).value
-            f_minus = relaxed_loss(module_incidence, catalog,
-                                   SoftAssignment.from_logits(minus)).value
+            f_plus = evaluator.loss(softmax_rows(plus))
+            f_minus = evaluator.loss(softmax_rows(minus))
             grad[i, j] = (f_plus - f_minus) / (2 * step)
     return grad
 
@@ -55,41 +59,66 @@ class TestSoftmaxRows:
         out = softmax_rows(np.array(rows))
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-12
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(-15, 15), min_size=2, max_size=6))
+    def test_rows_land_strictly_inside(self, row):
+        # Logit gaps beyond ~36 underflow 1-p below machine epsilon, so the
+        # strictly-inside property is checked on moderate logits.
+        p = softmax_rows(np.array([row]))
+        assert np.all(p > 0.0) and np.all(p < 1.0)
+        assert abs(p.sum() - 1.0) <= 1e-12
+
+
+class TestOneHot:
+    def test_one_hot_is_exact(self):
+        probs = one_hot([2, 0, 1], 3)
+        assert probs[0, 2] == 1.0
+        assert probs.sum() == 3.0
+        assert _row_entropy(probs).max() == 0.0
+
 
 class TestExpectedLines:
     def test_three_line_module_split(self):
         cat = build_catalog([(f"l{i}", 1.0, True, False, "m") for i in range(3)])
-        soft = SoftAssignment(np.array([[0.5, 0.5]]))
-        assert np.allclose(expected_lines(cat, soft), [1.5, 1.5])
+        inc = EventLineIncidence(1, 3, [(0, 0)])
+        lines = evaluator_of(inc, cat).expected_lines(np.array([[0.5, 0.5]]))
+        assert np.allclose(lines, [1.5, 1.5])
 
     def test_hard_assignment_counts_lines(self):
         cat = build_catalog([("a", 1.0, True, False, "m0"),
                              ("b", 1.0, True, False, "m0"),
                              ("c", 1.0, True, False, "m1")])
-        soft = SoftAssignment(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert expected_lines(cat, soft).tolist() == [2.0, 1.0]
+        inc = EventLineIncidence(1, 3, [(0, 0)])
+        lines = evaluator_of(inc, cat).expected_lines(one_hot([0, 1], 2))
+        assert lines.tolist() == [2.0, 1.0]
 
     def test_dimension_mismatch(self):
         cat = build_catalog([("a", 1.0, True, False, "m0")])
+        inc = EventLineIncidence(1, 1, [(0, 0)])
         with pytest.raises(ValueError, match="units"):
-            expected_lines(cat, SoftAssignment(np.array([[0.5, 0.5],
-                                                         [0.5, 0.5]])))
+            evaluator_of(inc, cat).expected_lines(np.array([[0.5, 0.5],
+                                                            [0.5, 0.5]]))
+
+    def test_line_counts_checked(self):
+        cat = build_catalog([("a", 1.0, True, False, "m0")])
+        inc = EventLineIncidence(1, 1, [(0, 0)])
+        with pytest.raises(ValueError, match="one entry per module"):
+            LossEvaluator(fold_modules(inc, cat), [1.0, 2.0])
 
 
 class TestExpectedEvents:
     def test_single_module_splits_mass(self):
         cat = build_catalog([("a", 1.0, True, False, "m")])
         inc = EventLineIncidence(1, 1, [(0, 0)])
-        folded = fold_modules(inc, cat)
-        soft = SoftAssignment(np.array([[0.5, 0.5]]))
-        assert np.allclose(expected_events(folded, soft), [0.5, 0.5])
+        events = evaluator_of(inc, cat).expected_events(np.array([[0.5, 0.5]]))
+        assert np.allclose(events, [0.5, 0.5])
 
     def test_hard_assignment_counts_events(self):
         rng = np.random.default_rng(31)
         inc, cat = random_instance(rng, prescale_mix=False)
-        folded = fold_modules(inc, cat)
         scheme = random_scheme(rng, cat.n_modules, 3)
-        events = expected_events(folded, SoftAssignment.one_hot(scheme))
+        events = evaluator_of(inc, cat).expected_events(
+            one_hot(scheme.assignment, 3))
         stream_of_line = np.asarray(scheme.assignment)[cat.module_of_line]
         for s in range(3):
             selected = {e for e, l in inc.pairs() if stream_of_line[l] == s}
@@ -99,9 +128,7 @@ class TestExpectedEvents:
         cat = build_catalog([("a", 1.0, True, False, "m0"),
                              ("b", 0.5, True, False, "m1")])
         inc = EventLineIncidence(1, 2, [(0, 0), (0, 1)])
-        folded = fold_modules(inc, cat)
-        soft = SoftAssignment(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        events = expected_events(folded, soft)
+        events = evaluator_of(inc, cat).expected_events(one_hot([0, 0], 2))
         assert events[0] == pytest.approx(1.0, abs=1e-12)
         assert events[1] == 0.0
 
@@ -111,20 +138,19 @@ class TestRelaxedLoss:
         rng = np.random.default_rng(32)
         for _ in range(25):
             inc, cat = random_instance(rng)
-            folded = fold_modules(inc, cat)
             scheme = random_scheme(rng, cat.n_modules, int(rng.integers(1, 5)))
-            loss = relaxed_loss(folded, cat, SoftAssignment.one_hot(scheme))
+            loss = evaluator_of(inc, cat).loss(
+                one_hot(scheme.assignment, scheme.n_streams))
             cost = read_cost(inc, cat, scheme).total
-            assert loss.value == pytest.approx(cost, rel=1e-9)
+            assert loss == pytest.approx(cost, rel=1e-9)
 
     def test_interior_point_differs_from_expectation(self):
         # One line, one event, half/half: surrogate is 0.5 although any
         # rounded assignment costs 1.
         cat = build_catalog([("a", 1.0, True, False, "m")])
         inc = EventLineIncidence(1, 1, [(0, 0)])
-        folded = fold_modules(inc, cat)
-        soft = SoftAssignment(np.array([[0.5, 0.5]]))
-        assert relaxed_loss(folded, cat, soft).value == pytest.approx(0.5)
+        loss = evaluator_of(inc, cat).loss(np.array([[0.5, 0.5]]))
+        assert loss == pytest.approx(0.5)
 
     def test_uniform_single_module_closed_form(self):
         rng = np.random.default_rng(33)
@@ -135,21 +161,19 @@ class TestRelaxedLoss:
         cat = build_catalog([(f"l{i}", 1.0, True, False, "m")
                              for i in range(n_lines)])
         folded = fold_modules(inc, cat)
-        soft = SoftAssignment(np.full((1, k), 1.0 / k))
+        evaluator = LossEvaluator(folded, cat.module_line_counts)
         expected = n_lines / k * folded.values.sum()
-        assert relaxed_loss(folded, cat, soft).value == \
+        assert evaluator.loss(np.full((1, k), 1.0 / k)) == \
             pytest.approx(expected, rel=1e-12)
 
     def test_value_is_product_of_factors(self):
         rng = np.random.default_rng(34)
         inc, cat = random_instance(rng)
-        folded = fold_modules(inc, cat)
-        soft = SoftAssignment.from_logits(
-            rng.normal(0, 1, (cat.n_modules, 3)))
-        loss = relaxed_loss(folded, cat, soft)
-        assert loss.value == pytest.approx(
-            float(np.sum(loss.per_stream_expected_lines
-                         * loss.per_stream_expected_events)), rel=1e-9)
+        evaluator = evaluator_of(inc, cat)
+        probs = softmax_rows(rng.normal(0, 1, (cat.n_modules, 3)))
+        assert evaluator.loss(probs) == pytest.approx(
+            float(np.sum(evaluator.expected_lines(probs)
+                         * evaluator.expected_events(probs))), rel=1e-9)
 
     def test_ungrouped_reduction(self):
         # One module per line at unit prescales reduces to the line-level
@@ -160,13 +184,12 @@ class TestRelaxedLoss:
         inc = EventLineIncidence.from_dense(mat)
         cat = build_catalog([(f"l{i}", 1.0, True, False, f"l{i}")
                              for i in range(5)])
-        folded = fold_modules(inc, cat)
         probs = softmax_rows(rng.normal(0, 1, (5, 3)))
         lines = probs.sum(axis=0)
         miss = 1.0 - mat.astype(float)[:, :, None] * probs[None, :, :]
         events = (1.0 - miss.prod(axis=1)).sum(axis=0)
         want = float((lines * events).sum())
-        got = relaxed_loss(folded, cat, SoftAssignment(probs)).value
+        got = evaluator_of(inc, cat).loss(probs)
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -174,41 +197,40 @@ class TestLossGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(36)
         inc, cat = random_instance(rng, max_modules=5)
-        folded = fold_modules(inc, cat)
+        evaluator = evaluator_of(inc, cat)
         logits = rng.normal(0, 1, (cat.n_modules, 3))
-        analytic = loss_gradient(folded, cat, SoftAssignment.from_logits(logits))
-        numeric = finite_difference_gradient(folded, cat, logits)
+        _, analytic = evaluator.loss_and_gradient(softmax_rows(logits))
+        numeric = finite_difference_gradient(evaluator, logits)
         scale = max(np.abs(numeric).max(), 1e-12)
         assert np.abs(analytic - numeric).max() / scale < 1e-5
 
     def test_uniform_logits_symmetric_across_streams(self):
         rng = np.random.default_rng(37)
         inc, cat = random_instance(rng)
-        folded = fold_modules(inc, cat)
-        soft = SoftAssignment.from_logits(np.zeros((cat.n_modules, 3)))
-        grad = loss_gradient(folded, cat, soft)
+        _, grad = evaluator_of(inc, cat).loss_and_gradient(
+            softmax_rows(np.zeros((cat.n_modules, 3))))
         assert np.allclose(grad, grad[:, :1], atol=1e-12)
 
     def test_single_stream_gradient_vanishes(self):
         rng = np.random.default_rng(38)
         inc, cat = random_instance(rng)
-        folded = fold_modules(inc, cat)
-        soft = SoftAssignment.from_logits(rng.normal(0, 1, (cat.n_modules, 1)))
-        assert np.all(loss_gradient(folded, cat, soft) == 0.0)
+        _, grad = evaluator_of(inc, cat).loss_and_gradient(
+            softmax_rows(rng.normal(0, 1, (cat.n_modules, 1))))
+        assert np.all(grad == 0.0)
 
     def test_shift_invariance_of_loss_and_gradient(self):
         rng = np.random.default_rng(39)
         inc, cat = random_instance(rng)
-        folded = fold_modules(inc, cat)
+        evaluator = evaluator_of(inc, cat)
         logits = rng.normal(0, 1, (cat.n_modules, 3))
         shifted = logits + rng.normal(0, 5, (cat.n_modules, 1))
-        a = SoftAssignment.from_logits(logits)
-        b = SoftAssignment.from_logits(shifted)
-        assert np.allclose(a.probabilities, b.probabilities, atol=1e-12)
-        assert relaxed_loss(folded, cat, a).value == pytest.approx(
-            relaxed_loss(folded, cat, b).value, rel=1e-12)
-        assert np.allclose(loss_gradient(folded, cat, a),
-                           loss_gradient(folded, cat, b), atol=1e-9)
+        a = softmax_rows(logits)
+        b = softmax_rows(shifted)
+        assert np.allclose(a, b, atol=1e-12)
+        loss_a, grad_a = evaluator.loss_and_gradient(a)
+        loss_b, grad_b = evaluator.loss_and_gradient(b)
+        assert loss_a == pytest.approx(loss_b, rel=1e-12)
+        assert np.allclose(grad_a, grad_b, atol=1e-9)
 
 
 def dense_reference(fold, counts, probs):
