@@ -24,7 +24,8 @@ from .errors import DataError, InfeasibleError, StreamOptError
 from .instances import (SyntheticSpec, gen_synthetic, load_instance,
                         load_measurements, load_scheme, scheme_to_text)
 from .model import Scheme, fold_modules
-from .optimize import OptimizerConfig, optimize, sweep_streams
+from .optimize import (OptimizerConfig, optimize, sweep_streams,
+                       sweep_workers)
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -239,6 +240,20 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _restart_diag(r) -> dict:
+    """A restart's record as written to ``diag.json``."""
+    return {
+        "index": r.index,
+        "relaxed_loss": None if r.failed else r.relaxed_loss,
+        "read_cost": None if r.failed else r.discrete_cost,
+        "iterations": r.iterations,
+        "stop_reason": r.stop_reason,
+        "best_found_at": None if r.failed else r.best_found_at,
+        "max_row_entropy": None if r.failed else r.max_row_entropy,
+        "failed": r.failed,
+    }
+
+
 def cmd_optimize(args) -> int:
     if args.streams < 1:
         raise InfeasibleError("stream counts must be >= 1")
@@ -288,19 +303,7 @@ def cmd_optimize(args) -> int:
             "assignment": list(best.assignment),
             "empty_streams": list(best.empty_streams()),
         },
-        "restarts": [
-            {
-                "index": r.index,
-                "relaxed_loss": None if r.failed else r.relaxed_loss,
-                "read_cost": None if r.failed else r.discrete_cost,
-                "iterations": r.iterations,
-                "stop_reason": r.stop_reason,
-                "best_found_at": None if r.failed else r.best_found_at,
-                "max_row_entropy": None if r.failed else r.max_row_entropy,
-                "failed": r.failed,
-            }
-            for r in result.per_restart
-        ],
+        "restarts": [_restart_diag(r) for r in result.per_restart],
     }
     _write_text(args.out, scheme_to_text(best, catalog))
     _write_text(str(args.out) + ".diag.json", json.dumps(diag, indent=2) + "\n")
@@ -395,7 +398,23 @@ def cmd_sweep(args) -> int:
         rows.append(row)
     table = "\n".join(rows) + "\n"
     if args.out:
+        diag = {
+            "instance": str(args.instance),
+            "seed": args.seed,
+            "workers": sweep_workers(args.streams, catalog.n_modules),
+            "points": [
+                {
+                    "n_streams": point.n_streams,
+                    "descent_s": point.descent_s,
+                    "restarts": [_restart_diag(r)
+                                 for r in point.result.per_restart],
+                }
+                for point in points
+            ],
+        }
         _write_text(args.out, table)
+        _write_text(str(args.out) + ".diag.json",
+                    json.dumps(diag, indent=2) + "\n")
         print(f"wrote {args.out}")
     else:
         print(table, end="")

@@ -1,12 +1,24 @@
+import concurrent.futures
+import importlib
 import json
+import multiprocessing
+import os
 
 import pytest
 
-from streamopt import (OptimizerConfig, Scheme, extreme_schemes,
-                       fold_modules, load_instance, load_scheme, read_cost,
-                       storage_cost, write_scheme)
+from streamopt import (InfeasibleError, OptimizerConfig, Scheme,
+                       extreme_schemes, fold_modules, load_instance,
+                       load_scheme, read_cost, storage_cost, write_scheme)
 from streamopt.cli import main
 from streamopt.optimize import SETTLED_ENTROPY
+
+# The package binds the name ``optimize`` to the function.
+optimize_module = importlib.import_module("streamopt.optimize")
+
+
+def two_cpus(monkeypatch):
+    """Let a sweep use two worker processes, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 @pytest.fixture
@@ -224,6 +236,70 @@ class TestSweepCommand:
         assert float(values[3]) == pytest.approx(1.0, rel=1e-9)
         assert float(values[4]) == pytest.approx(1.0, rel=1e-9)
 
+
+    def test_writes_diagnostics(self, instance_path, tmp_path, monkeypatch):
+        two_cpus(monkeypatch)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--instance", str(instance_path), "--streams",
+                     "1,2,3", "--restarts", "3", "--seed", "5",
+                     "--out", str(out)]) == 0
+        diag = json.loads((tmp_path / "sweep.csv.diag.json").read_text())
+        assert diag["seed"] == 5
+        assert diag["workers"] == 2
+        assert [p["n_streams"] for p in diag["points"]] == [1, 2, 3]
+        shortcut = diag["points"][0]
+        assert shortcut["descent_s"] is None
+        assert [(r["stop_reason"], r["iterations"])
+                for r in shortcut["restarts"]] == [("settled", 0)]
+        # Each descent's restarts read as those of `optimize` at that K.
+        for point in diag["points"][1:]:
+            assert point["descent_s"] > 0.0
+            scheme = tmp_path / f"k{point['n_streams']}.scheme"
+            assert main(["optimize", "--instance", str(instance_path),
+                         "--streams", str(point["n_streams"]),
+                         "--restarts", "3", "--seed", "5",
+                         "--out", str(scheme)]) == 0
+            optimized = json.loads(
+                (tmp_path / (scheme.name + ".diag.json")).read_text())
+            assert point["restarts"] == optimized["restarts"]
+
+    def test_no_process_left_running(self, instance_path, tmp_path,
+                                     monkeypatch, capsys):
+        two_cpus(monkeypatch)
+        assert main(["sweep", "--instance", str(instance_path), "--streams",
+                     "2,3", "--restarts", "2"]) == 0
+        assert multiprocessing.active_children() == []
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an infeasible sweep started a worker")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        out = tmp_path / "bad.csv"
+        assert main(["sweep", "--instance", str(instance_path), "--streams",
+                     "2,99", "--restarts", "2", "--out", str(out)]) == 3
+        assert "n_streams=99" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "bad.csv.diag.json").exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="a patch reaches the workers only by fork")
+    def test_worker_error_keeps_its_class(self, instance_path, monkeypatch,
+                                          capsys):
+        two_cpus(monkeypatch)
+        parent, original = os.getpid(), optimize_module.optimize
+
+        def refuse_in_worker(module_incidence, catalog, config):
+            if os.getpid() != parent:
+                raise InfeasibleError(f"worker refused {config.n_streams}")
+            return original(module_incidence, catalog, config)
+
+        monkeypatch.setattr(optimize_module, "optimize", refuse_in_worker)
+        assert main(["sweep", "--instance", str(instance_path), "--streams",
+                     "1,2,3", "--restarts", "2"]) == 3
+        assert "worker refused 2" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
     def test_zero_storage_baseline_is_data_error(self, tmp_path, capsys):
         inst = tmp_path / "bare.inst"

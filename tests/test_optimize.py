@@ -1,13 +1,15 @@
+import concurrent.futures
 import importlib
+import os
 
 import numpy as np
 import pytest
 
 from streamopt import relax
 from streamopt import (EventLineIncidence, InfeasibleError, OptimizerConfig,
-                       Scheme, enumerate_optimal, extreme_schemes,
-                       fold_modules, optimize, read_cost, storage_cost,
-                       sweep_streams)
+                       Scheme, SyntheticSpec, enumerate_optimal,
+                       extreme_schemes, fold_modules, gen_synthetic, optimize,
+                       read_cost, storage_cost, sweep_streams)
 from streamopt.model import _row_entropy
 from helpers import build_catalog, random_clustered_instance, random_instance
 
@@ -211,7 +213,85 @@ class TestSettledStop:
         assert record.iterations == capped_at
 
 
+def clustered_sweep_instance():
+    spec = SyntheticSpec(n_events=400, n_modules=6, lines_per_module=(1, 3),
+                         n_latent_clusters=3, intra_cluster_pass_rate=0.5,
+                         cross_cluster_pass_rate=0.03,
+                         prescale_options=(1.0, 0.5), seed=5)
+    instance = gen_synthetic(spec)
+    return instance.incidence, instance.catalog
+
+
+def serial_points(inc, cat, counts, config):
+    """Per-K ``optimize`` and ``storage_cost``, one after another."""
+    folded = fold_modules(inc, cat)
+    points = []
+    for k in counts:
+        result = optimize(folded, cat, OptimizerConfig(
+            k, config.n_restarts, config.max_iters, config.seed))
+        points.append((k, result,
+                       storage_cost(inc, cat, result.best_scheme)))
+    return points
+
+
 class TestSweep:
+    # Three distinct descents (4, 2, 3) for two workers, a repeated K and
+    # both shortcuts, so that the order of the points is tested too.
+    COUNTS = [4, 1, 2, 3, 6, 2]
+
+    def check_equals_serial(self, inc, cat, config):
+        points = sweep_streams(inc, cat, self.COUNTS, config)
+        # Dataclass equality: the best scheme and costs, every
+        # RestartRecord and the StorageBreakdown, field for field.
+        assert ([(p.n_streams, p.result, p.storage) for p in points]
+                == serial_points(inc, cat, self.COUNTS, config))
+        assert [p.descent_s is None for p in points] == [
+            k in (1, 6) for k in self.COUNTS]
+
+    def test_parallel_points_equal_serial_optimize(self, monkeypatch):
+        inc, cat = clustered_sweep_instance()
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            CountingPool)
+        config = OptimizerConfig(n_streams=1, n_restarts=3, max_iters=800,
+                                 seed=3)
+        self.check_equals_serial(inc, cat, config)
+        assert pools == [(2,)]
+
+    def test_single_cpu_starts_no_pool(self, monkeypatch):
+        inc, cat = clustered_sweep_instance()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single-CPU sweep started a pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        config = OptimizerConfig(n_streams=1, n_restarts=3, max_iters=800,
+                                 seed=3)
+        self.check_equals_serial(inc, cat, config)
+        assert optimize_module.sweep_workers(self.COUNTS, 6) == 1
+
+    def test_infeasible_count_checked_before_any_descent(self, monkeypatch):
+        inc, cat = clustered_sweep_instance()
+
+        def no_descent(*args, **kwargs):
+            raise AssertionError("a descent ran")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_descent)
+        monkeypatch.setattr(optimize_module, "optimize", no_descent)
+        with pytest.raises(InfeasibleError, match="n_streams=7"):
+            sweep_streams(inc, cat, [2, 3, 7],
+                          OptimizerConfig(n_streams=1, seed=0))
+
     def test_endpoints_match_extremes(self):
         rng = np.random.default_rng(48)
         inc, cat = random_instance(rng, max_modules=4, max_events=120)
