@@ -135,7 +135,7 @@ def build_parser() -> _Parser:
     size.add_argument("--shared-kb", type=float, default=DEFAULT_SHARED_KB,
                       help="shared persist-reco payload per event in kB")
 
-    p = sub.add_parser("generate", parents=[size],
+    p = sub.add_parser("generate",
                        help="write a synthetic planted-cluster instance")
     p.add_argument("--events", type=int, default=1000)
     p.add_argument("--modules", type=int, default=10)

@@ -86,6 +86,9 @@ def _cost_breakdown(catalog: LineCatalog, stream_of_unit: np.ndarray,
                                    weights=catalog.module_line_counts,
                                    minlength=n_streams)
     units_per_stream = np.bincount(stream_of_unit, minlength=n_streams)
+    # An empty stream's expected events come out as -0.0; adding 0.0 gives
+    # +0.0 and leaves every other value as it is.
+    expected_events = expected_events + 0.0
     contributions = lines_per_stream * expected_events
     per_stream = tuple(
         StreamCost(int(units_per_stream[s]), int(lines_per_stream[s]),

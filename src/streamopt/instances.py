@@ -41,6 +41,17 @@ SCHEME_HEADER = "module,stream"
 MEASUREMENT_HEADER = "scheme_id,stream_id,n_lines,measured_time_s,measured_size_kb"
 
 
+def _read_text(path, what: str) -> str:
+    """The text of a ``what`` file; a file that cannot be opened or decoded
+    is a data error.  A decode error's text does not name the file."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise DataError(f"cannot read {what} file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {what} file '{path}': {exc}") from exc
+
+
 @dataclass(frozen=True)
 class InstanceFile:
     """Parsed instance file: catalog plus incidence with its event ids."""
@@ -74,11 +85,7 @@ class InstanceFile:
 
     @classmethod
     def load(cls, path) -> "InstanceFile":
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise DataError(f"cannot read instance file: {exc}") from exc
-        return cls.from_text(text)
+        return cls.from_text(_read_text(path, "instance"))
 
 
 _FLAGS = {"1": True, "true": True, "0": False, "false": False}
@@ -430,11 +437,7 @@ def scheme_from_text(text: str, catalog: LineCatalog) -> Scheme:
 
 
 def load_scheme(path, catalog: LineCatalog) -> Scheme:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read scheme file: {exc}") from exc
-    return scheme_from_text(text, catalog)
+    return scheme_from_text(_read_text(path, "scheme"), catalog)
 
 
 def write_scheme(path, scheme: Scheme, catalog: LineCatalog):
@@ -445,10 +448,7 @@ def write_scheme(path, scheme: Scheme, catalog: LineCatalog):
 
 
 def load_measurements(path) -> tuple[MeasurementRecord, ...]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read measurement file: {exc}") from exc
+    text = _read_text(path, "measurement")
     records: list[MeasurementRecord] = []
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):

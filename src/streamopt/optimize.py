@@ -25,6 +25,15 @@ has entropy ln 2) runs to ``max_iters``.  Leaving the batch does not change
 the other restarts' trajectories, so results are bit-reproducible for a
 given seed and configuration.
 
+The driver keeps two kinds of per-restart state.  The descent state (logits,
+the AdaMax moments, the gradient, the previous argmax and each batch slice's
+restart index) holds one slice per restart still in the batch, and only it is
+compacted when restarts leave.  The restart table holds what each restart has
+found, by restart index: its best rounded cost, the step that found it, its
+assignment and, once it stops, its ``RestartRecord``.  Every record of a
+descending restart, whether settled, capped or non-finite, is built by one
+``stop`` call.
+
 A sweep runs its stream counts' descents in worker processes, one task per
 stream count.  The descents share no state and each seeds its own generator
 from its config, so the points equal a serial sweep's bit for bit.
@@ -187,43 +196,34 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
         return OptimizationResult(scheme, breakdown.total, breakdown,
                                   (record,), config.seed)
 
+    # The descent state, one slice per restart in the batch; origin[j] is
+    # the restart index of slice j.
     rng = np.random.default_rng(config.seed)
+    n_restarts = config.n_restarts
     logits = rng.normal(0.0, INIT_SCALE,
-                        size=(config.n_restarts, n_modules, n_streams))
+                        size=(n_restarts, n_modules, n_streams))
     moment = np.zeros_like(logits)
     inf_norm = np.zeros_like(logits)
-    origin = np.arange(config.n_restarts)
-    records: dict[int, RestartRecord] = {}
+    previous = np.full((n_restarts, n_modules), -1, dtype=np.int64)
+    origin = np.arange(n_restarts)
 
+    # The restart table, by restart index.
+    best_cost = np.full(n_restarts, np.inf)
+    best_step = np.zeros(n_restarts, dtype=np.int64)
+    best_assignment: list[tuple[int, ...] | None] = [None] * n_restarts
+    records: list[RestartRecord | None] = [None] * n_restarts
     cost_cache: dict[tuple[int, ...], float] = {}
 
-    def cache_rounded_costs(assignments):
-        """Read cost of each new assignment, from one batched one-hot call."""
-        fresh = list(dict.fromkeys(a for a in assignments
-                                   if a not in cost_cache))
-        if fresh:
-            costs = evaluator.loss(one_hot(fresh, n_streams))
-            cost_cache.update(zip(fresh, costs.tolist()))
-
-    n_active = config.n_restarts
-    best_cost = np.full(n_active, np.inf)
-    best_step = np.zeros(n_active, dtype=np.int64)
-    best_assignment: list[tuple[int, ...] | None] = [None] * n_active
-    previous = np.full((n_active, n_modules), -1, dtype=np.int64)
-
-    def finalize(pos: int, loss_value: float, entropy: float,
-                 iterations: int, stop_reason: str):
-        idx = int(origin[pos])
-        if stop_reason == "non_finite":
-            records[idx] = RestartRecord(idx, float(loss_value), math.inf,
-                                         iterations, math.nan, None,
-                                         stop_reason, int(best_step[pos]))
-            return
-        records[idx] = RestartRecord(idx, float(loss_value),
-                                     float(best_cost[pos]), iterations,
-                                     float(entropy),
-                                     Scheme(n_streams, best_assignment[pos]),
-                                     stop_reason, int(best_step[pos]))
+    def stop(k: int, loss, entropy, iterations: int, reason: str):
+        """Record restart k's outcome; a non-finite run keeps no scheme."""
+        if reason == "non_finite":
+            cost, entropy, scheme = math.inf, math.nan, None
+        else:
+            cost = float(best_cost[k])
+            scheme = Scheme(n_streams, best_assignment[k])
+        records[k] = RestartRecord(k, float(loss), cost, iterations,
+                                   float(entropy), scheme, reason,
+                                   int(best_step[k]))
 
     # A restart can have settled only once every softmax row sum (1 / the
     # row's largest probability) is below this; the 0.01 margin covers
@@ -241,13 +241,18 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
         loss, grad = evaluator.loss_and_gradient(probs)
 
         # Round every restart whose argmax pattern moved and keep its best;
-        # argmax breaks ties toward the lowest stream.
+        # argmax breaks ties toward the lowest stream.  Assignments not yet
+        # in the cache are costed in one batched one-hot call.
         rounded = probs.argmax(axis=2)
         moved = (rounded != previous).any(axis=1).nonzero()[0]
         if moved.size:
-            assignments = [tuple(rounded[k].tolist()) for k in moved]
-            cache_rounded_costs(assignments)
-            for k, assignment in zip(moved, assignments):
+            assignments = [tuple(rounded[j].tolist()) for j in moved]
+            fresh = list(dict.fromkeys(a for a in assignments
+                                       if a not in cost_cache))
+            if fresh:
+                costs = evaluator.loss(one_hot(fresh, n_streams))
+                cost_cache.update(zip(fresh, costs.tolist()))
+            for k, assignment in zip(origin[moved].tolist(), assignments):
                 cost = cost_cache[assignment]
                 if cost < best_cost[k]:
                     best_cost[k] = cost
@@ -261,18 +266,15 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
             entropy = _row_entropy(probs).max(axis=1)
             retire = failed | (entropy < SETTLED_ENTROPY)
         if retire.any():
-            for k in retire.nonzero()[0]:
-                if failed[k]:
-                    finalize(int(k), loss[k], math.nan, step, "non_finite")
+            for j in retire.nonzero()[0]:
+                if failed[j]:
+                    stop(int(origin[j]), loss[j], math.nan, step, "non_finite")
                 else:
-                    finalize(int(k), loss[k], entropy[k], step, "settled")
+                    stop(int(origin[j]), loss[j], entropy[j], step, "settled")
             keep = ~retire
             logits, moment, inf_norm = logits[keep], moment[keep], inf_norm[keep]
-            origin, grad = origin[keep], grad[keep]
-            best_cost, best_step = best_cost[keep], best_step[keep]
-            previous = previous[keep]
-            best_assignment = [a for a, ok in zip(best_assignment, keep) if ok]
-            if logits.shape[0] == 0:
+            grad, previous, origin = grad[keep], previous[keep], origin[keep]
+            if origin.size == 0:
                 break
 
         # AdaMax in place, in the same order of operations as
@@ -289,18 +291,17 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
         probs = softmax_rows(logits)
         loss = np.atleast_1d(evaluator.loss(probs))
         entropy = _row_entropy(probs).max(axis=1)
-        for k in range(logits.shape[0]):
-            finalize(k, loss[k], entropy[k], config.max_iters,
-                     "max_iters" if np.isfinite(loss[k]) else "non_finite")
+        for j, k in enumerate(origin.tolist()):
+            stop(k, loss[j], entropy[j], config.max_iters,
+                 "max_iters" if np.isfinite(loss[j]) else "non_finite")
 
-    per_restart = tuple(records[i] for i in range(config.n_restarts))
-    survivors = [r for r in per_restart if not r.failed]
+    survivors = [r for r in records if not r.failed]
     if not survivors:
         raise StreamOptError("every restart diverged to a non-finite loss")
     best = min(survivors, key=lambda r: (r.discrete_cost, r.index))
     breakdown = _scheme_read_cost(evaluator, catalog, best.scheme)
     return OptimizationResult(best.scheme, best.relaxed_loss, breakdown,
-                              per_restart, config.seed)
+                              tuple(records), config.seed)
 
 
 # The fold and catalog of the sweep a worker process serves, set once by the

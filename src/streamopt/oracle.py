@@ -164,56 +164,42 @@ def mc_prescale_check(incidence: EventLineIncidence, catalog: LineCatalog,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    stream_of_unit = np.asarray(scheme.assignment, dtype=np.int64)
-    stream_of_line = stream_of_unit[catalog.module_of_line]
+    stream_of_line = np.asarray(scheme.assignment,
+                                dtype=np.int64)[catalog.module_of_line]
+    lines_per_stream = np.bincount(stream_of_line, minlength=scheme.n_streams)
 
-    order = np.lexsort((incidence.event_index,
-                        stream_of_line[incidence.line_index]))
-    ev = incidence.event_index[order]
-    li = incidence.line_index[order]
-    st = stream_of_line[li]
+    # One key per entry, sorted, so that each stream's copy of an event is
+    # one run of equal keys.  Keys are >= 0, so the -1 in front makes the
+    # first entry a run start.
+    key = (stream_of_line[incidence.line_index] * incidence.n_events
+           + incidence.event_index)
+    order = np.argsort(key, kind="stable")
+    key, li = key[order], incidence.line_index[order]
     p_entry = catalog.prescales[li]
-    turbo = catalog.turbo_mask[li]
+    turbo = catalog.turbo_mask[li].astype(np.int64)
     pr = catalog.persist_reco_mask[li]
-
-    n_streams = scheme.n_streams
-    lines_per_stream = np.bincount(stream_of_line, minlength=n_streams)
-
-    # Per-stream slices plus event-group boundaries for the OR-reductions.
-    stream_slices = []
-    for s in range(n_streams):
-        idx = np.nonzero(st == s)[0]
-        if idx.size == 0:
-            stream_slices.append(None)
-            continue
-        starts = np.nonzero(np.r_[True, np.diff(ev[idx]) != 0])[0]
-        pr_idx = idx[pr[idx]]
-        pr_starts = np.nonzero(np.r_[True, np.diff(ev[pr_idx]) != 0])[0]
-        stream_slices.append((idx, starts, idx[turbo[idx]], pr_idx, pr_starts))
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    run_lines = lines_per_stream[key[starts] // incidence.n_events]
+    pr_starts = np.flatnonzero(np.diff(key[pr], prepend=-1))
 
     rng = np.random.default_rng(seed)
     read_samples = np.empty(n_samples)
     storage_samples = np.empty(n_samples)
-    pos = 0
-    while pos < n_samples:
+    # Every chunk draws into the same buffers, and einsum weights columns
+    # without a (batch, columns) integer copy.
+    draws = np.empty((min(_MC_CHUNK, n_samples), len(li)))
+    outcomes = np.empty(draws.shape, dtype=bool)
+    for pos in range(0, n_samples, _MC_CHUNK):
         batch = min(_MC_CHUNK, n_samples - pos)
-        kept = rng.random((batch, len(ev))) < p_entry[None, :]
-        read = np.zeros(batch)
-        stored = np.zeros(batch)
-        for s, entry in enumerate(stream_slices):
-            if entry is None:
-                continue
-            idx, starts, turbo_idx, pr_idx, pr_starts = entry
-            present = np.logical_or.reduceat(kept[:, idx], starts, axis=1)
-            read += lines_per_stream[s] * present.sum(axis=1)
-            stored += base_kb * kept[:, turbo_idx].sum(axis=1)
-            if pr_idx.size:
-                pr_present = np.logical_or.reduceat(kept[:, pr_idx], pr_starts,
-                                                    axis=1)
-                stored += shared_kb * pr_present.sum(axis=1)
-        read_samples[pos:pos + batch] = read
-        storage_samples[pos:pos + batch] = stored
-        pos += batch
+        kept = np.less(rng.random(out=draws[:batch]), p_entry,
+                       out=outcomes[:batch])
+        present = np.logical_or.reduceat(kept, starts, axis=1)
+        read_samples[pos:pos + batch] = np.einsum("ij,j->i", present,
+                                                  run_lines)
+        pr_present = np.logical_or.reduceat(kept[:, pr], pr_starts, axis=1)
+        storage_samples[pos:pos + batch] = (
+            base_kb * np.einsum("ij,j->i", kept, turbo)
+            + shared_kb * pr_present.sum(axis=1))
 
     def mean_se(samples):
         mean = float(samples.mean())

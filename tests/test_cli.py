@@ -1,6 +1,7 @@
 import concurrent.futures
 import importlib
 import json
+import math
 import multiprocessing
 import os
 
@@ -186,6 +187,38 @@ class TestEvaluateCommand:
                      "--scheme", "single-stream"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["instance", "scheme", "measurements"])
+    def test_undecodable_file_is_data_error(self, instance_path, tmp_path,
+                                            capsys, flag):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"\xff")
+        argv = {
+            "instance": ["evaluate", "--instance", str(bad),
+                         "--scheme", "single-stream"],
+            "scheme": ["evaluate", "--instance", str(instance_path),
+                       "--scheme", str(bad)],
+            "measurements": ["calibrate", "--measurements", str(bad)],
+        }[flag]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read")
+        assert "Traceback" not in err
+
+    def test_empty_stream_has_positive_zero(self, instance_path, tmp_path,
+                                            capsys):
+        _, catalog = load_instance(instance_path)
+        scheme = tmp_path / "gap.scheme"
+        write_scheme(scheme, Scheme(3, tuple(m % 2 for m in
+                                             range(catalog.n_modules))),
+                     catalog)
+        out = tmp_path / "eval.json"
+        assert main(["evaluate", "--instance", str(instance_path),
+                     "--scheme", str(scheme), "--out", str(out)]) == 0
+        assert "-0.000" not in capsys.readouterr().out
+        empty = json.loads(out.read_text())["read_cost"]["per_stream"][2]
+        assert math.copysign(1.0, empty["expected_events"]) == 1.0
+        assert math.copysign(1.0, empty["contribution"]) == 1.0
 
 
 class TestCompareCommand:
@@ -404,6 +437,7 @@ class TestUsageErrors:
         (["generate", "--prescales", "2"], 2),
         (["generate", "--lines-per-module", "3:1"], 2),
         (["generate", "--prescales", ","], 2),
+        (["generate", "--base-kb", "5"], 1),
     ])
     def test_bad_arguments_exit_without_traceback(self, instance_path,
                                                   tmp_path, capsys, argv,

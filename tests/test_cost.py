@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,16 @@ class TestReadCost:
             [(int(perm[e]), l) for e, l in inc.pairs()])
         assert read_cost(inc, cat, scheme).total == pytest.approx(
             read_cost(shuffled, cat, scheme).total, rel=1e-12)
+
+    def test_empty_stream_costs_positive_zero(self):
+        inc, cat = three_line_instance()
+        scheme = Scheme(3, (0, 0, 1))
+        for cost in (read_cost(inc, cat, scheme),
+                     read_cost_from_modules(fold_modules(inc, cat), cat,
+                                            scheme)):
+            empty = cost.per_stream[2]
+            assert math.copysign(1.0, empty.expected_events) == 1.0
+            assert math.copysign(1.0, empty.contribution) == 1.0
 
     def test_module_level_evaluation_agrees(self):
         rng = np.random.default_rng(24)

@@ -289,6 +289,29 @@ class TestMeasurementFiles:
             load_measurements(path)
 
 
+class TestUndecodableFiles:
+    """A file that is not valid UTF-8 is a data error, not a crash."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"\xff" + SAMPLE.encode())
+        return path
+
+    def test_instance(self, path):
+        with pytest.raises(DataError, match="cannot read instance file"):
+            load_instance(path)
+
+    def test_scheme(self, path):
+        catalog = InstanceFile.from_text(SAMPLE).catalog
+        with pytest.raises(DataError, match="cannot read scheme file"):
+            load_scheme(path, catalog)
+
+    def test_measurements(self, path):
+        with pytest.raises(DataError, match="cannot read measurement file"):
+            load_measurements(path)
+
+
 class TestSyntheticGenerator:
     def test_deterministic_bytes(self):
         spec = SyntheticSpec(n_events=120, n_modules=6, seed=9,
