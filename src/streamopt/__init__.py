@@ -9,7 +9,7 @@ exhaustive oracle for small instances, and a measurement-calibration helper.
 from .calibrate import (CalibrationReport, MeasurementRecord,
                         corrected_read_cost, fit_linear)
 from .cost import (CostBreakdown, StorageBreakdown, StreamCost,
-                   extreme_schemes, objective_total, parse_objective,
+                   extreme_schemes, objective_scorer, parse_objective,
                    read_cost, read_cost_from_modules, storage_cost)
 from .errors import DataError, InfeasibleError, StreamOptError
 from .instances import (InstanceFile, SyntheticSpec, gen_synthetic,
@@ -36,7 +36,7 @@ __all__ = [
     "corrected_read_cost", "count_partitions", "enumerate_optimal",
     "extreme_schemes", "fit_linear", "fold_modules", "gen_synthetic",
     "load_instance", "load_measurements", "load_scheme", "mc_prescale_check",
-    "objective_total", "optimize", "parse_objective", "read_cost",
+    "objective_scorer", "optimize", "parse_objective", "read_cost",
     "read_cost_from_modules", "restricted_growth_strings", "softmax_rows",
     "storage_cost", "sweep_streams", "validate_dataset", "write_scheme",
 ]

@@ -19,11 +19,6 @@ import numpy as np
 
 from .errors import DataError
 
-#: Typical relative scatter of repeated timing runs; recorded on reports as
-#: an annotation, never asserted.
-DEFAULT_MEASUREMENT_SCATTER = 0.02
-
-
 @dataclass(frozen=True)
 class MeasurementRecord:
     """One measured stream of one scheme."""
@@ -41,7 +36,6 @@ class CalibrationReport:
     intercept: float
     r_squared: float
     n_points: int
-    measurement_scatter: float = DEFAULT_MEASUREMENT_SCATTER
 
 
 def fit_linear(x, y) -> CalibrationReport:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from .calibrate import corrected_read_cost, fit_linear
 from .cost import (DEFAULT_BASE_KB, DEFAULT_SHARED_KB, extreme_schemes,
-                   objective_total, parse_objective, read_cost, storage_cost)
+                   objective_scorer, parse_objective, read_cost, storage_cost)
 from .errors import DataError, InfeasibleError, StreamOptError
 from .instances import (SyntheticSpec, gen_synthetic, load_instance,
                         load_measurements, load_scheme, scheme_to_text)
@@ -68,16 +69,18 @@ def _int_range(value: str) -> tuple[int, int]:
             f"bad range '{value}' (use LO:HI)") from None
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
-    def parse(value: str) -> int:
+def _at_least(low, kind=int):
+    """argparse type: a finite ``kind`` number no smaller than ``low``."""
+    def parse(value: str):
         try:
-            number = int(value)
+            number = kind(value)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"invalid int value: '{value}'") from None
-        if number < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {number}")
+                f"invalid {kind.__name__} value: '{value}'") from None
+        # False for NaN and the infinities too.
+        if not low <= number < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number >= {low}, got {value}")
         return number
     return parse
 
@@ -130,9 +133,10 @@ def build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     size = argparse.ArgumentParser(add_help=False)
-    size.add_argument("--base-kb", type=float, default=DEFAULT_BASE_KB,
+    size_kb = _at_least(0.0, float)
+    size.add_argument("--base-kb", type=size_kb, default=DEFAULT_BASE_KB,
                       help="per-pass payload of a turbo line in kB")
-    size.add_argument("--shared-kb", type=float, default=DEFAULT_SHARED_KB,
+    size.add_argument("--shared-kb", type=size_kb, default=DEFAULT_SHARED_KB,
                       help="shared persist-reco payload per event in kB")
 
     p = sub.add_parser("generate",
@@ -150,7 +154,7 @@ def build_parser() -> _Parser:
                    metavar="P1,P2,...")
     p.add_argument("--persistreco-frac", type=float, default=0.25)
     p.add_argument("--turbo-frac", type=float, default=1.0)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -158,10 +162,11 @@ def build_parser() -> _Parser:
                        help="optimize a scheme and write it with diagnostics")
     p.add_argument("--instance", required=True)
     p.add_argument("--streams", type=int, required=True)
-    p.add_argument("--restarts", type=_int_at_least(1), default=20)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--restarts", type=_at_least(1), default=20)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--objective", type=_objective, default="T",
-                   help="restart ranking objective: T, S, or weighted:<w>")
+                   help="rank the restarts, which descend T, by T, S, or "
+                        "weighted:<w>")
     p.add_argument("--out", required=True,
                    help="scheme file path; diagnostics go to <out>.diag.json")
     p.set_defaults(func=cmd_optimize)
@@ -187,8 +192,8 @@ def build_parser() -> _Parser:
     p.add_argument("--instance", required=True)
     p.add_argument("--streams", type=_stream_list, required=True,
                    metavar="K1,K2,...")
-    p.add_argument("--restarts", type=_int_at_least(1), default=20)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--restarts", type=_at_least(1), default=20)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--baseline",
                    help="scheme used to normalize the T and S columns")
     p.add_argument("--out", help="write the table as CSV instead of stdout")
@@ -271,11 +276,14 @@ def cmd_optimize(args) -> int:
     relaxed_loss = result.best_loss_relaxed
     best_read_cost = result.best_cost_discrete.total
     if args.objective != "T":
-        # Re-rank the recorded restarts by the requested objective.
+        # Re-rank the recorded restarts by the requested objective; argmin
+        # keeps the lowest restart index among equal values.
         survivors = [r for r in result.per_restart if not r.failed]
-        chosen = min(survivors, key=lambda r: (objective_total(
-            incidence, catalog, r.scheme, args.objective,
-            base_kb=args.base_kb, shared_kb=args.shared_kb), r.index))
+        score = objective_scorer(incidence, catalog, args.objective,
+                                 base_kb=args.base_kb,
+                                 shared_kb=args.shared_kb)
+        costs = score([r.scheme.assignment for r in survivors], args.streams)
+        chosen = survivors[int(costs.argmin())]
         best = chosen.scheme
         relaxed_loss = chosen.relaxed_loss
         best_read_cost = chosen.discrete_cost

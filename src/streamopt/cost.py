@@ -16,13 +16,14 @@ counted with probability 1 - prod(1 - pass * prescale) over those lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataError
 from .model import (EventLineIncidence, LineCatalog, ModuleIncidence, Scheme,
-                    _log_keep_per_entry, _require_consistent)
+                    _log_keep_per_entry, _require_consistent, fold_modules)
 from .relax import LossEvaluator, one_hot
 
 DEFAULT_BASE_KB = 10.0
@@ -190,24 +191,49 @@ def parse_objective(spec: str) -> tuple[str, float]:
             weight = float(spec.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad objective weight in '{spec}'") from None
-        if weight < 0:
-            raise ValueError("objective weight must be nonnegative")
+        if not math.isfinite(weight) or weight < 0:
+            raise ValueError("objective weight must be finite and nonnegative")
         return "weighted", weight
     raise ValueError(f"unknown objective '{spec}' (use T, S, or weighted:<w>)")
 
 
-def objective_total(incidence: EventLineIncidence, catalog: LineCatalog,
-                    scheme: Scheme, objective: str = "T", *,
-                    base_kb: float = DEFAULT_BASE_KB,
-                    shared_kb: float = DEFAULT_SHARED_KB) -> float:
-    """Scalar objective value of a scheme: T, S, or T + w * S."""
+def objective_scorer(incidence: EventLineIncidence, catalog: LineCatalog,
+                     objective: str, *, base_kb: float = DEFAULT_BASE_KB,
+                     shared_kb: float = DEFAULT_SHARED_KB):
+    """Score function of an objective token: T, S, or T + w * S.
+
+    Returns ``score(assignments, n_streams)``, which maps integer stream
+    assignments of shape ``(batch, modules)`` to one objective value per
+    scheme, in one kernel pass: the relax kernel applied to the one-hot
+    schemes.  The values agree with :func:`read_cost` and
+    :func:`storage_cost` to rounding.
+    """
     kind, weight = parse_objective(objective)
-    if kind == "T":
-        return read_cost(incidence, catalog, scheme).total
-    if kind == "S":
-        return storage_cost(incidence, catalog, scheme,
-                            base_kb=base_kb, shared_kb=shared_kb).total
-    t = read_cost(incidence, catalog, scheme).total
-    s = storage_cost(incidence, catalog, scheme,
-                     base_kb=base_kb, shared_kb=shared_kb).total
-    return t + weight * s
+    read = shared = turbo_kb = None
+    if kind != "S":
+        read = LossEvaluator(fold_modules(incidence, catalog),
+                             catalog.module_line_counts)
+    if kind != "T":
+        # The shared payload is kept by the persist-reco lines only, so fold
+        # with every other line's prescale set to 0.
+        pr_catalog = LineCatalog(
+            tuple(rec if rec.is_persist_reco else replace(rec, prescale=0.0)
+                  for rec in catalog.lines))
+        shared = LossEvaluator(fold_modules(incidence, pr_catalog),
+                               catalog.module_line_counts)
+        # Expected turbo payload is additive over modules, so every scheme
+        # stores the same amount of it.
+        turbo = catalog.turbo_mask[incidence.line_index]
+        turbo_kb = base_kb * catalog.prescales[
+            incidence.line_index[turbo]].sum()
+
+    def score(assignments, n_streams: int) -> np.ndarray:
+        probs = one_hot(assignments, n_streams)
+        if kind == "T":
+            return read.loss(probs)
+        stored = turbo_kb + shared_kb * shared.expected_events(probs).sum(axis=1)
+        if kind == "S":
+            return stored
+        return read.loss(probs) + weight * stored
+
+    return score

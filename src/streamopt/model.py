@@ -375,9 +375,6 @@ class Scheme:
     def n_units(self) -> int:
         return len(self.assignment)
 
-    def units_in_stream(self, stream: int) -> tuple[int, ...]:
-        return tuple(u for u, s in enumerate(self.assignment) if s == stream)
-
     def empty_streams(self) -> tuple[int, ...]:
         used = set(self.assignment)
         return tuple(s for s in range(self.n_streams) if s not in used)

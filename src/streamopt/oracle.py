@@ -12,15 +12,14 @@ beyond its caps rather than silently truncating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .cost import DEFAULT_BASE_KB, DEFAULT_SHARED_KB, parse_objective
+from .cost import DEFAULT_BASE_KB, DEFAULT_SHARED_KB, objective_scorer
 from .errors import InfeasibleError
-from .model import EventLineIncidence, LineCatalog, Scheme, fold_modules
-from .relax import LossEvaluator, one_hot
+from .model import EventLineIncidence, LineCatalog, Scheme
 
 MAX_ORACLE_MODULES = 12
 MAX_ORACLE_STREAMS = 4
@@ -110,41 +109,16 @@ def enumerate_optimal(incidence: EventLineIncidence, catalog: LineCatalog,
     # At most count_partitions(12, 4) = 700,075 partitions within the caps.
     total = count_partitions(n_modules, n_streams)
 
-    kind, weight = parse_objective(objective)
-    read = shared = turbo_kb = None
-    if kind != "S":
-        read = LossEvaluator(fold_modules(incidence, catalog),
-                             catalog.module_line_counts)
-    if kind != "T":
-        # The shared payload is kept by the persist-reco lines only, so fold
-        # with every other line's prescale set to 0.
-        pr_catalog = LineCatalog(
-            tuple(rec if rec.is_persist_reco else replace(rec, prescale=0.0)
-                  for rec in catalog.lines))
-        shared = LossEvaluator(fold_modules(incidence, pr_catalog),
-                               catalog.module_line_counts)
-        # Expected turbo payload is additive over modules, so every
-        # partition stores the same amount of it.
-        turbo = catalog.turbo_mask[incidence.line_index]
-        turbo_kb = base_kb * catalog.prescales[
-            incidence.line_index[turbo]].sum()
-
-    def score(probs) -> np.ndarray:
-        if kind == "T":
-            return read.loss(probs)
-        stored = turbo_kb + shared_kb * shared.expected_events(probs).sum(axis=1)
-        if kind == "S":
-            return stored
-        return read.loss(probs) + weight * stored
-
+    score = objective_scorer(incidence, catalog, objective, base_kb=base_kb,
+                             shared_kb=shared_kb)
     codes = np.fromiter(
         chain.from_iterable(restricted_growth_strings(n_modules, n_streams)),
         dtype=np.int8, count=total * n_modules).reshape(total, n_modules)
     costs = np.empty(total)
     batch = max(1, _BATCH_ELEMS // (incidence.n_events * n_streams))
     for start in range(0, total, batch):
-        costs[start:start + batch] = score(
-            one_hot(codes[start:start + batch], n_streams))
+        costs[start:start + batch] = score(codes[start:start + batch],
+                                           n_streams)
 
     # argmin keeps the first of equal costs in enumeration order.
     best = int(np.argmin(costs))

@@ -27,12 +27,14 @@ and miss[e, s] for the product, the gradient is
 
 with w the row multiplicities.  The multiplicities are folded into H^T once,
 when the evaluator is built, so H^T (w * miss) is a single sparse product.
-Factors that are exactly zero (v_c = 1 and L = 1, as in one-hot
-input) are left out of the log sum and counted per row and stream instead: a
-row with one zero factor contributes its remaining product to that factor's
-column only, and a row with two or more contributes nothing.  The zero-factor
-bookkeeping runs only when some factor is exactly zero.  The chain rule
-through the softmax needs only the probabilities:
+A factor that is exactly zero (v_c = 1 and L = 1, as in one-hot input) has
+log1p(-1) = -inf, which H carries to its row, and the row's miss
+exp(-inf) = 0 and kept probability -expm1(-inf) = 1 are exact.  Only the
+gradient needs more: a zero factor's leave-one-out product is the rest of
+its row when it is the row's single zero factor, and 0 when there are two
+or more, so the gradient counts zero factors per row, and only when some
+factor is exactly zero.  The chain rule through the softmax needs only the
+probabilities:
 dA[m, s] = L[m,s] * (G[m,s] - sum_s' G[m,s'] L[m,s']).
 
 Restarts are evaluated side by side, one column per (restart, stream), and
@@ -125,9 +127,9 @@ class LossEvaluator:
         return probs, squeeze
 
     def _forward(self, probs: np.ndarray):
-        """Per-row log product of the nonzero factors, per-row zero-factor
-        counts and the zero-factor mask (both None when no factor is exactly
-        zero), and the column terms v_c L[m_c]."""
+        """Per-row log product of the factors (-inf where one is exactly
+        zero), the column terms v_c L[m_c], and whether any factor is exactly
+        zero."""
         n_batch, n_modules, n_streams = probs.shape
         flat = probs.transpose(1, 0, 2).reshape(n_modules,
                                                 n_batch * n_streams)
@@ -135,28 +137,22 @@ class LossEvaluator:
         # v_c L is below 1 unless both are exactly 1 (a NaN also takes the
         # zero-factor branch, which then finds no zeros).
         if taken.max(initial=0.0) < 1.0:
-            return self._hits @ np.log1p(-taken), None, taken, None
-        zero = taken == 1.0
+            return self._hits @ np.log1p(-taken), taken, False
         with np.errstate(divide="ignore"):
-            log_factor = np.log1p(-taken)
-        log_factor[zero] = 0.0
-        return (self._hits @ log_factor, self._hits @ zero.astype(float),
-                taken, zero)
+            return self._hits @ np.log1p(-taken), taken, True
 
-    def _events(self, log_partial, n_zero, n_batch: int) -> np.ndarray:
+    def _events(self, log_partial, n_batch: int) -> np.ndarray:
         # kept = 1 - miss = -expm1(log miss), summed as -(w @ expm1): the
         # sign flip is exact, and the product adds the rows in order.
         kept_neg = np.expm1(log_partial)
-        if n_zero is not None:
-            kept_neg[n_zero > 0] = -1.0
         return -(self._weight_row @ kept_neg).reshape(n_batch, -1)
 
     # -- evaluation --------------------------------------------------------
 
     def expected_events(self, probs) -> np.ndarray:
         probs, squeeze = self._check_probs(probs)
-        log_partial, n_zero, _, _ = self._forward(probs)
-        events = self._events(log_partial, n_zero, probs.shape[0])
+        log_partial, _, _ = self._forward(probs)
+        events = self._events(log_partial, probs.shape[0])
         return events[0] if squeeze else events
 
     def expected_lines(self, probs) -> np.ndarray:
@@ -179,20 +175,19 @@ class LossEvaluator:
         counts = self._line_counts
         n_batch, n_modules, n_streams = probs.shape
 
-        log_partial, n_zero, taken, zero = self._forward(probs)
-        events = self._events(log_partial, n_zero, n_batch)
-        partial = np.exp(log_partial)
-        if n_zero is None:
-            column = self._weighted_hits_t @ partial
+        log_partial, taken, has_zero = self._forward(probs)
+        events = self._events(log_partial, n_batch)
+        column = self._weighted_hits_t @ np.exp(log_partial)
+        if not has_zero:
             column /= 1.0 - taken
         else:
-            miss = np.where(n_zero > 0, 0.0, partial)
-            column = (self._weighted_hits_t @ miss) / np.where(
-                zero, 1.0, 1.0 - taken)
+            zero = taken == 1.0
+            column /= np.where(zero, 1.0, 1.0 - taken)
             # A zero factor's leave-one-out product is the rest of its row,
             # nonzero only where it is the row's single zero factor.
-            alone = self._weighted_hits_t @ np.where(n_zero == 1, partial,
-                                                     0.0)
+            single = self._hits @ zero.astype(float) == 1.0
+            rest = np.exp(self._hits @ np.log1p(np.where(zero, 0.0, -taken)))
+            alone = self._weighted_hits_t @ np.where(single, rest, 0.0)
             column = np.where(zero, alone, column)
         devents = (self._to_modules @ column).reshape(
             n_modules, n_batch, n_streams).transpose(1, 0, 2)

@@ -33,10 +33,6 @@ class TestFitLinear:
         with pytest.raises(DataError, match="2 points"):
             fit_linear([1.0], [1.0])
 
-    def test_default_scatter_annotation(self):
-        report = fit_linear([0.0, 1.0], [0.0, 1.0])
-        assert report.measurement_scatter == 0.02
-
     def test_tiny_spread_is_not_constant(self):
         # The squared deviations of this x underflow to 0; it must still fit.
         x = np.array([0.0, 2.48e-232, 4.63e-240])

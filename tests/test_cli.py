@@ -438,6 +438,10 @@ class TestUsageErrors:
         (["generate", "--lines-per-module", "3:1"], 2),
         (["generate", "--prescales", ","], 2),
         (["generate", "--base-kb", "5"], 1),
+        (["optimize", "--streams", "2", "--objective", "weighted:nan"], 1),
+        (["evaluate", "--scheme", "single-stream", "--base-kb", "nan"], 1),
+        (["compare", "--scheme", "single-stream", "--baseline",
+          "single-stream", "--base-kb", "-1", "--shared-kb", "-50"], 1),
     ])
     def test_bad_arguments_exit_without_traceback(self, instance_path,
                                                   tmp_path, capsys, argv,

@@ -1,13 +1,16 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamopt import (DataError, EventLineIncidence, Scheme, extreme_schemes,
-                       fold_modules, objective_total, parse_objective,
-                       read_cost, read_cost_from_modules, storage_cost)
+from streamopt import (DataError, EventLineIncidence, LineCatalog, Scheme,
+                       extreme_schemes, fold_modules, objective_scorer,
+                       parse_objective, read_cost, read_cost_from_modules,
+                       storage_cost)
 from helpers import build_catalog, brute_force_read_cost, random_instance, \
     random_scheme
 
@@ -204,18 +207,40 @@ class TestObjective:
         assert parse_objective(token) == expected
 
     @pytest.mark.parametrize("token", ["X", "weighted:", "weighted:-1",
-                                       "weighted:abc"])
+                                       "weighted:abc", "weighted:nan",
+                                       "weighted:inf", "weighted:1e400"])
     def test_parse_rejects(self, token):
         with pytest.raises(ValueError):
             parse_objective(token)
 
-    def test_weighted_total(self):
-        inc, cat = three_line_instance()
-        scheme = Scheme(2, (1, 0, 0))
-        t = objective_total(inc, cat, scheme, "T")
-        s = objective_total(inc, cat, scheme, "S")
-        assert objective_total(inc, cat, scheme, "weighted:0.5") == \
-            pytest.approx(t + 0.5 * s, rel=1e-12)
+    @pytest.mark.parametrize("flags", [
+        None, dict(is_persist_reco=False), dict(is_turbo=False)],
+        ids=["random-flags", "no-persist-reco", "no-turbo"])
+    def test_scorer_matches_line_level_reference(self, flags):
+        # Every assignment of small random instances, scored in one batch,
+        # against read_cost + w * storage_cost; flags, when given, are set
+        # on every line, which leaves no persist-reco or no turbo line.
+        rng = np.random.default_rng(30)
+        for _ in range(4):
+            inc, cat = random_instance(rng, max_events=120, max_modules=5)
+            if flags is not None:
+                cat = LineCatalog(tuple(replace(rec, **flags)
+                                        for rec in cat.lines))
+            n_streams = int(rng.integers(1, 4))
+            assignments = list(itertools.product(range(n_streams),
+                                                 repeat=cat.n_modules))
+            schemes = [Scheme(n_streams, a) for a in assignments]
+            t = np.array([read_cost(inc, cat, s).total for s in schemes])
+            s_kb = np.array([storage_cost(inc, cat, s, base_kb=7.0,
+                                          shared_kb=40.0).total
+                             for s in schemes])
+            for objective, want in [("T", t), ("S", s_kb),
+                                    ("weighted:0.5", t + 0.5 * s_kb),
+                                    ("weighted:3", t + 3.0 * s_kb)]:
+                score = objective_scorer(inc, cat, objective, base_kb=7.0,
+                                         shared_kb=40.0)
+                np.testing.assert_allclose(score(assignments, n_streams),
+                                           want, rtol=1e-9, atol=1e-9)
 
 
 class TestBreakdownInvariants:

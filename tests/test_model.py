@@ -184,5 +184,4 @@ class TestScheme:
     def test_empty_streams_reported(self):
         scheme = Scheme(4, (0, 2, 0))
         assert scheme.empty_streams() == (1, 3)
-        assert scheme.units_in_stream(0) == (0, 2)
 
