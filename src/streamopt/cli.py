@@ -18,6 +18,13 @@ import tempfile
 import time
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # a platform without getrusage, such as Windows
+    resource = None
+
+import numpy as np
+
 from .calibrate import corrected_read_cost, fit_linear
 from .cost import (DEFAULT_BASE_KB, DEFAULT_SHARED_KB, extreme_schemes,
                    objective_scorer, parse_objective, read_cost, storage_cost)
@@ -113,6 +120,27 @@ def _write_text(path, text: str):
         if tmp is not None:
             Path(tmp).unlink(missing_ok=True)
         raise DataError(f"cannot write '{path}': {exc}") from exc
+
+
+def _cpu_seconds(children: bool = False):
+    """User and sys CPU seconds used so far by this process, and with
+    ``children`` by its waited-for child processes too; None where the
+    ``resource`` module is missing."""
+    if resource is None:
+        return None
+    usages = [resource.getrusage(resource.RUSAGE_SELF)]
+    if children:
+        usages.append(resource.getrusage(resource.RUSAGE_CHILDREN))
+    return (sum(u.ru_utime for u in usages), sum(u.ru_stime for u in usages))
+
+
+def _cpu_timings(start, children: bool = False) -> dict:
+    """``user_s`` and ``sys_s`` since ``start`` (a ``_cpu_seconds`` value),
+    both None where it is None."""
+    if start is None:
+        return {"user_s": None, "sys_s": None}
+    end = _cpu_seconds(children)
+    return {"user_s": end[0] - start[0], "sys_s": end[1] - start[1]}
 
 
 def _load_named_scheme(token: str, catalog) -> Scheme:
@@ -262,6 +290,7 @@ def _restart_diag(r) -> dict:
 def cmd_optimize(args) -> int:
     if args.streams < 1:
         raise InfeasibleError("stream counts must be >= 1")
+    cpu_start = _cpu_seconds()
     start = time.perf_counter()
     incidence, catalog = load_instance(args.instance)
     loaded = time.perf_counter()
@@ -283,6 +312,10 @@ def cmd_optimize(args) -> int:
                                  base_kb=args.base_kb,
                                  shared_kb=args.shared_kb)
         costs = score([r.scheme.assignment for r in survivors], args.streams)
+        if not np.isfinite(costs).any():
+            raise InfeasibleError(
+                f"objective {args.objective} is not finite for any restart; "
+                f"use a smaller weight")
         chosen = survivors[int(costs.argmin())]
         best = chosen.scheme
         relaxed_loss = chosen.relaxed_loss
@@ -298,6 +331,7 @@ def cmd_optimize(args) -> int:
             "load_s": loaded - start,
             "fold_s": folded - loaded,
             "optimize_s": optimized - folded,
+            **_cpu_timings(cpu_start),
         },
         "kernel": {
             "events": module_incidence.n_events,
@@ -385,6 +419,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    cpu_start = _cpu_seconds(children=True)
     incidence, catalog = load_instance(args.instance)
     header = "n_streams,read_cost,storage_kb"
     if args.baseline:
@@ -410,6 +445,7 @@ def cmd_sweep(args) -> int:
             "instance": str(args.instance),
             "seed": args.seed,
             "workers": sweep_workers(args.streams, catalog.n_modules),
+            "timings": _cpu_timings(cpu_start, children=True),
             "points": [
                 {
                     "n_streams": point.n_streams,

@@ -234,6 +234,8 @@ def objective_scorer(incidence: EventLineIncidence, catalog: LineCatalog,
         stored = turbo_kb + shared_kb * shared.expected_events(probs).sum(axis=1)
         if kind == "S":
             return stored
-        return read.loss(probs) + weight * stored
+        # A large weight may overflow to inf, which the caller can check.
+        with np.errstate(over="ignore"):
+            return read.loss(probs) + weight * stored
 
     return score

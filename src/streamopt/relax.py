@@ -43,12 +43,20 @@ single sparse row of multiplicities with the per-row terms, which adds the
 rows in their fixed order for each column.  So a restart's loss and gradient
 do not depend on what else is in the batch, which lets the optimizer drop
 restarts from the batch without moving the others' trajectories.
+
+Each step's large temporaries go into a workspace: flat buffers that the
+evaluator keeps, grown to the widest batch seen, of which a narrower batch
+uses a prefix.  The sparse products call scipy's compiled routine, the one
+its ``@`` calls, with an output buffer, so results are the same to the bit.
+No returned array shares the workspace, but an evaluator is not reentrant:
+do not share one across threads.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .model import ModuleIncidence
 
@@ -72,6 +80,22 @@ def one_hot(assignments, n_streams: int) -> np.ndarray:
     return probs
 
 
+def _operand(matrix) -> tuple:
+    """A CSR or CSC matrix as its compiled product routine, shape, arrays."""
+    return (getattr(_sparsetools, matrix.format + "_matvecs"), *matrix.shape,
+            matrix.indptr, matrix.indices, matrix.data)
+
+
+def _product(operand, x: np.ndarray, out: np.ndarray | None = None):
+    """``operand @ x`` into the C-contiguous ``out``, zeroed first, or new."""
+    matvecs, n_row, n_col, indptr, indices, data = operand
+    out = np.empty((n_row, x.shape[1])) if out is None else out
+    out.fill(0.0)
+    matvecs(n_row, n_col, x.shape[1], indptr, indices, data, x.ravel(),
+            out.ravel())
+    return out
+
+
 class LossEvaluator:
     """Repeated loss/gradient evaluation over one folded incidence, with
     ``line_counts`` the number of lines in each module.
@@ -88,71 +112,84 @@ class LossEvaluator:
         self._line_counts = line_counts
         groups = module_incidence.row_groups()
         hits, weights = groups.hits, groups.weights
-        n_rows = len(weights)
-        self._hits = hits
+        n_rows, n_columns = self._n_rows, self._n_columns = hits.shape
+        self._hits = _operand(hits)
         # H^T with each row's multiplicity in place of its ones, and the
         # multiplicities as one sparse row.
-        self._weighted_hits_t = sp.csc_matrix(
+        self._weighted_hits_t = _operand(sp.csc_matrix(
             (np.repeat(weights, np.diff(hits.indptr)), hits.indices,
-             hits.indptr), shape=hits.shape[::-1])
-        self._weight_row = sp.csr_matrix(
-            (weights, np.arange(n_rows), [0, n_rows]), shape=(1, n_rows))
+             hits.indptr), shape=hits.shape[::-1]))
+        self._weight_row = _operand(sp.csr_matrix(
+            (weights, np.arange(n_rows), [0, n_rows]), shape=(1, n_rows)))
         self._column_module = groups.column_module
-        self._column_value = groups.column_value[:, None]
+        self._neg_column_value = -groups.column_value[:, None]
         # Sums v_c * (per-column term) back onto each column's module; the
         # columns come ordered by module, so each module's row is a range.
-        n_columns = len(groups.column_module)
-        self._to_modules = sp.csr_matrix(
+        self._to_modules = _operand(sp.csr_matrix(
             (groups.column_value, np.arange(n_columns),
              np.searchsorted(groups.column_module, np.arange(self.n_modules + 1))),
-            shape=(self.n_modules, n_columns))
+            shape=(self.n_modules, n_columns)))
+        self._width, self._flat, self._view = 0, [np.zeros(0)] * 4, []
 
     # -- internals ---------------------------------------------------------
 
+    def _views(self, width: int) -> list[np.ndarray]:
+        """Workspace views at ``width`` batch columns, remade when it changes:
+        (columns, width) for -v_c L and the log factors (later column terms),
+        (rows, width) for log miss and its expm1 (later miss)."""
+        if width != self._width:
+            rows = (self._n_columns,) * 2 + (self._n_rows,) * 2
+            self._flat = [f if f.size >= n * width else np.zeros(n * width)
+                          for f, n in zip(self._flat, rows)]
+            self._view = [f[:n * width].reshape(n, width)
+                          for f, n in zip(self._flat, rows)]
+            self._width = width
+        return self._view
+
     def _check_probs(self, probs) -> tuple[np.ndarray, bool]:
         probs = np.asarray(probs, dtype=float)
-        if probs.ndim == 2:
+        squeeze = probs.ndim == 2
+        if squeeze:
             probs = probs[None, :, :]
-            squeeze = True
-        elif probs.ndim == 3:
-            squeeze = False
-        else:
+        elif probs.ndim != 3:
             raise ValueError("probabilities must be (units, streams) or "
                              "(batch, units, streams)")
         if probs.shape[1] != self.n_modules:
-            raise ValueError(
-                f"probabilities have {probs.shape[1]} units, incidence has "
-                f"{self.n_modules} modules"
-            )
+            raise ValueError(f"probabilities have {probs.shape[1]} units, "
+                             f"incidence has {self.n_modules} modules")
         return probs, squeeze
 
-    def _forward(self, probs: np.ndarray):
-        """Per-row log product of the factors (-inf where one is exactly
-        zero), the column terms v_c L[m_c], and whether any factor is exactly
-        zero."""
-        n_batch, n_modules, n_streams = probs.shape
-        flat = probs.transpose(1, 0, 2).reshape(n_modules,
-                                                n_batch * n_streams)
-        taken = self._column_value * flat.take(self._column_module, axis=0)
+    def _forward(self, probs: np.ndarray) -> bool:
+        """Fills the workspace with -v_c L[m_c] and the per-row log product
+        of the factors (-inf where one is exactly zero), and returns whether
+        any factor is exactly zero."""
+        n_batch, _, n_streams = probs.shape
+        neg_taken, log_factor, log_miss, _ = self._views(n_batch * n_streams)
+        # mode="clip" lets take write into the buffer directly.
+        probs.transpose(1, 0, 2).take(
+            self._column_module, 0, mode="clip",
+            out=neg_taken.reshape(-1, n_batch, n_streams))
+        neg_taken *= self._neg_column_value
         # v_c L is below 1 unless both are exactly 1 (a NaN also takes the
         # zero-factor branch, which then finds no zeros).
-        if taken.max(initial=0.0) < 1.0:
-            return self._hits @ np.log1p(-taken), taken, False
+        has_zero = not neg_taken.min(initial=0.0) > -1.0
         with np.errstate(divide="ignore"):
-            return self._hits @ np.log1p(-taken), taken, True
+            _product(self._hits, np.log1p(neg_taken, out=log_factor), log_miss)
+        return has_zero
 
-    def _events(self, log_partial, n_batch: int) -> np.ndarray:
-        # kept = 1 - miss = -expm1(log miss), summed as -(w @ expm1): the
-        # sign flip is exact, and the product adds the rows in order.
-        kept_neg = np.expm1(log_partial)
-        return -(self._weight_row @ kept_neg).reshape(n_batch, -1)
+    def _events(self, n_batch: int) -> np.ndarray:
+        # From the log miss _forward left: kept = -expm1(log miss), summed as
+        # -(w @ expm1), an exact sign flip; the product adds rows in order.
+        _, _, log_miss, kept_neg = self._view
+        events = _product(self._weight_row, np.expm1(log_miss, out=kept_neg))
+        return np.negative(events, out=events).reshape(n_batch, -1)
 
     # -- evaluation --------------------------------------------------------
 
     def expected_events(self, probs) -> np.ndarray:
         probs, squeeze = self._check_probs(probs)
-        log_partial, _, _ = self._forward(probs)
-        events = self._events(log_partial, probs.shape[0])
+        self._forward(probs)
+        events = self._events(probs.shape[0])
         return events[0] if squeeze else events
 
     def expected_lines(self, probs) -> np.ndarray:
@@ -175,31 +212,33 @@ class LossEvaluator:
         counts = self._line_counts
         n_batch, n_modules, n_streams = probs.shape
 
-        log_partial, taken, has_zero = self._forward(probs)
-        events = self._events(log_partial, n_batch)
-        column = self._weighted_hits_t @ np.exp(log_partial)
+        has_zero = self._forward(probs)
+        events = self._events(n_batch)
+        neg_taken, column, log_miss, miss = self._view
+        _product(self._weighted_hits_t, np.exp(log_miss, out=miss), column)
         if not has_zero:
-            column /= 1.0 - taken
+            column /= np.add(neg_taken, 1.0, out=neg_taken)
         else:
-            zero = taken == 1.0
-            column /= np.where(zero, 1.0, 1.0 - taken)
+            zero = neg_taken == -1.0
+            column /= np.where(zero, 1.0, 1.0 + neg_taken)
             # A zero factor's leave-one-out product is the rest of its row,
             # nonzero only where it is the row's single zero factor.
-            single = self._hits @ zero.astype(float) == 1.0
-            rest = np.exp(self._hits @ np.log1p(np.where(zero, 0.0, -taken)))
-            alone = self._weighted_hits_t @ np.where(single, rest, 0.0)
+            single = _product(self._hits, zero.astype(float)) == 1.0
+            rest = np.exp(_product(self._hits,
+                                   np.log1p(np.where(zero, 0.0, neg_taken))))
+            alone = _product(self._weighted_hits_t, np.where(single, rest, 0))
             column = np.where(zero, alone, column)
-        devents = (self._to_modules @ column).reshape(
+        devents = _product(self._to_modules, column).reshape(
             n_modules, n_batch, n_streams).transpose(1, 0, 2)
 
         lines = np.einsum("m,bms->bs", counts, probs)
         loss = (lines * events).sum(axis=-1)
         # d loss / d L, then through the softmax.
         grad = counts[:, None] * events[:, None, :]
-        grad += lines[:, None, :] * devents
+        devents *= lines[:, None, :]
+        grad += devents
         grad -= (grad * probs).sum(axis=-1, keepdims=True)
         grad *= probs
         if squeeze:
             return float(loss[0]), grad[0]
         return loss, grad
-

@@ -4,12 +4,14 @@ import json
 import math
 import multiprocessing
 import os
+import warnings
 
 import pytest
 
 from streamopt import (InfeasibleError, OptimizerConfig, Scheme,
                        extreme_schemes, fold_modules, load_instance,
                        load_scheme, read_cost, storage_cost, write_scheme)
+import streamopt.cli
 from streamopt.cli import main
 from streamopt.optimize import SETTLED_ENTROPY
 
@@ -57,7 +59,8 @@ class TestOptimizeCommand:
         assert scheme.n_streams == 3
         diag = json.loads((tmp_path / "best.scheme.diag.json").read_text())
         assert diag["seed"] == 2
-        assert set(diag["timings"]) == {"load_s", "fold_s", "optimize_s"}
+        assert set(diag["timings"]) == {"load_s", "fold_s", "optimize_s",
+                                        "user_s", "sys_s"}
         assert all(isinstance(t, float) and t >= 0.0
                    for t in diag["timings"].values())
         groups = fold_modules(incidence, catalog).row_groups()
@@ -130,10 +133,33 @@ class TestOptimizeCommand:
         assert best["read_cost"] > min(r["read_cost"]
                                        for r in diag["restarts"])
 
+    def test_cpu_timings_are_null_without_resource(self, instance_path,
+                                                   tmp_path, monkeypatch):
+        monkeypatch.setattr(streamopt.cli, "resource", None)
+        out = tmp_path / "x.scheme"
+        assert main(["optimize", "--instance", str(instance_path),
+                     "--streams", "2", "--restarts", "2",
+                     "--out", str(out)]) == 0
+        diag = json.loads((tmp_path / "x.scheme.diag.json").read_text())
+        assert diag["timings"]["user_s"] is None
+        assert diag["timings"]["sys_s"] is None
+
     def test_infeasible_exit_code(self, instance_path, tmp_path):
         code = main(["optimize", "--instance", str(instance_path),
                      "--streams", "40", "--out", str(tmp_path / "x.scheme")])
         assert code == 3
+
+    def test_weight_that_overflows_every_restart_is_infeasible(
+            self, instance_path, tmp_path, capsys):
+        out = tmp_path / "x.scheme"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["optimize", "--instance", str(instance_path),
+                         "--streams", "2", "--restarts", "3",
+                         "--objective", "weighted:1e308", "--out", str(out)])
+        assert code == 3
+        assert "weighted:1e308" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.inst"]
 
     def test_no_partial_output_on_failure(self, instance_path, tmp_path):
         missing_dir = tmp_path / "does" / "not" / "exist" / "x.scheme"
@@ -279,6 +305,10 @@ class TestSweepCommand:
         diag = json.loads((tmp_path / "sweep.csv.diag.json").read_text())
         assert diag["seed"] == 5
         assert diag["workers"] == 2
+        # CPU seconds of this process and of its two finished workers.
+        assert set(diag["timings"]) == {"user_s", "sys_s"}
+        assert all(isinstance(t, float) and t >= 0.0
+                   for t in diag["timings"].values())
         assert [p["n_streams"] for p in diag["points"]] == [1, 2, 3]
         shortcut = diag["points"][0]
         assert shortcut["descent_s"] is None

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamopt import (EventLineIncidence, LossEvaluator, fold_modules,
                        read_cost, softmax_rows)
 from streamopt.model import _row_entropy
-from streamopt.relax import one_hot
+from streamopt.relax import _operand, _product, one_hot
 from helpers import build_catalog, random_instance, random_scheme
 
 
@@ -372,3 +373,66 @@ class TestKernel:
                 assert pair_loss[0] == loss[b]
                 assert np.array_equal(pair_grad[0], grad[b])
         assert with_zero >= 5 and without_zero >= 40
+
+
+def result_bytes(result):
+    """The bytes of every array an evaluator call returns."""
+    arrays = result if isinstance(result, tuple) else (result,)
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+class TestWorkspace:
+    def test_product_matches_scipy_bytes(self):
+        rng = np.random.default_rng(7)
+        for width in range(1, 34):
+            for build in (sp.csr_matrix, sp.csc_matrix):
+                n_row, n_col = rng.integers(1, 40, size=2)
+                dense = rng.normal(size=(n_row, n_col))
+                matrix = build(dense * (rng.random(dense.shape) < 0.3))
+                x = rng.normal(size=(n_col, width))
+                want = (matrix @ x).tobytes()
+                # Stale contents of the output buffer must not leak in.
+                out = np.full((n_row, width), np.nan)
+                assert _product(_operand(matrix), x, out) is out
+                assert out.tobytes() == want
+                assert _product(_operand(matrix), x).tobytes() == want
+
+    def test_interleaved_calls_match_fresh_evaluators(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            inc, cat = random_instance(rng, max_modules=6,
+                                       rate_range=(0.1, 0.4))
+            n_modules, k = cat.n_modules, 3
+            calls = [
+                ("loss_and_gradient",
+                 softmax_rows(rng.normal(0, 1, (8, n_modules, k)))),
+                ("loss", one_hot(rng.integers(0, k, (5, n_modules)), k)),
+                ("expected_events",
+                 softmax_rows(rng.normal(0, 1, (n_modules, k)))),
+                ("loss_and_gradient",
+                 softmax_rows(rng.normal(0, 1, (6, n_modules, k)))),
+            ]
+            shared = evaluator_of(inc, cat)
+            for name, probs in calls:
+                fresh = evaluator_of(inc, cat)
+                assert result_bytes(getattr(shared, name)(probs)) == \
+                    result_bytes(getattr(fresh, name)(probs))
+
+    def test_returned_arrays_survive_later_calls(self):
+        rng = np.random.default_rng(12)
+        inc, cat = random_instance(rng, max_modules=6, rate_range=(0.1, 0.4))
+        evaluator = evaluator_of(inc, cat)
+        shape = (4, cat.n_modules, 3)
+        probs = softmax_rows(rng.normal(0, 1, shape))
+        loss, grad = evaluator.loss_and_gradient(probs)
+        returned = (loss, grad, evaluator.expected_events(probs),
+                    evaluator.loss(probs))
+        kept = [a.copy() for a in returned]
+        other = softmax_rows(rng.normal(0, 1, shape))
+        evaluator.loss_and_gradient(other)
+        evaluator.expected_events(other[:2])
+        evaluator.loss(one_hot(rng.integers(0, 3, (7, cat.n_modules)), 3))
+        for array, copy in zip(returned, kept):
+            assert array.tobytes() == copy.tobytes()
+            assert not any(np.shares_memory(array, buffer)
+                           for buffer in evaluator._flat)
