@@ -27,7 +27,8 @@ import numpy as np
 
 from .calibrate import corrected_read_cost, fit_linear
 from .cost import (DEFAULT_BASE_KB, DEFAULT_SHARED_KB, extreme_schemes,
-                   objective_scorer, parse_objective, read_cost, storage_cost)
+                   first_minimum, objective_scorer, parse_objective, read_cost,
+                   storage_cost)
 from .errors import DataError, InfeasibleError, StreamOptError
 from .instances import (SyntheticSpec, gen_synthetic, load_instance,
                         load_measurements, load_scheme, scheme_to_text)
@@ -305,8 +306,8 @@ def cmd_optimize(args) -> int:
     relaxed_loss = result.best_loss_relaxed
     best_read_cost = result.best_cost_discrete.total
     if args.objective != "T":
-        # Re-rank the recorded restarts by the requested objective; argmin
-        # keeps the lowest restart index among equal values.
+        # Re-rank the recorded restarts by the requested objective; ties go
+        # to the lowest restart index.
         survivors = [r for r in result.per_restart if not r.failed]
         score = objective_scorer(incidence, catalog, args.objective,
                                  base_kb=args.base_kb,
@@ -316,7 +317,7 @@ def cmd_optimize(args) -> int:
             raise InfeasibleError(
                 f"objective {args.objective} is not finite for any restart; "
                 f"use a smaller weight")
-        chosen = survivors[int(costs.argmin())]
+        chosen = survivors[first_minimum(costs)]
         best = chosen.scheme
         relaxed_loss = chosen.relaxed_loss
         best_read_cost = chosen.discrete_cost

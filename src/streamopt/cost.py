@@ -28,6 +28,10 @@ from .relax import LossEvaluator, one_hot
 
 DEFAULT_BASE_KB = 10.0
 DEFAULT_SHARED_KB = 50.0
+# Schemes of equal cost in exact arithmetic, such as relabelings of one
+# partition, can score a few ulps apart; costs this close to the minimum,
+# relative to it, are ties.
+TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -169,6 +173,13 @@ def read_cost_from_modules(module_incidence: ModuleIncidence,
         scheme)
 
 
+def first_minimum(costs) -> int:
+    """Index of the first cost tied with the minimum (within ``TIE_RTOL``)."""
+    costs = np.asarray(costs, dtype=float)
+    low = costs.min()
+    return int(np.argmax(costs <= low + TIE_RTOL * abs(low)))
+
+
 def extreme_schemes(catalog: LineCatalog) -> tuple[Scheme, Scheme]:
     """The two boundary schemes: everything in one stream, one stream per unit.
 
@@ -206,7 +217,8 @@ def objective_scorer(incidence: EventLineIncidence, catalog: LineCatalog,
     assignments of shape ``(batch, modules)`` to one objective value per
     scheme, in one kernel pass: the relax kernel applied to the one-hot
     schemes.  The values agree with :func:`read_cost` and
-    :func:`storage_cost` to rounding.
+    :func:`storage_cost` to rounding.  ``score.rows`` is the height of the
+    kernel's temporaries, each (rows, batch * n_streams).
     """
     kind, weight = parse_objective(objective)
     read = shared = turbo_kb = None
@@ -238,4 +250,5 @@ def objective_scorer(incidence: EventLineIncidence, catalog: LineCatalog,
         with np.errstate(over="ignore"):
             return read.loss(probs) + weight * stored
 
+    score.rows = max(e.rows for e in (read, shared) if e is not None)
     return score

@@ -52,7 +52,7 @@ import numpy as np
 
 from .cost import (DEFAULT_BASE_KB, DEFAULT_SHARED_KB, CostBreakdown,
                    StorageBreakdown, _scheme_read_cost, extreme_schemes,
-                   storage_cost)
+                   first_minimum, storage_cost)
 from .errors import InfeasibleError, StreamOptError
 from .model import (EventLineIncidence, LineCatalog, ModuleIncidence, Scheme,
                     _row_entropy, fold_modules)
@@ -298,7 +298,7 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
     survivors = [r for r in records if not r.failed]
     if not survivors:
         raise StreamOptError("every restart diverged to a non-finite loss")
-    best = min(survivors, key=lambda r: (r.discrete_cost, r.index))
+    best = survivors[first_minimum([r.discrete_cost for r in survivors])]
     breakdown = _scheme_read_cost(evaluator, catalog, best.scheme)
     return OptimizationResult(best.scheme, best.relaxed_loss, breakdown,
                               tuple(records), config.seed)

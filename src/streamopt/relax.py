@@ -130,6 +130,8 @@ class LossEvaluator:
              np.searchsorted(groups.column_module, np.arange(self.n_modules + 1))),
             shape=(self.n_modules, n_columns)))
         self._width, self._flat, self._view = 0, [np.zeros(0)] * 4, []
+        # Height of the workspace: rows per batch column of its temporaries.
+        self.rows = max(n_rows, n_columns)
 
     # -- internals ---------------------------------------------------------
 

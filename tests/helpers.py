@@ -78,3 +78,69 @@ def brute_force_read_cost(incidence, catalog, scheme):
                 events.add(e)
         total += len(lines) * len(events)
     return total
+
+
+def reference_restricted_growth_strings(n_items, max_blocks):
+    """Yield canonical partition codes in lexicographic order, one at a time.
+
+    A code ``a`` satisfies a[0] == 0 and a[i] <= max(a[:i]) + 1, with all
+    values below ``max_blocks``.
+    """
+    a = [0] * n_items
+    while True:
+        yield tuple(a)
+        i = n_items - 1
+        while i > 0:
+            if a[i] < min(max(a[:i]) + 1, max_blocks - 1):
+                break
+            i -= 1
+        if i == 0:
+            return
+        a[i] += 1
+        for j in range(i + 1, n_items):
+            a[j] = 0
+
+
+def reference_mc_prescale_check(incidence, catalog, scheme, n_samples, seed, *,
+                                base_kb=10.0, shared_kb=50.0, chunk=1024):
+    """Monte-Carlo check that compares every entry with its draw.
+
+    Returns (read_mean, read_se, storage_mean, storage_se, n_samples), from
+    the same draws as :func:`streamopt.mc_prescale_check`: one uniform per
+    entry and sample, with the entries sorted by (stream, event).
+    """
+    stream_of_line = np.asarray(scheme.assignment,
+                                dtype=np.int64)[catalog.module_of_line]
+    lines_per_stream = np.bincount(stream_of_line, minlength=scheme.n_streams)
+    key = (stream_of_line[incidence.line_index] * incidence.n_events
+           + incidence.event_index)
+    order = np.argsort(key, kind="stable")
+    key, li = key[order], incidence.line_index[order]
+    p_entry = catalog.prescales[li]
+    turbo = catalog.turbo_mask[li].astype(np.int64)
+    pr = catalog.persist_reco_mask[li]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    run_lines = lines_per_stream[key[starts] // incidence.n_events]
+    pr_starts = np.flatnonzero(np.diff(key[pr], prepend=-1))
+
+    rng = np.random.default_rng(seed)
+    read_samples = np.empty(n_samples)
+    storage_samples = np.empty(n_samples)
+    for pos in range(0, n_samples, chunk):
+        batch = min(chunk, n_samples - pos)
+        kept = rng.random((batch, len(li))) < p_entry
+        present = np.logical_or.reduceat(kept, starts, axis=1)
+        read_samples[pos:pos + batch] = np.einsum("ij,j->i", present,
+                                                  run_lines)
+        pr_present = np.logical_or.reduceat(kept[:, pr], pr_starts, axis=1)
+        storage_samples[pos:pos + batch] = (
+            base_kb * np.einsum("ij,j->i", kept, turbo)
+            + shared_kb * pr_present.sum(axis=1))
+
+    def mean_se(samples):
+        mean = float(samples.mean())
+        if n_samples < 2:
+            return mean, 0.0
+        return mean, float(samples.std(ddof=1) / np.sqrt(n_samples))
+
+    return (*mean_se(read_samples), *mean_se(storage_samples), n_samples)

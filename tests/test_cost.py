@@ -11,6 +11,7 @@ from streamopt import (DataError, EventLineIncidence, LineCatalog, Scheme,
                        extreme_schemes, fold_modules, objective_scorer,
                        parse_objective, read_cost, read_cost_from_modules,
                        storage_cost)
+from streamopt.cost import first_minimum
 from helpers import build_catalog, brute_force_read_cost, random_instance, \
     random_scheme
 
@@ -241,6 +242,24 @@ class TestObjective:
                                          shared_kb=40.0)
                 np.testing.assert_allclose(score(assignments, n_streams),
                                            want, rtol=1e-9, atol=1e-9)
+
+
+class TestFirstMinimum:
+    def test_ulps_apart_is_a_tie(self):
+        low = 11191.0
+        assert first_minimum([np.nextafter(low, np.inf), low]) == 0
+        assert first_minimum([low + 4e-12, low, low]) == 0
+
+    def test_clear_minimum_wins(self):
+        assert first_minimum([11191.0 * (1 + 1e-10), 11191.0]) == 1
+        assert first_minimum([3.0, 2.0, 1.0, 1.0]) == 2
+
+    def test_infinite_costs_never_win(self):
+        assert first_minimum([np.inf, 5.0, np.inf]) == 1
+
+    def test_negative_and_zero_minimum(self):
+        assert first_minimum([-1.0 + 1e-13, -1.0]) == 0
+        assert first_minimum([1e-300, 0.0]) == 1
 
 
 class TestBreakdownInvariants:

@@ -17,6 +17,12 @@ from helpers import build_catalog, random_clustered_instance, random_instance
 optimize_module = importlib.import_module("streamopt.optimize")
 
 
+def canonical(scheme):
+    """The scheme's partition: streams renumbered in order of first use."""
+    labels = {}
+    return tuple(labels.setdefault(s, len(labels)) for s in scheme.assignment)
+
+
 def three_line_instance():
     cat = build_catalog([("l1", 1.0, True, False, "l1"),
                          ("l2", 1.0, True, False, "l2"),
@@ -119,6 +125,22 @@ class TestOptimize:
             assert scheme.n_units == cat.n_modules
             assert scheme.n_streams == k
             assert all(0 <= s < k for s in scheme.assignment)
+
+    def test_relabeled_tie_goes_to_lowest_restart(self):
+        # Both restarts end in one partition under different stream labels;
+        # the later one's cost rounds an ulp lower, and must not win on it.
+        inc, cat = random_instance(np.random.default_rng(18), max_events=60,
+                                   max_modules=5)
+        result = optimize(fold_modules(inc, cat), cat,
+                          OptimizerConfig(n_streams=3, n_restarts=2, seed=2,
+                                          max_iters=200))
+        first, second = result.per_restart
+        assert first.scheme != second.scheme
+        assert canonical(first.scheme) == canonical(second.scheme)
+        assert second.discrete_cost < first.discrete_cost
+        assert second.discrete_cost == pytest.approx(first.discrete_cost,
+                                                     rel=1e-12)
+        assert result.best_scheme == first.scheme
 
     def test_too_many_streams_is_infeasible(self):
         inc, cat = three_line_instance()

@@ -1,11 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from streamopt import (EventLineIncidence, InfeasibleError, Scheme,
-                       count_partitions, enumerate_optimal, extreme_schemes,
-                       mc_prescale_check, read_cost,
-                       restricted_growth_strings, storage_cost)
-from helpers import build_catalog, random_instance, random_scheme
+from streamopt import (DataError, EventLineIncidence, InfeasibleError,
+                       LineCatalog, Scheme, count_partitions,
+                       enumerate_optimal, extreme_schemes, mc_prescale_check,
+                       oracle, read_cost, restricted_growth_strings,
+                       storage_cost)
+from helpers import (build_catalog, random_clustered_instance,
+                     random_instance, random_scheme,
+                     reference_mc_prescale_check,
+                     reference_restricted_growth_strings)
 
 
 def three_line_instance():
@@ -38,6 +44,18 @@ class TestPartitionEnumeration:
         # B(1..6) = 1, 2, 5, 15, 52, 203
         assert [count_partitions(n, n) for n in range(1, 7)] == \
             [1, 2, 5, 15, 52, 203]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_codes_match_reference(self, n):
+        for k in range(1, 5):
+            codes = restricted_growth_strings(n, k)
+            assert codes.dtype == np.int8
+            assert codes.shape == (count_partitions(n, k), n)
+            assert [tuple(c) for c in codes.tolist()] == \
+                list(reference_restricted_growth_strings(n, k))
+
+    def test_count_at_the_caps(self):
+        assert len(restricted_growth_strings(12, 4)) == 700_075
 
     def test_codes_are_canonical(self):
         for code in restricted_growth_strings(6, 3):
@@ -109,6 +127,17 @@ class TestEnumerateOptimal:
         weighted = enumerate_optimal(inc, cat, 2, objective="weighted:0.0")
         assert weighted.best_cost == pytest.approx(t_only.best_cost, rel=1e-12)
 
+    @pytest.mark.parametrize("objective", ["T", "S", "weighted:0.37"])
+    def test_batch_size_changes_no_result(self, monkeypatch, objective):
+        rng = np.random.default_rng(58)
+        for _ in range(4):
+            inc, cat, n_streams = random_clustered_instance(rng)
+            want = enumerate_optimal(inc, cat, n_streams, objective)
+            monkeypatch.setattr(oracle, "_BATCH_ELEMS", 1)
+            got = enumerate_optimal(inc, cat, n_streams, objective)
+            monkeypatch.undo()
+            assert got == want
+
     def test_module_cap(self):
         rng = np.random.default_rng(56)
         cat = build_catalog([(f"l{i}", 1.0, True, False, f"l{i}")
@@ -155,3 +184,90 @@ class TestMonteCarlo:
         inc, cat = three_line_instance()
         with pytest.raises(ValueError):
             mc_prescale_check(inc, cat, Scheme(1, (0, 0, 0)), 0, seed=0)
+
+    def test_rejects_extra_units(self):
+        inc, cat = three_line_instance()
+        with pytest.raises(DataError, match="6 units"):
+            mc_prescale_check(inc, cat, Scheme(2, (0, 1, 0, 1, 0, 1)), 10,
+                              seed=0)
+
+    def test_rejects_missing_units(self):
+        inc, cat = three_line_instance()
+        with pytest.raises(DataError, match="no stream assignment"):
+            mc_prescale_check(inc, cat, Scheme(2, (0, 1)), 10, seed=0)
+
+    def test_rejects_inconsistent_instance(self):
+        inc, cat = three_line_instance()
+        short = build_catalog([("l1", 1.0, True, False, "l1"),
+                               ("l2", 1.0, True, False, "l2")])
+        with pytest.raises(DataError, match="lines"):
+            mc_prescale_check(inc, short, Scheme(1, (0, 0)), 10, seed=0)
+
+
+def with_zero_prescales(rng, cat):
+    """The catalog with about a quarter of its lines at prescale 0."""
+    return LineCatalog(tuple(
+        replace(rec, prescale=0.0) if rng.random() < 0.25 else rec
+        for rec in cat.lines))
+
+
+class TestMonteCarloReference:
+    """The sampler equals a compare of every entry with its draw, exactly."""
+
+    CASES = {
+        "mixed": {},
+        "unit-prescales": dict(prescale_mix=False),
+        "no-turbo": dict(turbo_prob=0.0),
+        "no-persist-reco": dict(pr_prob=0.0),
+        "all-persist-reco": dict(pr_prob=1.0, turbo_prob=0.0),
+        "zero-prescales": dict(zero=True),
+        # Many lines per module, so that most runs mix sure and live entries.
+        "mixed-runs": dict(lines_range=(3, 6), rate_range=(0.1, 0.4)),
+    }
+
+    @staticmethod
+    def check(inc, cat, scheme, n_samples, seed):
+        got = mc_prescale_check(inc, cat, scheme, n_samples, seed,
+                                base_kb=7.0, shared_kb=40.0)
+        want = reference_mc_prescale_check(inc, cat, scheme, n_samples, seed,
+                                           base_kb=7.0, shared_kb=40.0)
+        assert (got.read_mean, got.read_se, got.storage_mean, got.storage_se,
+                got.n_samples) == want
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_random_instances(self, case):
+        rng = np.random.default_rng(59)
+        options = dict(self.CASES[case])
+        zero = options.pop("zero", False)
+        for k in range(6):
+            inc, cat = random_instance(rng, max_events=150, max_modules=6,
+                                       **options)
+            if zero:
+                cat = with_zero_prescales(rng, cat)
+            scheme = random_scheme(rng, cat.n_modules, int(rng.integers(1, 4)))
+            for n_samples in (1, 2, 333):
+                self.check(inc, cat, scheme, n_samples, seed=k)
+
+    def test_run_with_sure_and_live_entries(self):
+        # Event 0 passes a unit and a prescaled line of one module, event 1
+        # only the prescaled line, event 2 a persist-reco line at 0.3.
+        cat = build_catalog([("a", 1.0, True, True, "m"),
+                             ("b", 0.5, True, True, "m"),
+                             ("c", 0.3, False, True, "n")])
+        inc = EventLineIncidence(3, 3, [(0, 0), (0, 1), (1, 1), (2, 2),
+                                        (0, 2)])
+        for scheme in (Scheme(1, (0, 0)), Scheme(2, (0, 1)),
+                       Scheme(2, (1, 0))):
+            self.check(inc, cat, scheme, 500, seed=3)
+
+    @pytest.mark.parametrize("budget", [1, 1 << 30])
+    def test_batch_budget_changes_no_result(self, monkeypatch, budget):
+        rng = np.random.default_rng(60)
+        for k in range(3):
+            inc, cat = random_instance(rng, max_events=150, max_modules=6)
+            scheme = random_scheme(rng, cat.n_modules, 3)
+            want = mc_prescale_check(inc, cat, scheme, 300, seed=k)
+            monkeypatch.setattr(oracle, "_MC_ELEMS", budget)
+            got = mc_prescale_check(inc, cat, scheme, 300, seed=k)
+            monkeypatch.undo()
+            assert got == want
