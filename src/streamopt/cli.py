@@ -2,8 +2,8 @@
 
 Subcommands: generate, optimize, evaluate, compare, sweep, calibrate.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 infeasible
-configuration.  Output files are written atomically (temp file + rename), so
-a failing command never leaves partial output behind.
+configuration or out of memory.  Output files are written atomically (temp
+file + rename), so a failing command never leaves partial output behind.
 """
 
 from __future__ import annotations
@@ -12,11 +12,8 @@ import argparse
 import json
 import logging
 import math
-import os
 import sys
-import tempfile
 import time
-from pathlib import Path
 
 try:
     import resource
@@ -30,8 +27,9 @@ from .cost import (DEFAULT_BASE_KB, DEFAULT_SHARED_KB, extreme_schemes,
                    first_minimum, objective_scorer, parse_objective, read_cost,
                    storage_cost)
 from .errors import DataError, InfeasibleError, StreamOptError
-from .instances import (SyntheticSpec, gen_synthetic, load_instance,
-                        load_measurements, load_scheme, scheme_to_text)
+from .instances import (SyntheticSpec, _write_text, gen_synthetic,
+                        load_instance, load_measurements, load_scheme,
+                        write_scheme)
 from .model import Scheme, fold_modules
 from .optimize import (OptimizerConfig, optimize, sweep_streams,
                        sweep_workers)
@@ -98,29 +96,6 @@ def _float_list(value: str) -> tuple[float, ...]:
         return tuple(float(tok) for tok in value.split(",") if tok.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad float list '{value}'") from None
-
-
-def _write_text(path, text: str):
-    """Atomic write: the target appears complete or not at all.
-
-    The text goes to a fresh temp file next to the target, so concurrent
-    writers never share one, and is then renamed over the target.
-    """
-    path = Path(path)
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
-                                   suffix=".tmp")
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        if tmp is not None:
-            Path(tmp).unlink(missing_ok=True)
-        raise DataError(f"cannot write '{path}': {exc}") from exc
 
 
 def _cpu_seconds(children: bool = False):
@@ -231,7 +206,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("calibrate", parents=[size],
                        help="fit model terms against measurements")
     p.add_argument("--measurements", required=True)
-    p.add_argument("--t-initial", type=float, default=9.0,
+    p.add_argument("--t-initial", type=_at_least(0.0, float), default=9.0,
                    help="per-job startup time subtracted from measurements")
     p.add_argument("--pool-schemes", action=argparse.BooleanOptionalAction,
                    default=True,
@@ -267,7 +242,7 @@ def cmd_generate(args) -> int:
         ))
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    _write_text(args.out, instance.to_text())
+    instance.write(args.out)
     print(f"wrote {args.out}: {instance.incidence.n_events} events, "
           f"{instance.catalog.n_lines} lines, "
           f"{instance.catalog.n_modules} modules")
@@ -348,7 +323,7 @@ def cmd_optimize(args) -> int:
         },
         "restarts": [_restart_diag(r) for r in result.per_restart],
     }
-    _write_text(args.out, scheme_to_text(best, catalog))
+    write_scheme(args.out, best, catalog)
     _write_text(str(args.out) + ".diag.json", json.dumps(diag, indent=2) + "\n")
     print(f"wrote {args.out} (read cost "
           f"{read_cost(incidence, catalog, best).total:.6g})")
@@ -543,13 +518,13 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 0
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_EXIT
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INFEASIBLE_EXIT
-    except StreamOptError as exc:
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return INFEASIBLE_EXIT
+    except StreamOptError as exc:  # DataError and any other package error
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
 

@@ -16,13 +16,17 @@ Events are indexed by first appearance in the incidence section.  Scheme
 files carry one ``module,stream`` row per module after a ``# n_streams=K``
 header so that trailing empty streams survive a round trip.  Measurement
 files are ``scheme_id,stream_id,n_lines,measured_time_s,measured_size_kb``
-rows.
+rows.  All three formats share one row grammar (:func:`_rows`), and every
+file is written atomically (:func:`_write_text`).
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +43,7 @@ CATALOG_HEADER = "name,prescale,turbo,persist_reco,module"
 INCIDENCE_HEADER = "event,line"
 SCHEME_HEADER = "module,stream"
 MEASUREMENT_HEADER = "scheme_id,stream_id,n_lines,measured_time_s,measured_size_kb"
+_INSTANCE_HEADERS = {"catalog": CATALOG_HEADER, "incidence": INCIDENCE_HEADER}
 
 
 def _read_text(path, what: str) -> str:
@@ -50,6 +55,29 @@ def _read_text(path, what: str) -> str:
         raise DataError(f"cannot read {what} file: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {what} file '{path}': {exc}") from exc
+
+
+def _write_text(path, text: str):
+    """Atomic write: the target appears complete or not at all.
+
+    The text goes to a fresh temp file next to the target, so concurrent
+    writers never share one, and is then renamed over the target.
+    """
+    path = Path(path)
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                                   suffix=".tmp")
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp is not None:
+            Path(tmp).unlink(missing_ok=True)
+        raise DataError(f"cannot write '{path}': {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -78,10 +106,10 @@ class InstanceFile:
 
     @classmethod
     def from_text(cls, text: str) -> "InstanceFile":
-        return _parse_instance(text)
+        return _parse_bulk(text) or _parse_rows(text)
 
     def write(self, path):
-        Path(path).write_text(self.to_text())
+        _write_text(path, self.to_text())
 
     @classmethod
     def load(cls, path) -> "InstanceFile":
@@ -119,8 +147,33 @@ def _split_row(line: str, lineno: int, n_fields: int) -> list[str]:
     return row
 
 
-def _parse_instance(text: str) -> InstanceFile:
-    return _parse_bulk(text) or _parse_rows(text)
+def _rows(text: str, headers: dict):
+    """Yield ``(line number, section, fields)`` for each data row of ``text``.
+
+    Rows are stripped, and blank rows and ``#`` rows are skipped.  A
+    ``[name]`` row opens section ``name`` if ``name`` is a key of
+    ``headers``; a format without sections has the one key None.  A
+    section's first row must be its header, and each later row must split
+    into the header's number of fields.
+    """
+    section = None
+    header = headers.get(None)
+    n_fields = 0  # 0 until the section's header is seen
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line[0] == "[" and line[-1] == "]" and line[1:-1] in headers:
+            section, header, n_fields = line[1:-1], headers[line[1:-1]], 0
+        elif header is None:
+            raise DataError(f"line {lineno}: content before any section header")
+        elif n_fields:
+            yield lineno, section, _split_row(line, lineno, n_fields)
+        elif line == header:
+            n_fields = header.count(",") + 1
+        else:
+            raise DataError(
+                f"line {lineno}: expected header '{header}', got '{line}'")
 
 
 def _parse_rows(text: str) -> InstanceFile:
@@ -128,34 +181,12 @@ def _parse_rows(text: str) -> InstanceFile:
     records: list[LineRecord] = []
     events: list[str] = []
     line_names: list[str] = []
-    section = None
-    header_seen = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line == "[catalog]":
-            section, header_seen = "catalog", False
-            continue
-        if line == "[incidence]":
-            section, header_seen = "incidence", False
-            continue
-        if section is None:
-            raise DataError(f"line {lineno}: content before any section header")
-        if not header_seen:
-            expected = CATALOG_HEADER if section == "catalog" else INCIDENCE_HEADER
-            if line != expected:
-                raise DataError(
-                    f"line {lineno}: expected header '{expected}', got '{line}'"
-                )
-            header_seen = True
-            continue
+    for lineno, section, row in _rows(text, _INSTANCE_HEADERS):
         if section == "incidence":
-            event, name = _split_row(line, lineno, 2)
-            events.append(event)
-            line_names.append(name)
+            events.append(row[0])
+            line_names.append(row[1])
             continue
-        name, prescale, turbo, pr, module = _split_row(line, lineno, 5)
+        name, prescale, turbo, pr, module = row
         records.append(LineRecord(
             name=name,
             prescale=_parse_float(prescale, lineno, "prescale"),
@@ -172,7 +203,6 @@ def _parse_rows(text: str) -> InstanceFile:
     catalog = LineCatalog(tuple(records))
     ev, event_ids = _number(events)
     code, names = _number(line_names)
-    ev, code = _drop_duplicates(ev, code, len(names))
     line_index: dict[str, int] = {}
     for i, name in enumerate(catalog.line_names):
         line_index.setdefault(name, i)
@@ -181,8 +211,24 @@ def _parse_rows(text: str) -> InstanceFile:
         raise DataError(f"incidence references unknown line '{unknown[0]}'")
     catalog_line = np.array([line_index[name] for name in names],
                             dtype=np.int64)
+    return _instance(catalog, event_ids, ev, catalog_line[code])
+
+
+def _instance(catalog: LineCatalog, event_ids: tuple[str, ...],
+              ev: np.ndarray, li: np.ndarray) -> InstanceFile:
+    """The instance of incidence rows (event ``ev``, catalog line ``li``).
+
+    Repeated rows are dropped, with a warning.  Strictly increasing rows
+    cannot repeat, so they are kept as they are.
+    """
+    if not _strictly_increasing(ev, li):
+        _, first = np.unique(ev * catalog.n_lines + li, return_index=True)
+        if len(first) != len(ev):
+            logger.warning("ignored %d duplicate incidence rows",
+                           len(ev) - len(first))
+        ev, li = ev[first], li[first]
     incidence = EventLineIncidence(len(event_ids), catalog.n_lines,
-                                   np.column_stack((ev, catalog_line[code])))
+                                   np.column_stack((ev, li)))
     return InstanceFile(catalog, incidence, event_ids)
 
 
@@ -191,22 +237,6 @@ def _number(keys: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     index: dict[str, int] = {}
     codes = [index.setdefault(key, len(index)) for key in keys]
     return np.array(codes, dtype=np.int64), tuple(index)
-
-
-def _drop_duplicates(ev: np.ndarray, code: np.ndarray,
-                     n_codes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Drop repeated (event, code) rows, with a warning.
-
-    Strictly increasing rows cannot repeat, so they are returned as they are;
-    otherwise the rows come back sorted.
-    """
-    if _strictly_increasing(ev, code):
-        return ev, code
-    _, first = np.unique(ev * n_codes + code, return_index=True)
-    if len(first) != len(ev):
-        logger.warning("ignored %d duplicate incidence rows",
-                       len(ev) - len(first))
-    return ev[first], code[first]
 
 
 _COMMA, _NEWLINE, _HASH = b",\n#"
@@ -235,13 +265,13 @@ def _parse_bulk(text: str) -> InstanceFile | None:
     data = np.frombuffer(text.encode("ascii"), np.uint8)
     if np.count_nonzero(data <= 32) != np.count_nonzero(data == _NEWLINE):
         return None
-    bodies = {"catalog": [data[:0]], "incidence": [data[:0]]}
+    bodies = {name: [data[:0]] for name in _INSTANCE_HEADERS}
     heads = _section_heads(text)
     if not heads or heads[0][0] != 0:
         return None
     for (at, name), (end, _) in zip(heads, heads[1:] + [(len(text), "")]):
         body = at + len(name) + 3
-        header = CATALOG_HEADER if name == "catalog" else INCIDENCE_HEADER
+        header = _INSTANCE_HEADERS[name]
         if body < end and not text.startswith(header + "\n", body, end):
             return None
         bodies[name].append(data[min(body + len(header) + 1, end):end])
@@ -254,17 +284,13 @@ def _parse_bulk(text: str) -> InstanceFile | None:
     numbered = _bulk_incidence(incidence_rows, catalog.line_names)
     if numbered is None:
         return None
-    event_ids, ev, li = numbered
-    ev, li = _drop_duplicates(ev, li, catalog.n_lines)
-    incidence = EventLineIncidence(len(event_ids), catalog.n_lines,
-                                   np.column_stack((ev, li)))
-    return InstanceFile(catalog, incidence, event_ids)
+    return _instance(catalog, *numbered)
 
 
 def _section_heads(text: str) -> list[tuple[int, str]]:
     """Offsets and names of the section header rows, in order."""
     heads = []
-    for name in ("catalog", "incidence"):
+    for name in _INSTANCE_HEADERS:
         tag = f"[{name}]\n"
         at = text.find(tag)
         while at >= 0:
@@ -389,30 +415,23 @@ def scheme_to_text(scheme: Scheme, catalog: LineCatalog) -> str:
     return "\n".join(out) + "\n"
 
 
-def scheme_from_text(text: str, catalog: LineCatalog) -> Scheme:
+def _n_streams(text: str) -> int | None:
+    """K of the last ``# n_streams=K`` comment, or None without one."""
     n_streams = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line.startswith("#") and line[1:].strip().startswith("n_streams="):
+            try:
+                n_streams = int(line.partition("=")[2])
+            except ValueError:
+                raise DataError(f"line {lineno}: bad n_streams header") from None
+    return n_streams
+
+
+def scheme_from_text(text: str, catalog: LineCatalog) -> Scheme:
+    n_streams = _n_streams(text)
     mapping: dict[str, int] = {}
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("n_streams="):
-                try:
-                    n_streams = int(body.split("=", 1)[1])
-                except ValueError:
-                    raise DataError(f"line {lineno}: bad n_streams header") from None
-            continue
-        if not header_seen:
-            if line != SCHEME_HEADER:
-                raise DataError(
-                    f"line {lineno}: expected header '{SCHEME_HEADER}'"
-                )
-            header_seen = True
-            continue
-        name, stream = _split_row(line, lineno, 2)
+    for lineno, _, (name, stream) in _rows(text, {None: SCHEME_HEADER}):
         if name in mapping:
             raise DataError(f"line {lineno}: duplicate module '{name}'")
         try:
@@ -441,7 +460,7 @@ def load_scheme(path, catalog: LineCatalog) -> Scheme:
 
 
 def write_scheme(path, scheme: Scheme, catalog: LineCatalog):
-    Path(path).write_text(scheme_to_text(scheme, catalog))
+    _write_text(path, scheme_to_text(scheme, catalog))
 
 
 # -- measurements ------------------------------------------------------------
@@ -450,19 +469,8 @@ def write_scheme(path, scheme: Scheme, catalog: LineCatalog):
 def load_measurements(path) -> tuple[MeasurementRecord, ...]:
     text = _read_text(path, "measurement")
     records: list[MeasurementRecord] = []
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != MEASUREMENT_HEADER:
-                raise DataError(
-                    f"line {lineno}: expected header '{MEASUREMENT_HEADER}'"
-                )
-            header_seen = True
-            continue
-        scheme_id, stream_id, n_lines, time_s, size_kb = _split_row(line, lineno, 5)
+    for lineno, _, row in _rows(text, {None: MEASUREMENT_HEADER}):
+        scheme_id, stream_id, n_lines, time_s, size_kb = row
         try:
             stream = int(stream_id)
             lines = int(n_lines)
@@ -470,6 +478,8 @@ def load_measurements(path) -> tuple[MeasurementRecord, ...]:
             raise DataError(f"line {lineno}: bad integer field") from None
         time_value = _parse_float(time_s, lineno, "measured_time_s")
         size_value = _parse_float(size_kb, lineno, "measured_size_kb")
+        if not (math.isfinite(time_value) and math.isfinite(size_value)):
+            raise DataError(f"line {lineno}: non-finite measurement")
         if time_value < 0 or size_value < 0:
             raise DataError(f"line {lineno}: negative measurement")
         if lines < 0:

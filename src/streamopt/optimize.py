@@ -212,7 +212,6 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
     best_step = np.zeros(n_restarts, dtype=np.int64)
     best_assignment: list[tuple[int, ...] | None] = [None] * n_restarts
     records: list[RestartRecord | None] = [None] * n_restarts
-    cost_cache: dict[tuple[int, ...], float] = {}
 
     def stop(k: int, loss, entropy, iterations: int, reason: str):
         """Record restart k's outcome; a non-finite run keeps no scheme."""
@@ -240,24 +239,19 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
         probs /= sums
         loss, grad = evaluator.loss_and_gradient(probs)
 
-        # Round every restart whose argmax pattern moved and keep its best;
-        # argmax breaks ties toward the lowest stream.  Assignments not yet
-        # in the cache are costed in one batched one-hot call.
+        # Round the restarts whose argmax pattern moved, cost them in one
+        # batched one-hot call and keep each restart's best; argmax breaks
+        # ties toward the lowest stream.
         rounded = probs.argmax(axis=2)
         moved = (rounded != previous).any(axis=1).nonzero()[0]
         if moved.size:
-            assignments = [tuple(rounded[j].tolist()) for j in moved]
-            fresh = list(dict.fromkeys(a for a in assignments
-                                       if a not in cost_cache))
-            if fresh:
-                costs = evaluator.loss(one_hot(fresh, n_streams))
-                cost_cache.update(zip(fresh, costs.tolist()))
-            for k, assignment in zip(origin[moved].tolist(), assignments):
-                cost = cost_cache[assignment]
+            costs = evaluator.loss(one_hot(rounded[moved], n_streams))
+            for j, k, cost in zip(moved.tolist(), origin[moved].tolist(),
+                                  costs.tolist()):
                 if cost < best_cost[k]:
                     best_cost[k] = cost
                     best_step[k] = step
-                    best_assignment[k] = assignment
+                    best_assignment[k] = tuple(rounded[j].tolist())
         previous = rounded
 
         retire = failed = ~np.isfinite(loss)

@@ -472,6 +472,7 @@ class TestUsageErrors:
         (["evaluate", "--scheme", "single-stream", "--base-kb", "nan"], 1),
         (["compare", "--scheme", "single-stream", "--baseline",
           "single-stream", "--base-kb", "-1", "--shared-kb", "-50"], 1),
+        (["calibrate", "--measurements", "m.csv", "--t-initial", "nan"], 1),
     ])
     def test_bad_arguments_exit_without_traceback(self, instance_path,
                                                   tmp_path, capsys, argv,
@@ -481,4 +482,33 @@ class TestUsageErrors:
             argv = argv + ["--instance", str(instance_path)]
         assert main(argv + ["--out", str(out)]) == code
         assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOutOfMemory:
+    """A request too large for memory exits 3 with a message.
+
+    The failed allocation is simulated: whether a real one fails or gets the
+    process killed depends on the host's overcommit setting.
+    """
+
+    @pytest.mark.parametrize("callee, argv", [
+        ("gen_synthetic", ["generate", "--events", "1000000000000"]),
+        ("optimize", ["optimize", "--streams", "2",
+                      "--restarts", "1000000000"]),
+        ("read_cost", ["evaluate", "--scheme", "single-stream"]),
+    ])
+    def test_exit_code_and_message(self, instance_path, tmp_path, capsys,
+                                   monkeypatch, callee, argv):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(streamopt.cli, callee, out_of_memory)
+        out = tmp_path / "out"
+        if argv[0] != "generate":
+            argv = argv + ["--instance", str(instance_path)]
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "error: out of memory: Unable to allocate 7.28 TiB" in err
+        assert "Traceback" not in err
         assert not out.exists()

@@ -262,6 +262,21 @@ class TestSchemeFiles:
         scheme = scheme_from_text("module,stream\nm1,0\nm2,2\n", inst.catalog)
         assert scheme.n_streams == 3
 
+    def test_last_n_streams_comment_wins(self):
+        inst = InstanceFile.from_text(SAMPLE)
+        text = "# n_streams=2\nmodule,stream\nm1,0\n#n_streams= 5\nm2,1\n"
+        assert scheme_from_text(text, inst.catalog) == Scheme(5, (0, 1))
+        with pytest.raises(DataError) as info:
+            scheme_from_text(text + "# n_streams=many\n", inst.catalog)
+        assert str(info.value) == "line 6: bad n_streams header"
+
+    def test_header_error_names_the_row(self):
+        inst = InstanceFile.from_text(SAMPLE)
+        with pytest.raises(DataError) as info:
+            scheme_from_text("# n_streams=2\nm1,0\nm2,1\n", inst.catalog)
+        assert str(info.value) == \
+            "line 2: expected header 'module,stream', got 'm1,0'"
+
 
 class TestMeasurementFiles:
     GOOD = ("scheme_id,stream_id,n_lines,measured_time_s,measured_size_kb\n"
@@ -287,6 +302,69 @@ class TestMeasurementFiles:
         path.write_text(self.GOOD + "base,2,1,-3.0,1.0\n")
         with pytest.raises(DataError, match="negative"):
             load_measurements(path)
+
+    @pytest.mark.parametrize("row", ["base,2,1,nan,1.0", "base,2,1,3.0,inf",
+                                     "base,2,1,-inf,1.0", "base,2,1,1.0,NaN"])
+    def test_non_finite_measurement_rejected(self, tmp_path, row):
+        path = tmp_path / "m.csv"
+        path.write_text(self.GOOD + row + "\n")
+        with pytest.raises(DataError) as info:
+            load_measurements(path)
+        assert str(info.value) == "line 4: non-finite measurement"
+
+    def test_header_error_names_the_row(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# runs of May\n\nscheme,stream\n")
+        with pytest.raises(DataError) as info:
+            load_measurements(path)
+        assert str(info.value) == (
+            f"line 3: expected header '{instances.MEASUREMENT_HEADER}', "
+            f"got 'scheme,stream'")
+
+
+class TestRowGrammar:
+    """The one row grammar of the three formats."""
+
+    HEADERS = {"a": "x,y", "b": "z"}
+
+    def rows(self, text, headers=None):
+        return list(instances._rows(text, headers or self.HEADERS))
+
+    def test_sections_comments_and_quotes(self):
+        text = ("# top\n[a]\n  x,y \n1,2\n\n[b]\nz\n\"3,4\"\n"
+                "[c]\n[a]\nx,y\n # gap\n5,6\n")
+        assert self.rows(text) == [(4, "a", ["1", "2"]), (8, "b", ["3,4"]),
+                                   (9, "b", ["[c]"]), (13, "a", ["5", "6"])]
+
+    def test_format_without_sections(self):
+        assert self.rows("z\n[a]\n", {None: "z"}) == [(2, None, ["[a]"])]
+
+    def test_content_before_any_section(self):
+        with pytest.raises(DataError) as info:
+            self.rows("# top\nx,y\n")
+        assert str(info.value) == "line 2: content before any section header"
+
+
+class TestAtomicWriters:
+    """The library writers leave the old file or the new one, never a part."""
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        inst = InstanceFile.from_text(SAMPLE)
+        with pytest.raises(DataError, match="cannot write"):
+            inst.write(tmp_path / "absent" / "x.inst")
+        path = tmp_path / "x.scheme"
+        path.write_text("old\n")
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(instances.os, "replace", fail)
+        with pytest.raises(DataError, match="cannot write.*disk full"):
+            write_scheme(path, Scheme(1, (0, 0)), inst.catalog)
+        with pytest.raises(DataError, match="cannot write"):
+            inst.write(tmp_path / "x.inst")
+        assert [p.name for p in tmp_path.iterdir()] == ["x.scheme"]
+        assert path.read_text() == "old\n"
 
 
 class TestUndecodableFiles:

@@ -1,5 +1,7 @@
 import concurrent.futures
+import functools
 import importlib
+import multiprocessing
 import os
 
 import numpy as np
@@ -300,6 +302,30 @@ class TestSweep:
                                  seed=3)
         self.check_equals_serial(inc, cat, config)
         assert optimize_module.sweep_workers(self.COUNTS, 6) == 1
+
+    def test_spawned_pool_points_equal_serial_optimize(self, monkeypatch):
+        # The spawn start method, the default on macOS and Windows, pickles
+        # the initializer's fold and catalog instead of forking them.
+        inc, cat = clustered_sweep_instance()
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            functools.partial(
+                                concurrent.futures.ProcessPoolExecutor,
+                                mp_context=spawn))
+        config = OptimizerConfig(n_streams=1, n_restarts=3, max_iters=800,
+                                 seed=3)
+        self.check_equals_serial(inc, cat, config)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpu_count, workers", [(8, 3), (2, 2), (None, 1)])
+    def test_workers_without_cpu_affinity(self, monkeypatch, cpu_count,
+                                          workers):
+        # Platforms such as macOS have no sched_getaffinity; the sweep then
+        # counts every CPU, or one when even that count is unknown.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert optimize_module.sweep_workers(self.COUNTS, 6) == workers
 
     def test_infeasible_count_checked_before_any_descent(self, monkeypatch):
         inc, cat = clustered_sweep_instance()
