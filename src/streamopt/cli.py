@@ -272,6 +272,8 @@ def cmd_optimize(args) -> int:
     loaded = time.perf_counter()
     module_incidence = fold_modules(incidence, catalog)
     folded = time.perf_counter()
+    groups = module_incidence.row_groups()
+    deduped = time.perf_counter()
     config = OptimizerConfig(n_streams=args.streams, n_restarts=args.restarts,
                              seed=args.seed)
     result = optimize(module_incidence, catalog, config)
@@ -297,7 +299,6 @@ def cmd_optimize(args) -> int:
         relaxed_loss = chosen.relaxed_loss
         best_read_cost = chosen.discrete_cost
 
-    groups = module_incidence.row_groups()
     diag = {
         "instance": str(args.instance),
         "n_streams": args.streams,
@@ -306,7 +307,8 @@ def cmd_optimize(args) -> int:
         "timings": {
             "load_s": loaded - start,
             "fold_s": folded - loaded,
-            "optimize_s": optimized - folded,
+            "dedupe_s": deduped - folded,
+            "optimize_s": optimized - deduped,
             **_cpu_timings(cpu_start),
         },
         "kernel": {

@@ -12,12 +12,18 @@ one-line header::
     e000000,mod00_l0
     ...
 
-Events are indexed by first appearance in the incidence section.  Scheme
-files carry one ``module,stream`` row per module after a ``# n_streams=K``
-header so that trailing empty streams survive a round trip.  Measurement
-files are ``scheme_id,stream_id,n_lines,measured_time_s,measured_size_kb``
-rows.  All three formats share one row grammar (:func:`_rows`), and every
-file is written atomically (:func:`_write_text`).
+Events are indexed by first appearance in the incidence section.  Blank
+rows and rows that start with ``#`` are skipped.  A plain instance file,
+such rows included, is read over whole sections (:func:`_parse_bulk`); any
+other goes row by row (:func:`_parse_rows`), which raises every parse
+error.
+
+Scheme files carry one ``module,stream`` row per module after a
+``# n_streams=K`` header so that trailing empty streams survive a round
+trip.  Measurement files are
+``scheme_id,stream_id,n_lines,measured_time_s,measured_size_kb`` rows.  All
+three formats share one row grammar (:func:`_rows`), and every file is
+written atomically (:func:`_write_text`).
 """
 
 from __future__ import annotations
@@ -203,9 +209,7 @@ def _parse_rows(text: str) -> InstanceFile:
     catalog = LineCatalog(tuple(records))
     ev, event_ids = _number(events)
     code, names = _number(line_names)
-    line_index: dict[str, int] = {}
-    for i, name in enumerate(catalog.line_names):
-        line_index.setdefault(name, i)
+    line_index = _line_index(catalog.line_names)
     unknown = [name for name in names if name not in line_index]
     if unknown:
         raise DataError(f"incidence references unknown line '{unknown[0]}'")
@@ -247,23 +251,25 @@ _BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
 def _parse_bulk(text: str) -> InstanceFile | None:
     """Parse a plain instance over whole sections, or return None.
 
-    *Plain* means ASCII without quotes, blank or comment rows, or any space
-    or control character but the newline (CRLF line ends are read as LF
-    first), each section with its column header, and every row with the
-    right number of fields naming a catalog line.  Then ``str.splitlines``
-    and ``str.strip`` see exactly the newline rows, and the result is the
-    row-by-row parse's.  Any other text, valid or not, returns None and
-    goes through :func:`_parse_rows`.
+    *Plain* means ASCII without any control character but the newline
+    (CRLF line ends are read as LF first), and, once the empty rows and the
+    rows that start with ``#`` are dropped, without quotes or spaces; each
+    section with its column header, and every row with the right number of
+    fields naming a catalog line.  Then ``str.splitlines`` and ``str.strip``
+    see exactly the newline rows, and the result is the row-by-row parse's.
+    Any other text, valid or not, returns None and goes through
+    :func:`_parse_rows`.
     """
-    if not text.isascii() or '"' in text:
-        return None
     if "\r" in text:
         # Gated: replace copies the whole text even when nothing matches.
         text = text.replace("\r\n", "\n")
     if not text.endswith("\n"):
         text += "\n"
-    data = np.frombuffer(text.encode("ascii"), np.uint8)
-    if np.count_nonzero(data <= 32) != np.count_nonzero(data == _NEWLINE):
+    kept = _drop_skipped_rows(text)
+    if kept is None:
+        return None
+    text, data = kept
+    if " " in text or '"' in text:
         return None
     bodies = {name: [data[:0]] for name in _INSTANCE_HEADERS}
     heads = _section_heads(text)
@@ -287,6 +293,34 @@ def _parse_bulk(text: str) -> InstanceFile | None:
     return _instance(catalog, *numbered)
 
 
+def _drop_skipped_rows(text: str) -> tuple[str, np.ndarray] | None:
+    """The newline-terminated ``text`` without its empty rows and the rows
+    that start with ``#``, and its bytes; None unless ``text`` is ASCII
+    without any control character but the newline.
+
+    The row parse skips the same rows, as none holds a line break but its
+    newline.
+    """
+    if not text.isascii():
+        return None
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    newline = data == _NEWLINE
+    if np.count_nonzero(data < 32) != np.count_nonzero(newline):
+        return None
+    # Rows start at byte 0 and after every newline but the last.
+    skipped = newline[1:]
+    if "#" in text:
+        skipped = skipped | (data[1:] == _HASH)
+    skipped = skipped & newline[:-1]
+    lead = text[0] in "\n#"
+    if not lead and not skipped.any():
+        return text, data
+    starts = [0] * lead + (np.flatnonzero(skipped) + 1).tolist()
+    ends = [text.index("\n", at) + 1 for at in starts]
+    text = "".join(text[a:b] for a, b in zip([0, *ends], [*starts, len(text)]))
+    return text, np.frombuffer(text.encode("ascii"), np.uint8)
+
+
 def _section_heads(text: str) -> list[tuple[int, str]]:
     """Offsets and names of the section header rows, in order."""
     heads = []
@@ -305,15 +339,14 @@ def _field_ends(rows: np.ndarray, n_fields: int) -> np.ndarray | None:
 
     Returns an ``(n_rows, n_fields)`` array: ``n_fields - 1`` commas and the
     newline, when every row of the newline-terminated ``rows`` has exactly
-    ``n_fields`` fields and none starts with ``#``; otherwise None.
+    ``n_fields`` fields; otherwise None.
     """
     at = np.flatnonzero((rows == _COMMA) | (rows == _NEWLINE))
     if at.size % n_fields:
         return None
     at = at.reshape(-1, n_fields)
     if ((rows[at[:, :-1]] != _COMMA).any()
-            or (rows[at[:, -1]] != _NEWLINE).any()
-            or rows[0] == _HASH or (rows[at[:-1, -1] + 1] == _HASH).any()):
+            or (rows[at[:, -1]] != _NEWLINE).any()):
         return None
     return at
 
@@ -339,9 +372,10 @@ def _bulk_incidence(rows: np.ndarray, line_names: tuple[str, ...]
                     ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray] | None:
     """Event ids, event numbers and catalog lines of the incidence rows.
 
-    Fields are compared as zero-padded byte strings.  An event is looked up
-    once per run of rows that name it, and each line name by binary search
-    in the catalog's names.  Returns None when a line name is not in the
+    Fields are compared as zero-padded keys of 8-byte words.  Events are
+    numbered by first appearance over the runs of rows that name them, and
+    only the distinct event ids and line names are decoded; a name stands
+    for its first catalog line.  Returns None when a line name is not in the
     catalog, or when the fields are too uneven to pad.
     """
     ends = _field_ends(rows, 2)
@@ -354,35 +388,33 @@ def _bulk_incidence(rows: np.ndarray, line_names: tuple[str, ...]
     if events is None or names is None:
         return None
 
-    runs = np.flatnonzero(events[1:] != events[:-1]) + 1
+    runs = np.flatnonzero((events[1:] != events[:-1]).any(axis=1)) + 1
     runs = np.concatenate(([0], runs))
-    run_ev, event_ids = _number(events[runs].astype(str).tolist())
-    ev = np.repeat(run_ev, np.diff(runs, append=len(events)))
+    events = events[runs]
+    run_ev, first = _first_appearance(events)
+    event_ids = _decode_keys(events[first])
+    ev = np.repeat(run_ev, np.diff(runs, append=len(names)))
 
-    # The catalog's names as keys of the same width, lowest line first among
-    # equal names; a name wider than every row's cannot match.
-    width = names.dtype.itemsize
-    fits = [i for i, name in enumerate(line_names) if len(name) <= width]
-    catalog = np.array([line_names[i] for i in fits], dtype=f"S{width}")
-    order = np.argsort(catalog, kind="stable")
-    catalog = catalog[order]
-    at = np.minimum(np.searchsorted(catalog, names), len(catalog) - 1)
-    if not len(catalog) or (catalog[at] != names).any():
+    code, first = _first_appearance(names)
+    index = _line_index(line_names)
+    lines = [index.get(name, -1) for name in _decode_keys(names[first])]
+    if -1 in lines:
         return None
-    return event_ids, ev, np.asarray(fits, dtype=np.int64)[order[at]]
+    return tuple(event_ids), ev, np.array(lines, dtype=np.int64)[code]
 
 
 def _field_keys(rows: np.ndarray, start: np.ndarray,
                 stop: np.ndarray) -> np.ndarray | None:
-    """Each field ``rows[start:stop]`` as a zero-padded byte string.
+    """Each field ``rows[start:stop]`` as a row of little-endian 8-byte words.
 
-    The width is the longest field rounded up to whole 8-byte words.  Padded
-    keys may take at most twice the bytes of ``rows``; wider fields return
-    None.
+    The bytes are zero-padded to the longest field rounded up to whole
+    words; a plain field holds no zero byte, so equal keys are equal fields.
+    Padded keys may take at most twice the bytes of ``rows``, or 64 KiB;
+    wider fields return None.
     """
     length = stop - start
     words = max(1, -(-int(length.max()) // 8))
-    if len(start) * words * 8 > 2 * len(rows):
+    if len(start) * words * 8 > max(2 * len(rows), 1 << 16):
         return None
     padded = np.concatenate((rows, np.zeros(8 * words, np.uint8)))
     # The little-endian 8-byte word that starts at each byte of ``padded``.
@@ -391,7 +423,46 @@ def _field_keys(rows: np.ndarray, start: np.ndarray,
     keys = word_at[start[:, None] + word]
     in_word = np.minimum(np.maximum(length[:, None] - word, 0), 8)
     keys &= _BYTE_MASKS[in_word]
-    return keys.view(f"S{8 * words}").ravel()
+    return keys
+
+
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of the rows of ``keys`` by first appearance, and the row where
+    each code first appears.
+
+    Equal rows are grouped by one sort: an argsort when a row is one word,
+    else a lexsort of the words.  Neither needs to be stable, as each
+    group's first row is its least index.
+    """
+    order = (np.argsort(keys[:, 0]) if keys.shape[1] == 1
+             else np.lexsort(keys.T))
+    keys = keys[order]
+    new = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
+    del keys  # a copy as large as the input
+    first = order if new.all() else np.minimum.reduceat(order,
+                                                       np.flatnonzero(new))
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    code = np.empty_like(order)
+    code[order] = rank[np.cumsum(new) - 1]
+    return code, first[by_first]
+
+
+def _decode_keys(keys: np.ndarray) -> list[str]:
+    """The fields of :func:`_field_keys`'s keys, as strings."""
+    n, words = keys.shape
+    fields = np.empty((n, 8 * words + 1), np.uint8)
+    fields[:, :-1] = keys.view(np.uint8).reshape(n, -1)
+    fields[:, -1] = _NEWLINE
+    text = fields[fields != 0].tobytes().decode("ascii")
+    return text.split("\n")[:-1]
+
+
+def _line_index(line_names: tuple[str, ...]) -> dict[str, int]:
+    """Each line name's first catalog line."""
+    n = len(line_names)
+    return dict(zip(reversed(line_names), range(n - 1, -1, -1)))
 
 
 def load_instance(path) -> tuple[EventLineIncidence, LineCatalog]:

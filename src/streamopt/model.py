@@ -318,21 +318,31 @@ class ModuleIncidence:
             values.indices.astype(np.int64) * len(distinct) + code,
             return_inverse=True)
 
-        # Exact row dedupe: lexsort the rows' column ids, padded with -1
-        # (the lengths key only keeps the key list non-empty).
+        # Exact row dedupe.  Each row's column ids + 1, zero-padded to the
+        # widest row, are packed several to an int64 word, most significant
+        # first, so that the words sort as the rows do lexicographically and
+        # the sort takes one key per word, not one per column.  Any row of
+        # a group stands for it, so a one-word sort need not be stable.
         lengths = np.diff(values.indptr)
         row = np.repeat(np.arange(self._n_events), lengths)
-        padded = np.full((self._n_events, lengths.max(initial=0)), -1,
-                         dtype=np.int32)
-        padded[row, np.arange(nnz) - values.indptr[row]] = column
-        rows = np.lexsort((lengths, *padded.T[::-1]))
-        padded = padded[rows]
-        starts = np.flatnonzero(np.r_[True, np.any(padded[1:] != padded[:-1],
+        width = max(1, int(lengths.max(initial=0)))
+        padded = np.zeros((self._n_events, width), dtype=np.int32)
+        padded[row, np.arange(nnz) - values.indptr[row]] = column + 1
+        bits = max(1, len(pairs).bit_length())
+        per_word = 63 // bits
+        shift = bits * (per_word - 1 - np.arange(width) % per_word)
+        words = np.add.reduceat(padded << shift,
+                                np.arange(0, width, per_word), axis=1)
+        rows = (np.argsort(words[:, 0]) if words.shape[1] == 1
+                else np.lexsort(words.T[::-1]))
+        words = words[rows]
+        starts = np.flatnonzero(np.r_[True, np.any(words[1:] != words[:-1],
                                                    axis=1)])
-        padded = padded[starts]
-        counts = lengths[rows[starts]]
+        first = rows[starts]
+        padded = padded[first]
+        counts = lengths[first]
         hits = sp.csr_matrix(
-            (np.ones(counts.sum()), padded[padded >= 0],
+            (np.ones(counts.sum()), padded[padded > 0] - 1,
              np.r_[0, np.cumsum(counts)]),
             shape=(len(starts), len(pairs)),
         )

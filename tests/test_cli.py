@@ -59,8 +59,8 @@ class TestOptimizeCommand:
         assert scheme.n_streams == 3
         diag = json.loads((tmp_path / "best.scheme.diag.json").read_text())
         assert diag["seed"] == 2
-        assert set(diag["timings"]) == {"load_s", "fold_s", "optimize_s",
-                                        "user_s", "sys_s"}
+        assert set(diag["timings"]) == {"load_s", "fold_s", "dedupe_s",
+                                        "optimize_s", "user_s", "sys_s"}
         assert all(isinstance(t, float) and t >= 0.0
                    for t in diag["timings"].values())
         groups = fold_modules(incidence, catalog).row_groups()

@@ -201,6 +201,34 @@ class TestLoaderCases:
         text = self.generated().to_text()
         assert self.parsed(text.rstrip("\n")) == self.parsed(text)
 
+    def test_comment_and_blank_rows_take_the_bulk_parse(self):
+        text = self.generated().to_text()
+        head, rows = text.split("event,line\n")
+        commented = ('# made by "gen", seed 3\n\n' + head + "event,line\n#\n"
+                     + rows.replace("\n", "\n\n\n", 1) + "# end")
+        assert instances._parse_bulk(commented) is not None
+        assert self.parsed(commented) == self.parsed(text)
+        # A comment that str.splitlines would break in two goes row by row.
+        for brk in "\r\x0b\x1c":
+            assert instances._parse_bulk(f"#a{brk}b\n" + text) is None
+
+    def test_keys_wider_than_one_word(self):
+        # Line names that share their first 8-byte word, and one event id
+        # far longer than the others.
+        text = ("[catalog]\nname,prescale,turbo,persist_reco,module\n"
+                "shared08_b,1.0,1,0,m1\nshared08_a,0.5,1,0,m1\n"
+                "shared08,1.0,0,1,m2\n[incidence]\nevent,line\n"
+                "run_0001_event_02,shared08_a\nrun_0001_event_01,shared08\n"
+                "x,shared08_b\nrun_0001_event_02,shared08_b\n")
+        bulk = instances._parse_bulk(text)
+        assert bulk is not None
+        assert bulk.event_ids == ("run_0001_event_02", "run_0001_event_01",
+                                  "x")
+        assert bulk.incidence.pairs() == [(0, 0), (0, 1), (1, 2), (2, 0)]
+        rows = instances._parse_rows(text)
+        assert (bulk.catalog, bulk.event_ids, bulk.incidence.pairs()) == \
+            (rows.catalog, rows.event_ids, rows.incidence.pairs())
+
     def test_duplicate_warning_counts_rows(self, caplog):
         with caplog.at_level("WARNING"):
             inst = InstanceFile.from_text(
@@ -463,8 +491,18 @@ single_lines = st.text(
     st.one_of(st.sampled_from(',"ab '),
               st.characters(blacklist_characters=LINE_BREAKS)),
     min_size=1)
-names = st.text("abcdefghijklmnopqrstuvwxyz0123456789_.-", min_size=1,
-                max_size=8)
+NAME_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_.-"
+# Names span up to three 8-byte words, and some share their first word, so
+# that the bulk parse compares keys wider than one word.
+names = st.one_of(
+    st.text(NAME_CHARS, min_size=1, max_size=20),
+    st.text(NAME_CHARS, max_size=12).map(lambda tail: "shared08" + tail))
+# Rows that both parsers skip: blank rows and comments, which may hold
+# spaces, quotes and commas but no line break.
+skipped_rows = st.one_of(
+    st.just(""),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126)).map(
+        lambda comment: "#" + comment))
 
 
 @st.composite
@@ -517,6 +555,12 @@ class TestProperties:
         text = inst.to_text()
         assert instances._parse_bulk(text) is not None
         rows = text.splitlines()
+        # Blank and comment rows anywhere keep a text plain.
+        for _ in range(data.draw(st.integers(1, 3))):
+            rows.insert(data.draw(st.integers(0, len(rows))),
+                        data.draw(skipped_rows))
+        text = "\n".join(rows) + data.draw(st.sampled_from(["", "\n"]))
+        self.assert_same_parse(instances._parse_bulk(text), text)
         for _ in range(data.draw(st.integers(0, 3))):
             i = data.draw(st.integers(0, len(rows) - 1))
             j = data.draw(st.integers(0, len(rows) - 1))
@@ -530,11 +574,16 @@ class TestProperties:
         text = "\n".join(rows) + data.draw(st.sampled_from(["", "\n"]))
         bulk = instances._parse_bulk(text)
         if bulk is not None:
-            reference = instances._parse_rows(text)
-            assert bulk.catalog == reference.catalog
-            assert bulk.event_ids == reference.event_ids
-            assert bulk.incidence.n_events == reference.incidence.n_events
-            assert bulk.incidence.pairs() == reference.incidence.pairs()
+            self.assert_same_parse(bulk, text)
+
+    @staticmethod
+    def assert_same_parse(bulk, text):
+        reference = instances._parse_rows(text)
+        assert bulk is not None
+        assert bulk.catalog == reference.catalog
+        assert bulk.event_ids == reference.event_ids
+        assert bulk.incidence.n_events == reference.incidence.n_events
+        assert bulk.incidence.pairs() == reference.incidence.pairs()
 
     @given(instance_files(), st.data())
     def test_scheme_text_round_trip(self, inst, data):

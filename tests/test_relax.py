@@ -272,8 +272,20 @@ class TestKernel:
         # the distinct rows, as tuples of their sorted column ids, are listed
         # in lexicographic order.
         rng = np.random.default_rng(43)
-        for _ in range(10):
-            inc, cat = random_instance(rng, max_modules=6)
+        cases = [random_instance(rng, max_modules=6) for _ in range(10)]
+        # Up to 40 modules with mixed prescales: over 64 columns, so an id
+        # takes more than 6 bits, and rows longer than one packed key word.
+        # Every event passes the first 12 lines, so that rows agree on their
+        # leading ids and differ only in later words.
+        rng = np.random.default_rng(45)
+        for _ in range(4):
+            inc, cat = random_instance(rng, max_modules=40,
+                                       rate_range=(0.1, 0.25))
+            dense = inc.to_dense()
+            dense[:, :12] = True
+            cases.append((EventLineIncidence.from_dense(dense), cat))
+        multi_word = 0
+        for inc, cat in cases:
             folded = fold_modules(inc, cat)
             values, groups = folded.values, folded.row_groups()
             entries = []
@@ -292,6 +304,9 @@ class TestKernel:
                     for r in range(len(distinct))] == distinct
             assert groups.weights.tolist() == [rows.count(row)
                                                for row in distinct]
+            bits = len(pairs).bit_length()
+            multi_word += bits > 6 and max(map(len, rows)) > 63 // bits
+        assert multi_word >= 2
 
     def test_matches_dense_formula_with_zero_factors(self):
         rng = np.random.default_rng(42)
