@@ -34,6 +34,9 @@ from .model import Scheme, fold_modules
 from .optimize import (OptimizerConfig, optimize, sweep_streams,
                        sweep_workers)
 
+# Named, not __name__, so that `python -m streamopt.cli` logs as the package.
+logger = logging.getLogger("streamopt.cli")
+
 USAGE_EXIT = 1
 DATA_EXIT = 2
 INFEASIBLE_EXIT = 3
@@ -98,16 +101,35 @@ def _float_list(value: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad float list '{value}'") from None
 
 
-def _cpu_seconds(children: bool = False):
-    """User and sys CPU seconds used so far by this process, and with
-    ``children`` by its waited-for child processes too; None where the
-    ``resource`` module is missing."""
+def _usages(children: bool = False):
+    """Resource usage of this process, and with ``children`` of its
+    waited-for child processes too; None where the ``resource`` module is
+    missing."""
     if resource is None:
         return None
     usages = [resource.getrusage(resource.RUSAGE_SELF)]
     if children:
         usages.append(resource.getrusage(resource.RUSAGE_CHILDREN))
+    return usages
+
+
+def _cpu_seconds(children: bool = False):
+    """User and sys CPU seconds used so far (see ``_usages``), or None."""
+    usages = _usages(children)
+    if usages is None:
+        return None
     return (sum(u.ru_utime for u in usages), sum(u.ru_stime for u in usages))
+
+
+def _max_rss_mb(children: bool = False):
+    """Peak resident set size in MB (2**20 bytes) of this process, plus with
+    ``children`` that of its largest waited-for child process, or None."""
+    usages = _usages(children)
+    if usages is None:
+        return None
+    # ru_maxrss is in bytes on macOS and in KiB on Linux and the BSDs.
+    unit = 1 if sys.platform == "darwin" else 1024
+    return sum(u.ru_maxrss for u in usages) * unit / 2**20
 
 
 def _cpu_timings(start, children: bool = False) -> dict:
@@ -133,6 +155,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="streamopt",
                      description="Assign selection-line modules to output "
                                  "streams to minimize analysis read cost.")
+    verbosity = parser.add_mutually_exclusive_group()
+    verbosity.add_argument("-v", "--verbose", dest="log_level",
+                           action="store_const", const=logging.DEBUG,
+                           default=logging.INFO,
+                           help="also log debug messages, such as timings")
+    verbosity.add_argument("-q", "--quiet", dest="log_level",
+                           action="store_const", const=logging.WARNING,
+                           help="log only warnings and errors")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
@@ -278,6 +308,9 @@ def cmd_optimize(args) -> int:
                              seed=args.seed)
     result = optimize(module_incidence, catalog, config)
     optimized = time.perf_counter()
+    logger.debug("load %.3f s, fold %.3f s, dedupe %.3f s, optimize %.3f s",
+                 loaded - start, folded - loaded, deduped - folded,
+                 optimized - deduped)
 
     best = result.best_scheme
     relaxed_loss = result.best_loss_relaxed
@@ -311,6 +344,7 @@ def cmd_optimize(args) -> int:
             "optimize_s": optimized - deduped,
             **_cpu_timings(cpu_start),
         },
+        "max_rss_mb": _max_rss_mb(),
         "kernel": {
             "events": module_incidence.n_events,
             "unique_rows": len(groups.weights),
@@ -411,6 +445,9 @@ def cmd_sweep(args) -> int:
                            base_kb=args.base_kb, shared_kb=args.shared_kb)
     rows = [header]
     for point in points:
+        if point.descent_s is not None:
+            logger.debug("%d streams: descent %.3f s", point.n_streams,
+                         point.descent_s)
         t = point.result.best_cost_discrete.total
         s = point.storage.total
         row = f"{point.n_streams},{t:.6g},{s:.6g}"
@@ -424,6 +461,7 @@ def cmd_sweep(args) -> int:
             "seed": args.seed,
             "workers": sweep_workers(args.streams, catalog.n_modules),
             "timings": _cpu_timings(cpu_start, children=True),
+            "max_rss_mb": _max_rss_mb(children=True),
             "points": [
                 {
                     "n_streams": point.n_streams,
@@ -512,12 +550,13 @@ def cmd_calibrate(args) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
+    logging.basicConfig(format="%(message)s")
+    logging.getLogger("streamopt").setLevel(args.log_level)
     try:
         return args.func(args)
     except InfeasibleError as exc:

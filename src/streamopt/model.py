@@ -7,9 +7,10 @@ is kept by at least one of the module's lines after prescaling:
 
     fold[e, m] = 1 - prod_{l in m, e passes l} (1 - prescale[l])
 
-The fold is a sparse CSR matrix at every module count.  For evaluation it is
-recast as a binary incidence: each module becomes one 0/1 column per distinct
-fold value it takes, and identical event rows are merged with multiplicities
+The fold is a sparse CSR record (:class:`CSR`) at every module count.  For
+evaluation it is recast as a binary incidence: each module becomes one 0/1
+column per distinct fold value it takes, and identical event rows are merged
+with multiplicities
 (:meth:`ModuleIncidence.row_groups`).
 
 All objects are immutable after construction and safe to share between
@@ -24,7 +25,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DataError
 
@@ -235,6 +235,35 @@ def _entry_columns(entries) -> tuple[np.ndarray, np.ndarray]:
     return arr[:, 0], arr[:, 1]
 
 
+class CSR(NamedTuple):
+    """A sparse matrix as canonical CSR arrays: sorted, distinct columns in
+    each row and no stored zeros."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)),
+            self.indices] = self.data
+        return out
+
+
+def _csr(n_row: int, n_col: int, rows, columns, data) -> CSR:
+    """The CSR form of entries given in row-major order.  As in scipy, the
+    index arrays are int32 unless the nonzeros or a dimension need int64."""
+    big = max(len(data), n_row, n_col) > np.iinfo(np.int32).max
+    dtype = np.int64 if big else np.int32
+    return CSR(np.searchsorted(rows, np.arange(n_row + 1)).astype(dtype),
+               columns.astype(dtype), data, (n_row, n_col))
+
+
 class RowGroups(NamedTuple):
     """A fold's distinct event rows, over binary (module, value) columns.
 
@@ -243,7 +272,7 @@ class RowGroups(NamedTuple):
     value in that module, and ``weights[r]`` counts the events with row ``r``.
     """
 
-    hits: sp.csr_matrix
+    hits: CSR
     weights: np.ndarray
     column_module: np.ndarray
     column_value: np.ndarray
@@ -252,22 +281,24 @@ class RowGroups(NamedTuple):
 class ModuleIncidence:
     """Per-event, per-module selection probabilities produced by folding.
 
-    ``values`` is an ``(n_events, n_modules)`` CSR matrix in canonical form
-    without stored zeros.  All values lie in (0, 1]; with unit prescales they
-    are exactly 1.
+    ``values`` is an ``(n_events, n_modules)`` :class:`CSR` record, which is
+    taken as it is, or a dense 2-D array.  All values lie in (0, 1]; with
+    unit prescales they are exactly 1.
     """
 
     def __init__(self, n_events: int, n_modules: int, values):
         self._n_events = int(n_events)
         self._n_modules = int(n_modules)
-        values = sp.csr_matrix(values, dtype=float)
+        if not isinstance(values, CSR):
+            values = np.asarray(values, dtype=float)
         if values.shape != (self._n_events, self._n_modules):
             raise DataError(
                 f"values shape {values.shape} does not match "
                 f"({self._n_events}, {self._n_modules})"
             )
-        values.sum_duplicates()
-        values.eliminate_zeros()
+        if not isinstance(values, CSR):
+            rows, columns = np.nonzero(values)
+            values = _csr(*values.shape, rows, columns, values[rows, columns])
         data = values.data
         # Negated so that NaN, which fails every comparison, is rejected.
         if data.size and not (np.min(data) >= 0.0 and np.max(data) <= 1.0):
@@ -283,7 +314,7 @@ class ModuleIncidence:
         return self._n_modules
 
     @property
-    def values(self) -> sp.csr_matrix:
+    def values(self) -> CSR:
         return self._values
 
     @property
@@ -312,8 +343,10 @@ class ModuleIncidence:
         # One column per distinct (module, value) pair, ordered by module and
         # then value, so each row's column ids come out sorted as its module
         # ids are.  The pairs are numbered through integer codes of the
-        # distinct values.
-        distinct, code = np.unique(values.data, return_inverse=True)
+        # distinct values; return_counts keeps np.unique off its masked-array
+        # check, which imports numpy.ma (about 14 ms and 1.2 MB) on numpy 2.
+        distinct = np.unique(values.data, return_counts=True)[0]
+        code = np.searchsorted(distinct, values.data)
         pairs, column = np.unique(
             values.indices.astype(np.int64) * len(distinct) + code,
             return_inverse=True)
@@ -341,11 +374,9 @@ class ModuleIncidence:
         first = rows[starts]
         padded = padded[first]
         counts = lengths[first]
-        hits = sp.csr_matrix(
-            (np.ones(counts.sum()), padded[padded > 0] - 1,
-             np.r_[0, np.cumsum(counts)]),
-            shape=(len(starts), len(pairs)),
-        )
+        hits = _csr(len(starts), len(pairs),
+                    np.repeat(np.arange(len(starts)), counts),
+                    padded[padded > 0] - 1, np.ones(counts.sum()))
         weights = np.diff(np.r_[starts, self._n_events]).astype(float)
         return RowGroups(hits, weights,
                          (pairs // len(distinct)).astype(values.indices.dtype),
@@ -462,8 +493,5 @@ def fold_modules(incidence: EventLineIncidence,
         minlength=len(keys)))
     keys, values = keys[values > 0.0], values[values > 0.0]
     events = keys // n_modules
-    mat = sp.csr_matrix(
-        (values, keys - events * n_modules,
-         np.searchsorted(events, np.arange(n_events + 1))),
-        shape=(n_events, n_modules))
-    return ModuleIncidence(n_events, n_modules, mat)
+    return ModuleIncidence(n_events, n_modules, _csr(
+        n_events, n_modules, events, keys - events * n_modules, values))

@@ -47,18 +47,41 @@ restarts from the batch without moving the others' trajectories.
 Each step's large temporaries go into a workspace: flat buffers that the
 evaluator keeps, grown to the widest batch seen, of which a narrower batch
 uses a prefix.  The sparse products call scipy's compiled routine, the one
-its ``@`` calls, with an output buffer, so results are the same to the bit.
+its ``@`` calls, on plain CSR and CSC arrays (H^T is H's read as CSC) with
+an output buffer, so results are the same to the bit.  That routine is
+loaded on its own, as importing ``scipy.sparse`` costs about 0.2 s and 20 MB.
 No returned array shares the workspace, but an evaluator is not reentrant:
 do not share one across threads.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
+import os
+import sys
 
-from .model import ModuleIncidence
+from importlib import import_module, machinery, util
+
+import numpy as np
+
+from .model import ModuleIncidence, _csr
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse routines, from their own file and under their
+    own name, which a later import of scipy.sparse reuses; through
+    scipy.sparse only where that file is missing."""
+    name = "scipy.sparse._sparsetools"
+    folder = util.find_spec("scipy").submodule_search_locations[0]
+    path = os.path.join(folder, "sparse",
+                        "_sparsetools" + machinery.EXTENSION_SUFFIXES[0])
+    if name not in sys.modules and os.path.isfile(path):
+        spec = util.spec_from_file_location(name, path)
+        sys.modules[name] = util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return import_module(name)
+
+
+_sparsetools = _load_sparsetools()
 
 
 def softmax_rows(logits) -> np.ndarray:
@@ -80,10 +103,11 @@ def one_hot(assignments, n_streams: int) -> np.ndarray:
     return probs
 
 
-def _operand(matrix) -> tuple:
-    """A CSR or CSC matrix as its compiled product routine, shape, arrays."""
-    return (getattr(_sparsetools, matrix.format + "_matvecs"), *matrix.shape,
-            matrix.indptr, matrix.indices, matrix.data)
+def _operand(form: str, indptr, indices, data, shape) -> tuple:
+    """A "csr" or "csc" matrix as its compiled product routine, shape and
+    arrays."""
+    return (getattr(_sparsetools, form + "_matvecs"), *shape, indptr,
+            indices, data)
 
 
 def _product(operand, x: np.ndarray, out: np.ndarray | None = None):
@@ -113,22 +137,21 @@ class LossEvaluator:
         groups = module_incidence.row_groups()
         hits, weights = groups.hits, groups.weights
         n_rows, n_columns = self._n_rows, self._n_columns = hits.shape
-        self._hits = _operand(hits)
-        # H^T with each row's multiplicity in place of its ones, and the
-        # multiplicities as one sparse row.
-        self._weighted_hits_t = _operand(sp.csc_matrix(
-            (np.repeat(weights, np.diff(hits.indptr)), hits.indices,
-             hits.indptr), shape=hits.shape[::-1]))
-        self._weight_row = _operand(sp.csr_matrix(
-            (weights, np.arange(n_rows), [0, n_rows]), shape=(1, n_rows)))
+        self._hits = _operand("csr", *hits)
+        # H^T, the same arrays read as CSC, with each row's multiplicity in
+        # place of its ones, and the multiplicities as one sparse row.
+        self._weighted_hits_t = _operand(
+            "csc", hits.indptr, hits.indices,
+            np.repeat(weights, np.diff(hits.indptr)), hits.shape[::-1])
+        self._weight_row = _operand("csr", *_csr(
+            1, n_rows, np.zeros(n_rows, int), np.arange(n_rows), weights))
         self._column_module = groups.column_module
         self._neg_column_value = -groups.column_value[:, None]
         # Sums v_c * (per-column term) back onto each column's module; the
         # columns come ordered by module, so each module's row is a range.
-        self._to_modules = _operand(sp.csr_matrix(
-            (groups.column_value, np.arange(n_columns),
-             np.searchsorted(groups.column_module, np.arange(self.n_modules + 1))),
-            shape=(self.n_modules, n_columns)))
+        self._to_modules = _operand("csr", *_csr(
+            self.n_modules, n_columns, groups.column_module,
+            np.arange(n_columns), groups.column_value))
         self._width, self._flat, self._view = 0, [np.zeros(0)] * 4, []
         # Height of the workspace: rows per batch column of its temporaries.
         self.rows = max(n_rows, n_columns)

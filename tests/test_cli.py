@@ -1,9 +1,13 @@
 import concurrent.futures
 import importlib
 import json
+import logging
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+import types
 import warnings
 
 import pytest
@@ -63,6 +67,7 @@ class TestOptimizeCommand:
                                         "optimize_s", "user_s", "sys_s"}
         assert all(isinstance(t, float) and t >= 0.0
                    for t in diag["timings"].values())
+        assert diag["max_rss_mb"] > 0.0
         groups = fold_modules(incidence, catalog).row_groups()
         assert diag["kernel"] == {
             "events": incidence.n_events,
@@ -143,6 +148,7 @@ class TestOptimizeCommand:
         diag = json.loads((tmp_path / "x.scheme.diag.json").read_text())
         assert diag["timings"]["user_s"] is None
         assert diag["timings"]["sys_s"] is None
+        assert diag["max_rss_mb"] is None
 
     def test_infeasible_exit_code(self, instance_path, tmp_path):
         code = main(["optimize", "--instance", str(instance_path),
@@ -309,6 +315,7 @@ class TestSweepCommand:
         assert set(diag["timings"]) == {"user_s", "sys_s"}
         assert all(isinstance(t, float) and t >= 0.0
                    for t in diag["timings"].values())
+        assert diag["max_rss_mb"] > 0.0
         assert [p["n_streams"] for p in diag["points"]] == [1, 2, 3]
         shortcut = diag["points"][0]
         assert shortcut["descent_s"] is None
@@ -440,6 +447,115 @@ class TestCalibrateCommand:
             "base,0,2,5.0,100\n")
         assert main(["calibrate", "--measurements", str(meas)]) == 2
         assert "t_initial" in capsys.readouterr().err
+
+
+class TestMaxRss:
+    @pytest.mark.parametrize("platform, unit", [("linux", 1024),
+                                                ("darwin", 1)])
+    def test_platform_unit_and_children(self, monkeypatch, platform, unit):
+        peaks = {"self": 3 * 2**20 // unit, "children": 2**20 // unit}
+        monkeypatch.setattr(streamopt.cli, "resource", types.SimpleNamespace(
+            RUSAGE_SELF="self", RUSAGE_CHILDREN="children",
+            getrusage=lambda who: types.SimpleNamespace(
+                ru_maxrss=peaks[who], ru_utime=0.0, ru_stime=0.0)))
+        monkeypatch.setattr(sys, "platform", platform)
+        assert streamopt.cli._max_rss_mb() == 3.0
+        assert streamopt.cli._max_rss_mb(children=True) == 4.0
+
+
+@pytest.fixture
+def package_log_level():
+    """Restore the package logger's level, which ``main`` sets."""
+    logger = logging.getLogger("streamopt")
+    level = logger.level
+    yield
+    logger.setLevel(level)
+
+
+@pytest.mark.usefixtures("package_log_level")
+class TestVerbosity:
+    # 3000 events at these rates leave most events passing no line, which
+    # the generator logs at INFO.
+    GENERATE = ["generate", "--events", "3000", "--modules", "4",
+                "--intra", "0.01", "--cross", "0.001"]
+
+    @pytest.mark.parametrize("flags, level", [
+        ([], logging.INFO), (["-v"], logging.DEBUG),
+        (["--verbose"], logging.DEBUG), (["-q"], logging.WARNING),
+        (["--quiet"], logging.WARNING)])
+    def test_flags_set_the_package_level(self, tmp_path, flags, level):
+        out = str(tmp_path / "x.inst")
+        assert main(flags + self.GENERATE + ["--out", out]) == 0
+        assert logging.getLogger("streamopt").level == level
+
+    def test_verbose_and_quiet_exclude_each_other(self, capsys):
+        assert main(["-v", "-q"] + self.GENERATE + ["--out", "x"]) == 1
+        assert "not allowed" in capsys.readouterr().err
+
+    def test_quiet_drops_info(self, tmp_path, caplog):
+        out = str(tmp_path / "x.inst")
+        assert main(self.GENERATE + ["--out", out]) == 0
+        assert "kept" in caplog.text
+        caplog.clear()
+        assert main(["-q"] + self.GENERATE + ["--out", out]) == 0
+        assert caplog.text == ""
+
+    def test_verbose_logs_timings(self, instance_path, tmp_path, caplog):
+        argv = ["optimize", "--instance", str(instance_path), "--streams",
+                "2", "--restarts", "2", "--out", str(tmp_path / "x.scheme")]
+        assert main(argv) == 0
+        assert "dedupe" not in caplog.text
+        assert main(["-v"] + argv) == 0
+        assert "dedupe" in caplog.text
+
+
+# Every command in a fresh interpreter, which must not import scipy.sparse,
+# nor numpy.ma where importing numpy does not (numpy 1.x does); then a later
+# import of scipy.sparse reuses the routines relax loaded.
+STARTUP_SCRIPT = """
+import sys
+import numpy
+unloaded = {"scipy.sparse", "numpy.ma"} - set(sys.modules)
+from streamopt.cli import main
+
+with open("measured.csv", "w") as f:
+    f.write("scheme_id,stream_id,n_lines,measured_time_s,measured_size_kb\\n"
+            "run1,0,4,19.0,120.5\\nrun1,1,2,14.0,60.25\\n")
+common = ["--instance", "a.inst"]
+for argv in (
+        ["generate", "--events", "200", "--modules", "5", "--clusters", "2",
+         "--prescales", "1,0.5", "--seed", "3", "--out", "a.inst"],
+        ["optimize", *common, "--streams", "2", "--restarts", "2",
+         "--out", "a.scheme"],
+        ["evaluate", *common, "--scheme", "a.scheme"],
+        ["compare", *common, "--scheme", "a.scheme",
+         "--baseline", "single-stream"],
+        ["sweep", *common, "--streams", "1,2,3", "--restarts", "2",
+         "--out", "sweep.csv"],
+        ["calibrate", *common, "--measurements", "measured.csv",
+         "--scheme-file", "run1=a.scheme"]):
+    assert main(argv) == 0, argv
+assert not unloaded & set(sys.modules), unloaded & set(sys.modules)
+
+import scipy.sparse
+from scipy.sparse import _sparsetools
+from streamopt import relax
+assert _sparsetools is relax._sparsetools
+print("ok")
+"""
+
+
+class TestStartup:
+    def test_commands_leave_scipy_sparse_unloaded(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(streamopt.cli.__file__))
+        path = os.pathsep.join(filter(None, (src,
+                                              os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", STARTUP_SCRIPT], cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "ok"
 
 
 class TestUsageErrors:

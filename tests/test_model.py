@@ -3,7 +3,8 @@ import pytest
 
 from streamopt import (DataError, EventLineIncidence, LineCatalog, LineRecord,
                        ModuleIncidence, Scheme, fold_modules, validate_dataset)
-from helpers import build_catalog
+from streamopt.model import CSR, _csr
+from helpers import build_catalog, random_instance
 
 
 def simple_catalog():
@@ -66,6 +67,37 @@ class TestModuleIncidence:
     def test_values_outside_unit_interval_rejected(self, bad):
         with pytest.raises(DataError, match=r"lie in \[0, 1\]"):
             ModuleIncidence(2, 2, np.array([[1.0, 0.0], [bad, 0.5]]))
+
+    def test_dense_values_canonicalised_as_the_fold(self):
+        rng = np.random.default_rng(5)
+        inc, cat = random_instance(rng, max_modules=6, rate_range=(0.1, 0.4))
+        folded = fold_modules(inc, cat)
+        dense = folded.to_dense()
+        rebuilt = ModuleIncidence(inc.n_events, cat.n_modules, dense).values
+        for got, want in zip(rebuilt, folded.values):
+            assert np.array_equal(got, want)
+            assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert rebuilt.indices.dtype == np.int32
+        assert rebuilt.nnz == np.count_nonzero(dense)
+        assert np.array_equal(rebuilt.toarray(), dense)
+
+    def test_record_taken_as_it_is(self):
+        values = CSR(np.array([0, 1, 1], np.int32), np.array([1], np.int32),
+                     np.array([0.5]), (2, 2))
+        assert ModuleIncidence(2, 2, values).values is values
+        with pytest.raises(DataError, match="does not match"):
+            ModuleIncidence(3, 2, values)
+        with pytest.raises(DataError, match="does not match"):
+            ModuleIncidence(2, 2, np.zeros(4))
+
+    def test_index_dtype(self):
+        # int32 until the nonzeros or a dimension need int64, as in scipy.
+        limit = np.iinfo(np.int32).max
+        for n_col, dtype in ((limit, np.int32), (limit + 1, np.int64)):
+            values = _csr(1, n_col, np.array([0]), np.array([n_col - 1]),
+                          np.array([0.5]))
+            assert values.indptr.dtype == values.indices.dtype == dtype
+            assert values.indptr.tolist() == [0, 1]
 
 
 class TestCatalog:

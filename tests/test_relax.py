@@ -1,4 +1,6 @@
+import importlib.machinery
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from streamopt import (EventLineIncidence, LossEvaluator, fold_modules,
                        read_cost, softmax_rows)
 from streamopt.model import _row_entropy
+from streamopt import relax
 from streamopt.relax import _operand, _product, one_hot
 from helpers import build_catalog, random_instance, random_scheme
 
@@ -163,7 +166,7 @@ class TestRelaxedLoss:
                              for i in range(n_lines)])
         folded = fold_modules(inc, cat)
         evaluator = LossEvaluator(folded, cat.module_line_counts)
-        expected = n_lines / k * folded.values.sum()
+        expected = n_lines / k * folded.values.data.sum()
         assert evaluator.loss(np.full((1, k), 1.0 / k)) == \
             pytest.approx(expected, rel=1e-12)
 
@@ -258,7 +261,10 @@ class TestKernel:
             groups = folded.row_groups()
             assert groups.weights.sum() == inc.n_events
             rows = np.zeros((len(groups.weights), cat.n_modules))
-            r, c = groups.hits.nonzero()
+            hits = groups.hits
+            assert np.all(hits.data == 1.0)
+            r = np.repeat(np.arange(hits.shape[0]), np.diff(hits.indptr))
+            c = hits.indices
             rows[r, groups.column_module[c]] = groups.column_value[c]
             assert len(np.unique(rows, axis=0)) == len(rows)
             rebuilt = np.repeat(rows, groups.weights.astype(int), axis=0)
@@ -300,8 +306,9 @@ class TestKernel:
             assert groups.column_module.tolist() == [m for m, _ in pairs]
             assert groups.column_value.tolist() == [v for _, v in pairs]
             assert groups.column_module.dtype == values.indices.dtype
-            assert [tuple(groups.hits[r].indices.tolist())
-                    for r in range(len(distinct))] == distinct
+            hits = groups.hits
+            assert [tuple(hits.indices[a:b].tolist()) for a, b
+                    in zip(hits.indptr[:-1], hits.indptr[1:])] == distinct
             assert groups.weights.tolist() == [rows.count(row)
                                                for row in distinct]
             bits = len(pairs).bit_length()
@@ -408,9 +415,32 @@ class TestWorkspace:
                 want = (matrix @ x).tobytes()
                 # Stale contents of the output buffer must not leak in.
                 out = np.full((n_row, width), np.nan)
-                assert _product(_operand(matrix), x, out) is out
+                operand = _operand(matrix.format, matrix.indptr,
+                                   matrix.indices, matrix.data, matrix.shape)
+                assert _product(operand, x, out) is out
                 assert out.tobytes() == want
-                assert _product(_operand(matrix), x).tobytes() == want
+                assert _product(operand, x).tobytes() == want
+
+    def test_loader_fallback_gives_the_same_bytes(self, monkeypatch):
+        # Without the extension file where the loader looks, the routines
+        # come through scipy.sparse, and every product is the same.
+        rng = np.random.default_rng(8)
+        inc, cat = random_instance(rng, max_modules=6, rate_range=(0.1, 0.4))
+        probs = softmax_rows(rng.normal(0, 1, (4, cat.n_modules, 3)))
+        want = result_bytes(evaluator_of(inc, cat).loss_and_gradient(probs))
+        monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
+                            [".missing"])
+        fallback = relax._load_sparsetools()
+        assert fallback.__name__ == "scipy.sparse._sparsetools"
+        monkeypatch.setattr(relax, "_sparsetools", fallback)
+        assert result_bytes(evaluator_of(inc, cat).loss_and_gradient(
+            probs)) == want
+        matrix = sp.random(30, 20, density=0.3, format="csr", random_state=9)
+        x = rng.normal(size=(20, 5))
+        for m in (matrix, matrix.tocsc()):
+            assert _product(_operand(m.format, m.indptr, m.indices, m.data,
+                                     m.shape), x).tobytes() == (m @ x).tobytes()
 
     def test_interleaved_calls_match_fresh_evaluators(self):
         rng = np.random.default_rng(11)
