@@ -361,8 +361,7 @@ def cmd_optimize(args) -> int:
     }
     write_scheme(args.out, best, catalog)
     _write_text(str(args.out) + ".diag.json", json.dumps(diag, indent=2) + "\n")
-    print(f"wrote {args.out} (read cost "
-          f"{read_cost(incidence, catalog, best).total:.6g})")
+    print(f"wrote {args.out} (read cost {best_read_cost:.6g})")
     if best.empty_streams():
         print(f"note: streams {list(best.empty_streams())} ended up empty")
     return 0

@@ -14,9 +14,9 @@ one-line header::
 
 Events are indexed by first appearance in the incidence section.  Blank
 rows and rows that start with ``#`` are skipped.  A plain instance file,
-such rows included, is read over whole sections (:func:`_parse_bulk`); any
-other goes row by row (:func:`_parse_rows`), which raises every parse
-error.
+such rows included, is read from one scan of its bytes that finds every
+row's start, end and separators (:func:`_parse_bulk`); any other goes row
+by row (:func:`_parse_rows`), which raises every parse error.
 
 Scheme files carry one ``module,stream`` row per module after a
 ``# n_streams=K`` header so that trailing empty streams survive a round
@@ -243,119 +243,104 @@ def _number(keys: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     return np.array(codes, dtype=np.int64), tuple(index)
 
 
-_COMMA, _NEWLINE, _HASH = b",\n#"
+_NEWLINE, _SPACE, _QUOTE, _HASH, _COMMA, _BRACKET = b'\n "#,['
 # _BYTE_MASKS[k] keeps the first k bytes of a little-endian 8-byte word.
 _BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
 
 
 def _parse_bulk(text: str) -> InstanceFile | None:
-    """Parse a plain instance over whole sections, or return None.
+    """Parse a plain instance from one scan of its bytes, or return None.
 
     *Plain* means ASCII without any control character but the newline
-    (CRLF line ends are read as LF first), and, once the empty rows and the
-    rows that start with ``#`` are dropped, without quotes or spaces; each
-    section with its column header, and every row with the right number of
-    fields naming a catalog line.  Then ``str.splitlines`` and ``str.strip``
-    see exactly the newline rows, and the result is the row-by-row parse's.
-    Any other text, valid or not, returns None and goes through
-    :func:`_parse_rows`.
+    (CRLF line ends are read as LF first), and without quotes or spaces
+    outside the skipped rows (the empty rows and the rows that start with
+    ``#``); each section with its column header, and every row with the
+    right number of fields naming a catalog line.  Then ``str.splitlines``
+    and ``str.strip`` see exactly the newline rows, and the result is the
+    row-by-row parse's.  Any other text, valid or not, returns None and goes
+    through :func:`_parse_rows`.
+
+    One ``np.flatnonzero`` finds every comma, quote, space and control
+    character.  Its newlines are the row ends, and a kept row has one field
+    more than it has scanned bytes before its newline.  Skipped rows are
+    dropped by index, so no text is rebuilt; only kept rows that start with
+    ``[`` can be section tags, and the row after a tag must be its header.
     """
     if "\r" in text:
         # Gated: replace copies the whole text even when nothing matches.
         text = text.replace("\r\n", "\n")
     if not text.endswith("\n"):
         text += "\n"
-    kept = _drop_skipped_rows(text)
-    if kept is None:
+    if not text.isascii():
         return None
-    text, data = kept
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    at = np.flatnonzero((data <= _SPACE) | (data == _COMMA) | (data == _QUOTE))
+    byte = data[at]
+    newline = np.flatnonzero(byte == _NEWLINE)
+    if np.count_nonzero(byte < _SPACE) != len(newline):
+        return None
+    ends = at[newline]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    first = data[starts]
+    keep = (first != _NEWLINE) & (first != _HASH)
     if " " in text or '"' in text:
-        return None
-    bodies = {name: [data[:0]] for name in _INSTANCE_HEADERS}
-    heads = _section_heads(text)
-    if not heads or heads[0][0] != 0:
-        return None
-    for (at, name), (end, _) in zip(heads, heads[1:] + [(len(text), "")]):
-        body = at + len(name) + 3
-        header = _INSTANCE_HEADERS[name]
-        if body < end and not text.startswith(header + "\n", body, end):
+        odd = at[(byte == _SPACE) | (byte == _QUOTE)]
+        if keep[np.searchsorted(ends, odd)].any():
             return None
-        bodies[name].append(data[min(body + len(header) + 1, end):end])
-    catalog_rows = np.concatenate(bodies["catalog"])
-    incidence_rows = np.concatenate(bodies["incidence"])
-    records = _bulk_catalog(catalog_rows)
-    if not records or not incidence_rows.size:
+    fields = newline - np.concatenate(([-1], newline[:-1]))
+    # The comma of a row of two fields (an empty first row reads at[-1]).
+    last = at[newline - 1]
+    del at, byte, newline  # else held through the peak of the keying
+    if not keep.all():
+        starts, ends, last, fields, first = (
+            array[keep] for array in (starts, ends, last, fields, first))
+
+    tags = []
+    for k in np.flatnonzero(first == _BRACKET).tolist():
+        row = text[starts[k]:ends[k]]
+        if row[-1] == "]" and row[1:-1] in _INSTANCE_HEADERS:
+            tags.append((k, row[1:-1]))
+    if not tags or tags[0][0] != 0:
+        return None
+    sections = {name: [] for name in _INSTANCE_HEADERS}
+    for (k, name), (end, _) in zip(tags, tags[1:] + [(len(starts), "")]):
+        header = _INSTANCE_HEADERS[name] + "\n"
+        if k + 1 < end and not text.startswith(header, starts[k + 1]):
+            return None
+        sections[name].append(slice(k + 2, end))
+    for name, spans in sections.items():
+        # One section is indexed by a slice, so its row arrays are views;
+        # slice(0, 0) keeps the indices integer when there is no section.
+        rows = spans[0] if len(spans) == 1 else np.r_[(slice(0, 0), *spans)]
+        n_fields = fields[rows]
+        if (not n_fields.size
+                or (n_fields != _INSTANCE_HEADERS[name].count(",") + 1).any()):
+            return None
+        sections[name] = rows
+
+    rows = sections["catalog"]
+    records = _bulk_catalog(text, starts[rows], ends[rows])
+    if records is None:
         return None
     catalog = LineCatalog(tuple(records))
-    numbered = _bulk_incidence(incidence_rows, catalog.line_names)
+    rows = sections["incidence"]
+    numbered = _bulk_incidence(data, starts[rows], last[rows], ends[rows],
+                               catalog.line_names)
     if numbered is None:
         return None
     return _instance(catalog, *numbered)
 
 
-def _drop_skipped_rows(text: str) -> tuple[str, np.ndarray] | None:
-    """The newline-terminated ``text`` without its empty rows and the rows
-    that start with ``#``, and its bytes; None unless ``text`` is ASCII
-    without any control character but the newline.
-
-    The row parse skips the same rows, as none holds a line break but its
-    newline.
-    """
-    if not text.isascii():
-        return None
-    data = np.frombuffer(text.encode("ascii"), np.uint8)
-    newline = data == _NEWLINE
-    if np.count_nonzero(data < 32) != np.count_nonzero(newline):
-        return None
-    # Rows start at byte 0 and after every newline but the last.
-    skipped = newline[1:]
-    if "#" in text:
-        skipped = skipped | (data[1:] == _HASH)
-    skipped = skipped & newline[:-1]
-    lead = text[0] in "\n#"
-    if not lead and not skipped.any():
-        return text, data
-    starts = [0] * lead + (np.flatnonzero(skipped) + 1).tolist()
-    ends = [text.index("\n", at) + 1 for at in starts]
-    text = "".join(text[a:b] for a, b in zip([0, *ends], [*starts, len(text)]))
-    return text, np.frombuffer(text.encode("ascii"), np.uint8)
-
-
-def _section_heads(text: str) -> list[tuple[int, str]]:
-    """Offsets and names of the section header rows, in order."""
-    heads = []
-    for name in _INSTANCE_HEADERS:
-        tag = f"[{name}]\n"
-        at = text.find(tag)
-        while at >= 0:
-            if at == 0 or text[at - 1] == "\n":
-                heads.append((at, name))
-            at = text.find(tag, at + len(tag))
-    return sorted(heads)
-
-
-def _field_ends(rows: np.ndarray, n_fields: int) -> np.ndarray | None:
-    """Offsets of each row's separators, one row per line of ``rows``.
-
-    Returns an ``(n_rows, n_fields)`` array: ``n_fields - 1`` commas and the
-    newline, when every row of the newline-terminated ``rows`` has exactly
-    ``n_fields`` fields; otherwise None.
-    """
-    at = np.flatnonzero((rows == _COMMA) | (rows == _NEWLINE))
-    if at.size % n_fields:
-        return None
-    at = at.reshape(-1, n_fields)
-    if ((rows[at[:, :-1]] != _COMMA).any()
-            or (rows[at[:, -1]] != _NEWLINE).any()):
-        return None
-    return at
-
-
-def _bulk_catalog(rows: np.ndarray) -> list[LineRecord] | None:
-    """The line records of the catalog rows, or None if one is malformed."""
-    if not rows.size or _field_ends(rows, 5) is None:
-        return None
-    cells = rows.tobytes().decode("ascii").replace("\n", ",").split(",")
+def _bulk_catalog(text: str, starts: np.ndarray, ends: np.ndarray
+                  ) -> list[LineRecord] | None:
+    """The line records of the catalog rows ``text[starts:ends]``, five
+    fields each, or None if a prescale or a flag is malformed.  Each run of
+    adjacent rows is read as one slice."""
+    cut = (np.flatnonzero(starts[1:] != ends[:-1] + 1) + 1).tolist()
+    bounds = [0, *cut, len(starts)]
+    rows = "".join(text[starts[a]:ends[b - 1] + 1]
+                   for a, b in zip(bounds, bounds[1:]))
+    cells = rows.replace("\n", ",").split(",")
     names, prescales, turbo, pr, modules = (cells[k:-1:5] for k in range(5))
     try:
         prescales = list(map(float, prescales))
@@ -368,25 +353,23 @@ def _bulk_catalog(rows: np.ndarray) -> list[LineRecord] | None:
                     map(flags.get, pr), modules))
 
 
-def _bulk_incidence(rows: np.ndarray, line_names: tuple[str, ...]
+def _bulk_incidence(data: np.ndarray, start: np.ndarray, comma: np.ndarray,
+                    stop: np.ndarray, line_names: tuple[str, ...]
                     ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray] | None:
-    """Event ids, event numbers and catalog lines of the incidence rows.
+    """Event ids, event numbers and catalog lines of the incidence rows
+    ``data[start:stop]``, each split at its ``comma``.
 
-    Fields are compared as zero-padded keys of 8-byte words.  Events are
+    Fields are compared as the keys of :func:`_field_keys`.  Events are
     numbered by first appearance over the runs of rows that name them, and
     only the distinct event ids and line names are decoded; a name stands
     for its first catalog line.  Returns None when a line name is not in the
     catalog, or when the fields are too uneven to pad.
     """
-    ends = _field_ends(rows, 2)
-    if ends is None:
+    row_bytes = int((stop - start).sum()) + len(start)
+    keys = _field_keys(data, ((start, comma), (comma + 1, stop)), row_bytes)
+    if keys is None:
         return None
-    comma, newline = ends.T
-    start = np.concatenate(([0], newline[:-1] + 1))
-    events = _field_keys(rows, start, comma)
-    names = _field_keys(rows, comma + 1, newline)
-    if events is None or names is None:
-        return None
+    events, names = keys
 
     runs = np.flatnonzero((events[1:] != events[:-1]).any(axis=1)) + 1
     runs = np.concatenate(([0], runs))
@@ -403,26 +386,31 @@ def _bulk_incidence(rows: np.ndarray, line_names: tuple[str, ...]
     return tuple(event_ids), ev, np.array(lines, dtype=np.int64)[code]
 
 
-def _field_keys(rows: np.ndarray, start: np.ndarray,
-                stop: np.ndarray) -> np.ndarray | None:
-    """Each field ``rows[start:stop]`` as a row of little-endian 8-byte words.
+def _field_keys(data: np.ndarray,
+                fields: tuple[tuple[np.ndarray, np.ndarray], ...],
+                n_bytes: int) -> list[np.ndarray] | None:
+    """Each field ``data[start:stop]`` of the ``(start, stop)`` pairs in
+    ``fields`` as a row of little-endian 8-byte words.
 
-    The bytes are zero-padded to the longest field rounded up to whole
-    words; a plain field holds no zero byte, so equal keys are equal fields.
-    Padded keys may take at most twice the bytes of ``rows``, or 64 KiB;
-    wider fields return None.
+    The bytes are zero-padded to the field's longest value rounded up to
+    whole words; a plain field holds no zero byte, so equal keys are equal
+    fields.  One zero-padded copy of ``data`` serves every field.  A field's
+    keys may take at most twice ``n_bytes``, or 64 KiB; wider fields return
+    None.
     """
-    length = stop - start
-    words = max(1, -(-int(length.max()) // 8))
-    if len(start) * words * 8 > max(2 * len(rows), 1 << 16):
+    lengths = [stop - start for start, stop in fields]
+    words = [max(1, -(-int(length.max()) // 8)) for length in lengths]
+    if len(lengths[0]) * max(words) * 8 > max(2 * n_bytes, 1 << 16):
         return None
-    padded = np.concatenate((rows, np.zeros(8 * words, np.uint8)))
+    padded = np.concatenate((data, np.zeros(8 * max(words), np.uint8)))
     # The little-endian 8-byte word that starts at each byte of ``padded``.
     word_at = np.ndarray((len(padded) - 7,), "<u8", padded, strides=(1,))
-    word = 8 * np.arange(words)
-    keys = word_at[start[:, None] + word]
-    in_word = np.minimum(np.maximum(length[:, None] - word, 0), 8)
-    keys &= _BYTE_MASKS[in_word]
+    keys = []
+    for (start, _), length, n in zip(fields, lengths, words):
+        word = 8 * np.arange(n)
+        key = word_at[start[:, None] + word]
+        key &= _BYTE_MASKS[(length[:, None] - word).clip(0, 8)]
+        keys.append(key)
     return keys
 
 

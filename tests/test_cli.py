@@ -138,6 +138,23 @@ class TestOptimizeCommand:
         assert best["read_cost"] > min(r["read_cost"]
                                        for r in diag["restarts"])
 
+    @pytest.mark.parametrize("objective", ["T", "weighted:1"])
+    def test_printed_cost_is_the_diagnostics_cost(self, instance_path,
+                                                  tmp_path, capsys,
+                                                  monkeypatch, objective):
+        # The kernel has scored the written scheme; no line-level pass.
+        def line_level(*args, **kwargs):
+            raise AssertionError("optimize rescored the scheme")
+
+        monkeypatch.setattr(streamopt.cli, "read_cost", line_level)
+        out = tmp_path / "c.scheme"
+        assert main(["optimize", "--instance", str(instance_path),
+                     "--streams", "3", "--restarts", "4", "--seed", "5",
+                     "--objective", objective, "--out", str(out)]) == 0
+        diag = json.loads((tmp_path / "c.scheme.diag.json").read_text())
+        assert f"wrote {out} (read cost {diag['best']['read_cost']:.6g})" \
+            in capsys.readouterr().out
+
     def test_cpu_timings_are_null_without_resource(self, instance_path,
                                                    tmp_path, monkeypatch):
         monkeypatch.setattr(streamopt.cli, "resource", None)

@@ -25,6 +25,7 @@ ev_a,l1
 ev_a,l2
 ev_b,l3
 """
+CATALOG, INCIDENCE = (f"[{part}" for part in SAMPLE.split("[")[1:])
 
 
 class TestInstanceFormat:
@@ -228,6 +229,42 @@ class TestLoaderCases:
         rows = instances._parse_rows(text)
         assert (bulk.catalog, bulk.event_ids, bulk.incidence.pairs()) == \
             (rows.catalog, rows.event_ids, rows.incidence.pairs())
+
+    @pytest.mark.parametrize("text", [
+        # Event ids and line names that start with "[" but are not tags.
+        CATALOG.replace("l1,", "[x],") + "[incidence]\nevent,line\n"
+        "[e1],[x]\n[e1],l2\nev_b,[x]\n[x],l3\n",
+        # A comment that would be a tag if it were not a comment.
+        CATALOG + "#[incidence]\n" + INCIDENCE,
+        # Two catalog sections, the second after the incidence.
+        CATALOG.replace("l2,0.5,1,1,m1\nl3,1.0,0,0,m2\n", "") + INCIDENCE
+        + "[catalog]\nname,prescale,turbo,persist_reco,module\n"
+        "l2,0.5,1,1,m1\nl3,1.0,0,0,m2\n",
+        # A tag followed directly by another tag.
+        "[incidence]\n" + CATALOG + "[catalog]\n[incidence]\n"
+        + INCIDENCE.replace("[incidence]\n", ""),
+        # Skipped rows between a tag and its header.
+        CATALOG.replace("]\n", "]\n#\n", 1)
+        + INCIDENCE.replace("]\n", "]\n\n", 1),
+        # A data row whose first field is a tag's text.
+        SAMPLE + "[catalog],l1\n[incidence],l2\n",
+    ], ids=["bracket-names", "commented-tag", "two-catalogs", "tag-then-tag",
+            "skipped-before-header", "tag-text-as-event"])
+    def test_bulk_parse_classifies_rows(self, text):
+        bulk, rows = instances._parse_bulk(text), instances._parse_rows(text)
+        assert bulk is not None
+        assert (bulk.catalog, bulk.event_ids, bulk.incidence.pairs()) == \
+            (rows.catalog, rows.event_ids, rows.incidence.pairs())
+
+    @pytest.mark.parametrize("text", [
+        SAMPLE.replace("[incidence]", "[incidence_"),
+        "stray\n" + SAMPLE,
+        SAMPLE.replace("ev_b,l3", "ev_b l3"),
+        SAMPLE.replace("ev_b,l3", 'ev_b"l3'),
+    ], ids=["near-tag", "row-before-tag", "space-for-comma",
+            "quote-for-comma"])
+    def test_bulk_parse_leaves_other_rows_to_the_row_parse(self, text):
+        assert instances._parse_bulk(text) is None
 
     def test_duplicate_warning_counts_rows(self, caplog):
         with caplog.at_level("WARNING"):
