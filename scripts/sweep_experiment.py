@@ -15,8 +15,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from streamopt import (OptimizerConfig, Scheme, SyntheticSpec, gen_synthetic,
-                       read_cost, storage_cost, sweep_streams)
+from streamopt import (OptimizerConfig, Scheme, SchemeScorer, SyntheticSpec,
+                       gen_synthetic, sweep_streams)
 
 
 def parse_args():
@@ -53,14 +53,15 @@ def main():
     # The planted grouping (contiguous cluster blocks) is the reference.
     baseline = Scheme(args.clusters, tuple(
         (m * args.clusters) // args.modules for m in range(args.modules)))
-    t_base = read_cost(incidence, catalog, baseline).total
-    s_base = storage_cost(incidence, catalog, baseline).total
+    scorer = SchemeScorer(incidence, catalog)
+    t_base = scorer.read_cost(baseline).total
+    s_base = scorer.storage_cost(baseline).total
     print(f"planted grouping at {args.clusters} streams: "
           f"T={t_base:.0f} S={s_base:.0f} kB")
 
     config = OptimizerConfig(n_streams=1, n_restarts=args.restarts,
                              seed=args.seed)
-    points = sweep_streams(incidence, catalog, counts, config)
+    points = sweep_streams(scorer, counts, config)
 
     rows = ["n_streams,read_cost,storage_kb,read_vs_planted,storage_vs_planted"]
     for point in points:

@@ -23,14 +23,13 @@ except ImportError:  # a platform without getrusage, such as Windows
 import numpy as np
 
 from .calibrate import corrected_read_cost, fit_linear
-from .cost import (DEFAULT_BASE_KB, DEFAULT_SHARED_KB, extreme_schemes,
-                   first_minimum, objective_scorer, parse_objective, read_cost,
-                   storage_cost)
+from .cost import (DEFAULT_BASE_KB, DEFAULT_SHARED_KB, SchemeScorer,
+                   extreme_schemes, first_minimum, parse_objective)
 from .errors import DataError, InfeasibleError, StreamOptError
 from .instances import (SyntheticSpec, _write_text, gen_synthetic,
                         load_instance, load_measurements, load_scheme,
                         write_scheme)
-from .model import Scheme, fold_modules
+from .model import Scheme
 from .optimize import (OptimizerConfig, optimize, sweep_streams,
                        sweep_workers)
 
@@ -300,13 +299,14 @@ def cmd_optimize(args) -> int:
     start = time.perf_counter()
     incidence, catalog = load_instance(args.instance)
     loaded = time.perf_counter()
-    module_incidence = fold_modules(incidence, catalog)
+    scorer = SchemeScorer(incidence, catalog, base_kb=args.base_kb,
+                          shared_kb=args.shared_kb)
     folded = time.perf_counter()
-    groups = module_incidence.row_groups()
+    groups = scorer.fold.row_groups()
     deduped = time.perf_counter()
     config = OptimizerConfig(n_streams=args.streams, n_restarts=args.restarts,
                              seed=args.seed)
-    result = optimize(module_incidence, catalog, config)
+    result = optimize(scorer.fold, catalog, config)
     optimized = time.perf_counter()
     logger.debug("load %.3f s, fold %.3f s, dedupe %.3f s, optimize %.3f s",
                  loaded - start, folded - loaded, deduped - folded,
@@ -319,18 +319,15 @@ def cmd_optimize(args) -> int:
         # Re-rank the recorded restarts by the requested objective; ties go
         # to the lowest restart index.
         survivors = [r for r in result.per_restart if not r.failed]
-        score = objective_scorer(incidence, catalog, args.objective,
-                                 base_kb=args.base_kb,
-                                 shared_kb=args.shared_kb)
-        costs = score([r.scheme.assignment for r in survivors], args.streams)
+        costs = scorer.values([r.scheme.assignment for r in survivors],
+                              args.streams, args.objective)
         if not np.isfinite(costs).any():
             raise InfeasibleError(
                 f"objective {args.objective} is not finite for any restart; "
                 f"use a smaller weight")
         chosen = survivors[first_minimum(costs)]
-        best = chosen.scheme
-        relaxed_loss = chosen.relaxed_loss
-        best_read_cost = chosen.discrete_cost
+        best, relaxed_loss, best_read_cost = (
+            chosen.scheme, chosen.relaxed_loss, chosen.discrete_cost)
 
     diag = {
         "instance": str(args.instance),
@@ -346,7 +343,7 @@ def cmd_optimize(args) -> int:
         },
         "max_rss_mb": _max_rss_mb(),
         "kernel": {
-            "events": module_incidence.n_events,
+            "events": scorer.fold.n_events,
             "unique_rows": len(groups.weights),
             "columns": groups.hits.shape[1],
             "nonzeros": groups.hits.nnz,
@@ -367,26 +364,25 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _breakdowns(args, incidence, catalog, scheme):
-    t = read_cost(incidence, catalog, scheme)
-    s = storage_cost(incidence, catalog, scheme,
-                     base_kb=args.base_kb, shared_kb=args.shared_kb)
-    return t, s
+def _scorer(args) -> SchemeScorer:
+    """The scorer of the command's instance and sizes."""
+    return SchemeScorer(*load_instance(args.instance), base_kb=args.base_kb,
+                        shared_kb=args.shared_kb)
 
 
-def _baseline_breakdowns(args, incidence, catalog, token):
+def _baseline_breakdowns(scorer, token):
     """Breakdowns of a baseline scheme, which must cost more than zero."""
-    baseline = _load_named_scheme(token, catalog)
-    t, s = _breakdowns(args, incidence, catalog, baseline)
+    baseline = _load_named_scheme(token, scorer.catalog)
+    t, s = scorer.read_cost(baseline), scorer.storage_cost(baseline)
     if t.total == 0 or s.total == 0:
         raise DataError("baseline scheme has zero cost; cannot normalize")
     return t, s
 
 
 def cmd_evaluate(args) -> int:
-    incidence, catalog = load_instance(args.instance)
-    scheme = _load_named_scheme(args.scheme, catalog)
-    t, s = _breakdowns(args, incidence, catalog, scheme)
+    scorer = _scorer(args)
+    scheme = _load_named_scheme(args.scheme, scorer.catalog)
+    t, s = scorer.read_cost(scheme), scorer.storage_cost(scheme)
     print("stream  units  lines  expected_events  read_contribution  storage_kb")
     for i, (row, size) in enumerate(zip(t.per_stream, s.per_stream)):
         print(f"{i:6d}  {row.n_units:5d}  {row.n_lines:5d}  "
@@ -409,10 +405,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    incidence, catalog = load_instance(args.instance)
-    candidate = _load_named_scheme(args.scheme, catalog)
-    t_c, s_c = _breakdowns(args, incidence, catalog, candidate)
-    t_b, s_b = _baseline_breakdowns(args, incidence, catalog, args.baseline)
+    scorer = _scorer(args)
+    candidate = _load_named_scheme(args.scheme, scorer.catalog)
+    t_c, s_c = scorer.read_cost(candidate), scorer.storage_cost(candidate)
+    t_b, s_b = _baseline_breakdowns(scorer, args.baseline)
     rows = [
         ("read_cost", t_c.total, t_b.total, t_c.total / t_b.total),
         ("storage_kb", s_c.total, s_b.total, s_c.total / s_b.total),
@@ -431,17 +427,15 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     cpu_start = _cpu_seconds(children=True)
-    incidence, catalog = load_instance(args.instance)
+    scorer = _scorer(args)
     header = "n_streams,read_cost,storage_kb"
     if args.baseline:
         # Checked before the sweep, so an unusable baseline fails fast.
-        t_b, s_b = _baseline_breakdowns(args, incidence, catalog,
-                                        args.baseline)
+        t_b, s_b = _baseline_breakdowns(scorer, args.baseline)
         header += ",read_vs_baseline,storage_vs_baseline"
     config = OptimizerConfig(n_streams=1, n_restarts=args.restarts,
                              seed=args.seed)
-    points = sweep_streams(incidence, catalog, args.streams, config,
-                           base_kb=args.base_kb, shared_kb=args.shared_kb)
+    points = sweep_streams(scorer, args.streams, config)
     rows = [header]
     for point in points:
         if point.descent_s is not None:
@@ -458,7 +452,7 @@ def cmd_sweep(args) -> int:
         diag = {
             "instance": str(args.instance),
             "seed": args.seed,
-            "workers": sweep_workers(args.streams, catalog.n_modules),
+            "workers": sweep_workers(args.streams, scorer.catalog.n_modules),
             "timings": _cpu_timings(cpu_start, children=True),
             "max_rss_mb": _max_rss_mb(children=True),
             "points": [
@@ -496,13 +490,12 @@ def cmd_calibrate(args) -> int:
         if not args.instance:
             raise DataError("--scheme-file requires --instance to compute "
                             "model terms")
-        incidence, catalog = load_instance(args.instance)
-        loaded = {sid: load_scheme(path, catalog)
-                  for sid, path in schemes.items()}
-        breakdowns = {
-            sid: _breakdowns(args, incidence, catalog, scheme)
-            for sid, scheme in loaded.items()
-        }
+        scorer = _scorer(args)
+        breakdowns = {}
+        for sid, path in schemes.items():
+            scheme = load_scheme(path, scorer.catalog)
+            breakdowns[sid] = (scorer.read_cost(scheme),
+                               scorer.storage_cost(scheme))
         enriched = []
         for rec in measurements:
             if rec.scheme_id not in breakdowns:

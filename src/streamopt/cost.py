@@ -16,6 +16,7 @@ counted with probability 1 - prod(1 - pass * prescale) over those lines.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -32,6 +33,9 @@ DEFAULT_SHARED_KB = 50.0
 # partition, can score a few ulps apart; costs this close to the minimum,
 # relative to it, are ties.
 TIE_RTOL = 1e-12
+# Schemes per kernel call are capped so that each (rows, schemes * streams)
+# temporary of the kernel stays under this many elements.
+_BATCH_ELEMS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -144,33 +148,13 @@ def storage_cost(incidence: EventLineIncidence, catalog: LineCatalog,
     return StorageBreakdown(tuple(float(v) for v in sizes), float(sizes.sum()))
 
 
-def _scheme_read_cost(evaluator: LossEvaluator, catalog: LineCatalog,
-                     scheme: Scheme) -> CostBreakdown:
-    """Read cost of a hard scheme from an evaluator over the folded incidence:
-    the relax kernel applied to the scheme's one-hot assignment."""
-    stream_of_unit = _stream_of_units(catalog, scheme)
-    events = evaluator.expected_events(one_hot(stream_of_unit,
-                                               scheme.n_streams))
-    return _cost_breakdown(catalog, stream_of_unit, scheme.n_streams, events)
-
-
 def read_cost_from_modules(module_incidence: ModuleIncidence,
                            catalog: LineCatalog,
                            scheme: Scheme) -> CostBreakdown:
-    """Read cost of a hard scheme evaluated from a folded incidence.
-
-    Identical to :func:`read_cost` for every hard scheme (the per-stream
-    keep probability factors over modules); used where the line-level
-    incidence is no longer at hand.  It builds a new evaluator on every
-    call.  It is kept because the benchmark's scheme check compares it with
-    :func:`read_cost`, which ties the folded kernel to the line-level
-    definition on every written scheme.
-    """
-    if module_incidence.n_modules != catalog.n_modules:
-        raise DataError("module incidence does not match catalog")
-    return _scheme_read_cost(
-        LossEvaluator(module_incidence, catalog.module_line_counts), catalog,
-        scheme)
+    """Read cost of a hard scheme from a fold, by a scorer built per call.
+    The benchmark's scheme check compares it with :func:`read_cost` on
+    every written scheme."""
+    return SchemeScorer(None, catalog, fold=module_incidence).read_cost(scheme)
 
 
 def first_minimum(costs) -> int:
@@ -208,24 +192,38 @@ def parse_objective(spec: str) -> tuple[str, float]:
     raise ValueError(f"unknown objective '{spec}' (use T, S, or weighted:<w>)")
 
 
-def objective_scorer(incidence: EventLineIncidence, catalog: LineCatalog,
-                     objective: str, *, base_kb: float = DEFAULT_BASE_KB,
-                     shared_kb: float = DEFAULT_SHARED_KB):
-    """Score function of an objective token: T, S, or T + w * S.
+class SchemeScorer:
+    """T, S and T + w * S of hard schemes on one instance, through its fold:
+    the relax kernel applied to one-hot schemes, which agrees with
+    :func:`read_cost` and :func:`storage_cost` to rounding.
 
-    Returns ``score(assignments, n_streams)``, which maps integer stream
-    assignments of shape ``(batch, modules)`` to one objective value per
-    scheme, in one kernel pass: the relax kernel applied to the one-hot
-    schemes.  The values agree with :func:`read_cost` and
-    :func:`storage_cost` to rounding.  ``score.rows`` is the height of the
-    kernel's temporaries, each (rows, batch * n_streams).
+    Built once per command, it folds ``incidence`` unless given the
+    ``fold``.  The T evaluator is built on first use, and the storage terms,
+    the only part that reads ``incidence`` after the fold, on first use of S.
     """
-    kind, weight = parse_objective(objective)
-    read = shared = turbo_kb = None
-    if kind != "S":
-        read = LossEvaluator(fold_modules(incidence, catalog),
-                             catalog.module_line_counts)
-    if kind != "T":
+
+    def __init__(self, incidence: EventLineIncidence | None,
+                 catalog: LineCatalog, *, base_kb: float = DEFAULT_BASE_KB,
+                 shared_kb: float = DEFAULT_SHARED_KB,
+                 fold: ModuleIncidence | None = None):
+        self.catalog, self._incidence = catalog, incidence
+        self.base_kb, self.shared_kb = base_kb, shared_kb
+        self.fold = fold_modules(incidence, catalog) if fold is None else fold
+        if self.fold.n_modules != catalog.n_modules:
+            raise DataError("module incidence does not match catalog")
+
+    @functools.cached_property
+    def evaluator(self) -> LossEvaluator:
+        """The T evaluator, over ``fold``."""
+        return LossEvaluator(self.fold, self.catalog.module_line_counts)
+
+    @functools.cached_property
+    def _storage(self) -> tuple[LossEvaluator, float, np.ndarray]:
+        """The persist-reco lines' evaluator, the turbo payload in kB, and
+        the expected turbo passes per module."""
+        catalog, incidence = self.catalog, self._incidence
+        if incidence is None:
+            raise ValueError("storage needs the line-level incidence")
         # The shared payload is kept by the persist-reco lines only, so fold
         # with every other line's prescale set to 0.
         pr_catalog = LineCatalog(
@@ -233,22 +231,47 @@ def objective_scorer(incidence: EventLineIncidence, catalog: LineCatalog,
                   for rec in catalog.lines))
         shared = LossEvaluator(fold_modules(incidence, pr_catalog),
                                catalog.module_line_counts)
-        # Expected turbo payload is additive over modules, so every scheme
-        # stores the same amount of it.
-        turbo = catalog.turbo_mask[incidence.line_index]
-        turbo_kb = base_kb * catalog.prescales[
-            incidence.line_index[turbo]].sum()
+        # The turbo payload is additive over modules, so every scheme stores
+        # the same amount of it.
+        lines = incidence.line_index[catalog.turbo_mask[incidence.line_index]]
+        passes = catalog.prescales[lines]
+        return shared, self.base_kb * passes.sum(), np.bincount(
+            catalog.module_of_line[lines], passes, catalog.n_modules)
 
-    def score(assignments, n_streams: int) -> np.ndarray:
-        probs = one_hot(assignments, n_streams)
-        if kind == "T":
-            return read.loss(probs)
-        stored = turbo_kb + shared_kb * shared.expected_events(probs).sum(axis=1)
-        if kind == "S":
-            return stored
-        # A large weight may overflow to inf, which the caller can check.
-        with np.errstate(over="ignore"):
-            return read.loss(probs) + weight * stored
+    def read_cost(self, scheme: Scheme) -> CostBreakdown:
+        """Per-stream read cost of a hard scheme, as :func:`read_cost`'s."""
+        stream, k = _stream_of_units(self.catalog, scheme), scheme.n_streams
+        events = self.evaluator.expected_events(one_hot(stream, k))
+        return _cost_breakdown(self.catalog, stream, k, events)
 
-    score.rows = max(e.rows for e in (read, shared) if e is not None)
-    return score
+    def storage_cost(self, scheme: Scheme) -> StorageBreakdown:
+        """Per-stream storage of a hard scheme, as :func:`storage_cost`'s."""
+        stream, k = _stream_of_units(self.catalog, scheme), scheme.n_streams
+        shared, _, turbo_passes = self._storage
+        sizes = (self.base_kb * np.bincount(stream, turbo_passes, k)
+                 + self.shared_kb * shared.expected_events(one_hot(stream, k)))
+        return StorageBreakdown(tuple(float(v) for v in sizes),
+                                float(sizes.sum()))
+
+    def values(self, assignments, n_streams: int,
+               objective: str = "T") -> np.ndarray:
+        """The objective (see :func:`parse_objective`) of the hard schemes
+        of integer ``assignments``, shape ``(batch, modules)``, in kernel
+        calls whose temporaries stay under ``_BATCH_ELEMS`` elements.  A
+        large weight may overflow to inf, which the caller can check."""
+        kind, weight = parse_objective(objective)
+        read = self.evaluator if kind != "S" else None
+        shared, turbo_kb, _ = self._storage if kind != "T" else (None,) * 3
+        rows = max(e.rows for e in (read, shared) if e is not None)
+        batch = max(1, _BATCH_ELEMS // (rows * n_streams))
+        values = np.empty(len(assignments))
+        for start in range(0, len(values), batch):
+            probs = one_hot(assignments[start:start + batch], n_streams)
+            if kind != "T":
+                stored = turbo_kb + self.shared_kb * shared.expected_events(
+                    probs).sum(axis=1)
+            with np.errstate(over="ignore"):
+                values[start:start + batch] = (
+                    read.loss(probs) if kind == "T" else stored if kind == "S"
+                    else read.loss(probs) + weight * stored)
+        return values

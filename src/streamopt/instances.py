@@ -273,8 +273,11 @@ def _parse_bulk(text: str) -> InstanceFile | None:
         text += "\n"
     if not text.isascii():
         return None
-    data = np.frombuffer(text.encode("ascii"), np.uint8)
-    at = np.flatnonzero((data <= _SPACE) | (data == _COMMA) | (data == _QUOTE))
+    # _field_keys reads a word at any byte of the text, so 8 zero bytes
+    # follow it, which the scan must not see.
+    data = np.frombuffer(text.encode("ascii") + bytes(8), np.uint8)
+    scan = data[:-8]
+    at = np.flatnonzero((scan <= _SPACE) | (scan == _COMMA) | (scan == _QUOTE))
     byte = data[at]
     newline = np.flatnonzero(byte == _NEWLINE)
     if np.count_nonzero(byte < _SPACE) != len(newline):
@@ -394,21 +397,20 @@ def _field_keys(data: np.ndarray,
 
     The bytes are zero-padded to the field's longest value rounded up to
     whole words; a plain field holds no zero byte, so equal keys are equal
-    fields.  One zero-padded copy of ``data`` serves every field.  A field's
-    keys may take at most twice ``n_bytes``, or 64 KiB; wider fields return
-    None.
+    fields.  ``data`` ends in 8 zero bytes past the fields.  A field's keys
+    may take at most twice ``n_bytes``, or 64 KiB; wider fields return None.
     """
     lengths = [stop - start for start, stop in fields]
     words = [max(1, -(-int(length.max()) // 8)) for length in lengths]
     if len(lengths[0]) * max(words) * 8 > max(2 * n_bytes, 1 << 16):
         return None
-    padded = np.concatenate((data, np.zeros(8 * max(words), np.uint8)))
-    # The little-endian 8-byte word that starts at each byte of ``padded``.
-    word_at = np.ndarray((len(padded) - 7,), "<u8", padded, strides=(1,))
+    # The little-endian 8-byte word that starts at each byte of ``data``.
+    word_at = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))
     keys = []
-    for (start, _), length, n in zip(fields, lengths, words):
+    for (start, stop), length, n in zip(fields, lengths, words):
         word = 8 * np.arange(n)
-        key = word_at[start[:, None] + word]
+        # A word past the field's stop, masked to zero below, is read there.
+        key = word_at[np.minimum(start[:, None] + word, stop[:, None])]
         key &= _BYTE_MASKS[(length[:, None] - word).clip(0, 8)]
         keys.append(key)
     return keys

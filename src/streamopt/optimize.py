@@ -50,13 +50,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cost import (DEFAULT_BASE_KB, DEFAULT_SHARED_KB, CostBreakdown,
-                   StorageBreakdown, _scheme_read_cost, extreme_schemes,
-                   first_minimum, storage_cost)
+from .cost import (CostBreakdown, SchemeScorer, StorageBreakdown,
+                   extreme_schemes, first_minimum)
 from .errors import InfeasibleError, StreamOptError
-from .model import (EventLineIncidence, LineCatalog, ModuleIncidence, Scheme,
-                    _row_entropy, fold_modules)
-from .relax import LossEvaluator, one_hot, softmax_rows
+from .model import LineCatalog, ModuleIncidence, Scheme, _row_entropy
+from .relax import one_hot, softmax_rows
 
 # AdaMax step size, moment decay rates and denominator guard, and the
 # standard deviation of the initial logits.
@@ -176,13 +174,10 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
     restart index).  Restarts that produce a non-finite loss are discarded
     but reported.
     """
-    n_modules = module_incidence.n_modules
-    if catalog.n_modules != n_modules:
-        raise StreamOptError("module incidence does not match catalog")
-    n_streams = config.n_streams
+    scorer = SchemeScorer(None, catalog, fold=module_incidence)
+    n_modules, n_streams = module_incidence.n_modules, config.n_streams
     _check_feasible(n_streams, n_modules)
-
-    evaluator = LossEvaluator(module_incidence, catalog.module_line_counts)
+    evaluator = scorer.evaluator
     if not _needs_descent(n_streams, n_modules):
         # Both boundary cases are settled without optimization: one stream is
         # the only scheme, and one stream per module is provably optimal
@@ -190,7 +185,7 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
         # lowers the read cost).
         single, per_unit = extreme_schemes(catalog)
         scheme = single if n_streams == 1 else per_unit
-        breakdown = _scheme_read_cost(evaluator, catalog, scheme)
+        breakdown = scorer.read_cost(scheme)
         record = RestartRecord(0, breakdown.total, breakdown.total, 0, 0.0,
                                scheme, "settled", 0)
         return OptimizationResult(scheme, breakdown.total, breakdown,
@@ -293,7 +288,7 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
     if not survivors:
         raise StreamOptError("every restart diverged to a non-finite loss")
     best = survivors[first_minimum([r.discrete_cost for r in survivors])]
-    breakdown = _scheme_read_cost(evaluator, catalog, best.scheme)
+    breakdown = scorer.read_cost(best.scheme)
     return OptimizationResult(best.scheme, best.relaxed_loss, breakdown,
                               tuple(records), config.seed)
 
@@ -335,22 +330,20 @@ def sweep_workers(stream_counts, n_modules: int) -> int:
     return min(len(_descents(stream_counts, n_modules)), cpus)
 
 
-def sweep_streams(incidence: EventLineIncidence, catalog: LineCatalog,
-                  stream_counts, config: OptimizerConfig, *,
-                  base_kb: float = DEFAULT_BASE_KB,
-                  shared_kb: float = DEFAULT_SHARED_KB) -> list[SweepPoint]:
+def sweep_streams(scorer: SchemeScorer, stream_counts,
+                  config: OptimizerConfig) -> list[SweepPoint]:
     """Optimize once per requested stream count and report T and S.
 
     The descents run in ``sweep_workers`` worker processes, which receive
-    the fold and catalog once, through the pool's initializer; each task
-    carries only its config.  Every count is checked before a worker
-    starts.  The shortcuts and the storage costs, which need the line-level
-    incidence, are computed here.  Points come in the requested order.
+    the scorer's fold and catalog once, through the pool's initializer;
+    each task carries only its config.  Every count is checked before a
+    worker starts.  The shortcuts, and the storage costs from the scorer,
+    are computed here.  Points come in the requested order.
     """
     counts = [int(k) for k in stream_counts]
     if any(k < 1 for k in counts):
         raise InfeasibleError("stream counts must be >= 1")
-    module_incidence = fold_modules(incidence, catalog)
+    module_incidence, catalog = scorer.fold, scorer.catalog
     n_modules = module_incidence.n_modules
     for k in counts:
         _check_feasible(k, n_modules)
@@ -377,7 +370,7 @@ def sweep_streams(incidence: EventLineIncidence, catalog: LineCatalog,
         else:
             result, seconds = optimize(module_incidence, catalog,
                                        replace(config, n_streams=k)), None
-        storage = storage_cost(incidence, catalog, result.best_scheme,
-                               base_kb=base_kb, shared_kb=shared_kb)
-        points.append(SweepPoint(k, result, storage, seconds))
+        points.append(SweepPoint(k, result,
+                                 scorer.storage_cost(result.best_scheme),
+                                 seconds))
     return points

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import (DEFAULT_BASE_KB, DEFAULT_SHARED_KB, _stream_of_units,
-                   objective_scorer)
+from .cost import (DEFAULT_BASE_KB, DEFAULT_SHARED_KB, SchemeScorer,
+                   _stream_of_units)
 from .errors import InfeasibleError
 from .model import (EventLineIncidence, LineCatalog, Scheme,
                     _require_consistent)
@@ -26,9 +26,6 @@ from .model import (EventLineIncidence, LineCatalog, Scheme,
 MAX_ORACLE_MODULES = 12
 MAX_ORACLE_STREAMS = 4
 
-# Partitions per kernel call are capped so that one of the kernel's
-# (rows, batch * streams) temporaries stays under this many elements.
-_BATCH_ELEMS = 1 << 17
 # Monte-Carlo draws per batch are capped at this many elements.  The
 # generator fills each batch row by row, so the samples do not depend on it.
 _MC_ELEMS = 1 << 17
@@ -97,25 +94,16 @@ def enumerate_optimal(incidence: EventLineIncidence, catalog: LineCatalog,
     n_modules = catalog.n_modules
     if n_streams < 1:
         raise InfeasibleError("n_streams must be >= 1")
-    if n_modules > MAX_ORACLE_MODULES:
-        raise InfeasibleError(
-            f"oracle caps at {MAX_ORACLE_MODULES} modules (got {n_modules}); "
-            "reduce the instance"
-        )
-    if n_streams > MAX_ORACLE_STREAMS:
-        raise InfeasibleError(
-            f"oracle caps at {MAX_ORACLE_STREAMS} streams (got {n_streams}); "
-            "reduce the instance"
-        )
-    score = objective_scorer(incidence, catalog, objective, base_kb=base_kb,
-                             shared_kb=shared_kb)
+    for what, n, cap in (("modules", n_modules, MAX_ORACLE_MODULES),
+                         ("streams", n_streams, MAX_ORACLE_STREAMS)):
+        if n > cap:
+            raise InfeasibleError(
+                f"oracle caps at {cap} {what} (got {n}); reduce the instance")
+    scorer = SchemeScorer(incidence, catalog, base_kb=base_kb,
+                          shared_kb=shared_kb)
     # At most count_partitions(12, 4) = 700,075 codes within the caps.
     codes = restricted_growth_strings(n_modules, n_streams)
-    costs = np.empty(len(codes))
-    batch = max(1, _BATCH_ELEMS // (score.rows * n_streams))
-    for start in range(0, len(codes), batch):
-        costs[start:start + batch] = score(codes[start:start + batch],
-                                           n_streams)
+    costs = scorer.values(codes, n_streams, objective)
 
     # argmin keeps the first of equal costs in enumeration order.
     best = int(np.argmin(costs))

@@ -141,12 +141,9 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize("objective", ["T", "weighted:1"])
     def test_printed_cost_is_the_diagnostics_cost(self, instance_path,
                                                   tmp_path, capsys,
-                                                  monkeypatch, objective):
-        # The kernel has scored the written scheme; no line-level pass.
-        def line_level(*args, **kwargs):
-            raise AssertionError("optimize rescored the scheme")
-
-        monkeypatch.setattr(streamopt.cli, "read_cost", line_level)
+                                                  objective):
+        # The kernel has scored the written scheme; no command scores at
+        # line level (TestScoring).
         out = tmp_path / "c.scheme"
         assert main(["optimize", "--instance", str(instance_path),
                      "--streams", "3", "--restarts", "4", "--seed", "5",
@@ -466,6 +463,53 @@ class TestCalibrateCommand:
         assert "t_initial" in capsys.readouterr().err
 
 
+class TestScoring:
+    def test_no_command_scores_at_line_level(self, instance_path, tmp_path,
+                                             monkeypatch):
+        # Every command scores T and S through the fold; the line-level
+        # read_cost and storage_cost are the tests' reference only.
+        def line_level(*args, **kwargs):
+            raise AssertionError("a command scored at line level")
+
+        originals = (streamopt.cost.read_cost, streamopt.cost.storage_cost)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "streamopt":
+                for key, value in list(vars(module).items()):
+                    if any(value is f for f in originals):
+                        monkeypatch.setattr(module, key, line_level)
+        inst, scheme = str(instance_path), str(tmp_path / "c.scheme")
+        measured = tmp_path / "m.csv"
+        measured.write_text(
+            "scheme_id,stream_id,n_lines,measured_time_s,measured_size_kb\n"
+            "run1,0,4,19.0,120.5\nrun1,1,2,14.0,60.25\n")
+        evaluated = tmp_path / "eval.json"
+        for argv in (
+                ["optimize", "--instance", inst, "--streams", "3",
+                 "--restarts", "2", "--seed", "5", "--objective", "T",
+                 "--out", scheme],
+                ["optimize", "--instance", inst, "--streams", "3",
+                 "--restarts", "2", "--seed", "5", "--objective",
+                 "weighted:1", "--out", scheme],
+                ["evaluate", "--instance", inst, "--scheme", scheme,
+                 "--out", str(evaluated)],
+                ["compare", "--instance", inst, "--scheme", scheme,
+                 "--baseline", "single-stream"],
+                ["sweep", "--instance", inst, "--streams", "1,3",
+                 "--restarts", "2", "--baseline", "single-stream"],
+                ["calibrate", "--measurements", str(measured),
+                 "--instance", inst, "--scheme-file", f"run1={scheme}"]):
+            assert main(argv) == 0, argv
+
+        monkeypatch.undo()
+        incidence, catalog = load_instance(instance_path)
+        written = load_scheme(scheme, catalog)
+        totals = json.loads(evaluated.read_text())
+        assert totals["read_cost"]["total"] == pytest.approx(
+            read_cost(incidence, catalog, written).total, rel=1e-9)
+        assert totals["storage_kb"]["total"] == pytest.approx(
+            storage_cost(incidence, catalog, written).total, rel=1e-9)
+
+
 class TestMaxRss:
     @pytest.mark.parametrize("platform, unit", [("linux", 1024),
                                                 ("darwin", 1)])
@@ -629,7 +673,7 @@ class TestOutOfMemory:
         ("gen_synthetic", ["generate", "--events", "1000000000000"]),
         ("optimize", ["optimize", "--streams", "2",
                       "--restarts", "1000000000"]),
-        ("read_cost", ["evaluate", "--scheme", "single-stream"]),
+        ("SchemeScorer", ["evaluate", "--scheme", "single-stream"]),
     ])
     def test_exit_code_and_message(self, instance_path, tmp_path, capsys,
                                    monkeypatch, callee, argv):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamopt import (DataError, EventLineIncidence, LineCatalog, Scheme,
-                       extreme_schemes, fold_modules, objective_scorer,
+                       SchemeScorer, extreme_schemes, fold_modules,
                        parse_objective, read_cost, read_cost_from_modules,
                        storage_cost)
 from streamopt.cost import first_minimum
@@ -97,6 +97,18 @@ class TestReadCost:
             empty = cost.per_stream[2]
             assert math.copysign(1.0, empty.expected_events) == 1.0
             assert math.copysign(1.0, empty.contribution) == 1.0
+
+    def test_scorer_of_a_fold_scores_read_cost_only(self):
+        inc, cat = three_line_instance()
+        scorer = SchemeScorer(None, cat, fold=fold_modules(inc, cat))
+        scheme = Scheme(2, (0, 0, 1))
+        assert scorer.read_cost(scheme) == read_cost(inc, cat, scheme)
+        with pytest.raises(ValueError, match="line-level incidence"):
+            scorer.storage_cost(scheme)
+        one_module = build_catalog([(f"l{i}", 1.0, True, False, "m")
+                                    for i in (1, 2, 3)])
+        with pytest.raises(DataError, match="does not match catalog"):
+            SchemeScorer(None, cat, fold=fold_modules(inc, one_module))
 
     def test_module_level_evaluation_agrees(self):
         rng = np.random.default_rng(24)
@@ -218,15 +230,18 @@ class TestObjective:
         None, dict(is_persist_reco=False), dict(is_turbo=False)],
         ids=["random-flags", "no-persist-reco", "no-turbo"])
     def test_scorer_matches_line_level_reference(self, flags):
-        # Every assignment of small random instances, scored in one batch,
-        # against read_cost + w * storage_cost; flags, when given, are set
-        # on every line, which leaves no persist-reco or no turbo line.
+        # Every assignment of small random instances: the values of one
+        # batch against read_cost + w * storage_cost, and each scheme's
+        # breakdowns field by field, with one more scheme whose last stream
+        # is empty.  Flags, when given, are set on every line, which leaves
+        # no persist-reco or no turbo line.
         rng = np.random.default_rng(30)
         for _ in range(4):
             inc, cat = random_instance(rng, max_events=120, max_modules=5)
             if flags is not None:
                 cat = LineCatalog(tuple(replace(rec, **flags)
                                         for rec in cat.lines))
+            scorer = SchemeScorer(inc, cat, base_kb=7.0, shared_kb=40.0)
             n_streams = int(rng.integers(1, 4))
             assignments = list(itertools.product(range(n_streams),
                                                  repeat=cat.n_modules))
@@ -238,10 +253,29 @@ class TestObjective:
             for objective, want in [("T", t), ("S", s_kb),
                                     ("weighted:0.5", t + 0.5 * s_kb),
                                     ("weighted:3", t + 3.0 * s_kb)]:
-                score = objective_scorer(inc, cat, objective, base_kb=7.0,
-                                         shared_kb=40.0)
-                np.testing.assert_allclose(score(assignments, n_streams),
-                                           want, rtol=1e-9, atol=1e-9)
+                np.testing.assert_allclose(
+                    scorer.values(assignments, n_streams, objective),
+                    want, rtol=1e-9, atol=1e-9)
+            for scheme in schemes + [Scheme(n_streams + 1, assignments[0])]:
+                self.assert_breakdowns_match(scorer, inc, cat, scheme)
+
+    @staticmethod
+    def assert_breakdowns_match(scorer, inc, cat, scheme):
+        close = dict(rtol=1e-9, atol=1e-9)
+        got, want = scorer.read_cost(scheme), read_cost(inc, cat, scheme)
+        assert [(r.n_units, r.n_lines) for r in got.per_stream] == \
+            [(r.n_units, r.n_lines) for r in want.per_stream]
+        np.testing.assert_allclose(
+            [(r.expected_events, r.contribution) for r in got.per_stream],
+            [(r.expected_events, r.contribution) for r in want.per_stream],
+            **close)
+        np.testing.assert_allclose(got.total, want.total, **close)
+        got = scorer.storage_cost(scheme)
+        want = storage_cost(inc, cat, scheme, base_kb=7.0, shared_kb=40.0)
+        np.testing.assert_allclose(got.per_stream, want.per_stream, **close)
+        np.testing.assert_allclose(got.total, want.total, **close)
+        for s in scheme.empty_streams():
+            assert math.copysign(1.0, got.per_stream[s]) == 1.0
 
 
 class TestFirstMinimum:

@@ -230,6 +230,35 @@ class TestLoaderCases:
         assert (bulk.catalog, bulk.event_ids, bulk.incidence.pairs()) == \
             (rows.catalog, rows.event_ids, rows.incidence.pairs())
 
+    @pytest.mark.parametrize("catalog_name", ["l1", "shared08_b"])
+    def test_line_names_are_looked_up_in_the_catalog(self, catalog_name):
+        # Keys of one word and of two, against a catalog that repeats a
+        # name and holds a name wider than every incidence key.
+        text = SAMPLE.replace("l1", catalog_name).replace(
+            "[incidence]", f"{catalog_name},0.2,0,1,m3\n"
+            "a_line_name_of_three_words,1.0,1,0,m3\n[incidence]")
+        bulk, rows = instances._parse_bulk(text), instances._parse_rows(text)
+        assert bulk is not None
+        assert bulk.incidence.pairs() == [(0, 0), (0, 1), (1, 2)]
+        assert (bulk.catalog, bulk.event_ids, bulk.incidence.pairs()) == \
+            (rows.catalog, rows.event_ids, rows.incidence.pairs())
+        # An unknown name, one that only extends a catalog name, the first
+        # one or two words of the wide catalog name, and one wider than
+        # every catalog name go to the row parse, which names it.
+        for name in ("l4", catalog_name + "x", "a_line_n", "a_line_name_of_t",
+                     "x" * 40):
+            unknown = text + f"ev_b,{name}\n"
+            assert instances._parse_bulk(unknown) is None
+            with pytest.raises(DataError, match=f"unknown line '{name}'"):
+                InstanceFile.from_text(unknown)
+
+    def test_zero_byte_in_the_text_takes_the_row_parse(self):
+        # The bulk parse pads its bytes with zeros, which its scan must not
+        # see; a zero byte of the text's own is a control character.
+        assert instances._parse_bulk(SAMPLE.replace("ev_b", "ev\0b")) is None
+        assert InstanceFile.from_text(SAMPLE.replace("ev_b", "ev\0b")
+                                      ).event_ids == ("ev_a", "ev\0b")
+
     @pytest.mark.parametrize("text", [
         # Event ids and line names that start with "[" but are not tags.
         CATALOG.replace("l1,", "[x],") + "[incidence]\nevent,line\n"

@@ -9,7 +9,7 @@ import pytest
 
 from streamopt import relax
 from streamopt import (EventLineIncidence, InfeasibleError, OptimizerConfig,
-                       Scheme, SyntheticSpec, enumerate_optimal,
+                       Scheme, SchemeScorer, SyntheticSpec, enumerate_optimal,
                        extreme_schemes, fold_modules, gen_synthetic, optimize,
                        read_cost, storage_cost, sweep_streams)
 from streamopt.model import _row_entropy
@@ -247,14 +247,15 @@ def clustered_sweep_instance():
 
 
 def serial_points(inc, cat, counts, config):
-    """Per-K ``optimize`` and ``storage_cost``, one after another."""
-    folded = fold_modules(inc, cat)
+    """Per-K ``optimize`` and storage, one after another.  The storage comes
+    from a scorer, as the sweep's does: this checks the pool, not the
+    formula."""
+    scorer = SchemeScorer(inc, cat)
     points = []
     for k in counts:
-        result = optimize(folded, cat, OptimizerConfig(
+        result = optimize(scorer.fold, cat, OptimizerConfig(
             k, config.n_restarts, config.max_iters, config.seed))
-        points.append((k, result,
-                       storage_cost(inc, cat, result.best_scheme)))
+        points.append((k, result, scorer.storage_cost(result.best_scheme)))
     return points
 
 
@@ -264,7 +265,7 @@ class TestSweep:
     COUNTS = [4, 1, 2, 3, 6, 2]
 
     def check_equals_serial(self, inc, cat, config):
-        points = sweep_streams(inc, cat, self.COUNTS, config)
+        points = sweep_streams(SchemeScorer(inc, cat), self.COUNTS, config)
         # Dataclass equality: the best scheme and costs, every
         # RestartRecord and the StorageBreakdown, field for field.
         assert ([(p.n_streams, p.result, p.storage) for p in points]
@@ -337,7 +338,7 @@ class TestSweep:
                             no_descent)
         monkeypatch.setattr(optimize_module, "optimize", no_descent)
         with pytest.raises(InfeasibleError, match="n_streams=7"):
-            sweep_streams(inc, cat, [2, 3, 7],
+            sweep_streams(SchemeScorer(inc, cat), [2, 3, 7],
                           OptimizerConfig(n_streams=1, seed=0))
 
     def test_endpoints_match_extremes(self):
@@ -345,7 +346,8 @@ class TestSweep:
         inc, cat = random_instance(rng, max_modules=4, max_events=120)
         single, per_unit = extreme_schemes(cat)
         config = OptimizerConfig(n_streams=1, n_restarts=20, seed=6)
-        points = sweep_streams(inc, cat, [1, cat.n_modules], config)
+        points = sweep_streams(SchemeScorer(inc, cat), [1, cat.n_modules],
+                               config)
         assert points[0].result.best_cost_discrete.total == pytest.approx(
             read_cost(inc, cat, single).total, rel=1e-9)
         assert points[-1].result.best_cost_discrete.total == pytest.approx(
@@ -355,7 +357,7 @@ class TestSweep:
         rng = np.random.default_rng(49)
         inc, cat = random_instance(rng, max_modules=5)
         config = OptimizerConfig(n_streams=1, n_restarts=5, seed=6)
-        points = sweep_streams(inc, cat, [2], config)
+        points = sweep_streams(SchemeScorer(inc, cat), [2], config)
         point = points[0]
         assert point.n_streams == 2
         assert point.storage.total == pytest.approx(
@@ -365,5 +367,5 @@ class TestSweep:
         rng = np.random.default_rng(50)
         inc, cat = random_instance(rng)
         with pytest.raises(InfeasibleError):
-            sweep_streams(inc, cat, [0],
+            sweep_streams(SchemeScorer(inc, cat), [0],
                           OptimizerConfig(n_streams=1, seed=0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from streamopt import (DataError, EventLineIncidence, InfeasibleError,
-                       LineCatalog, Scheme, count_partitions,
+                       LineCatalog, Scheme, cost, count_partitions,
                        enumerate_optimal, extreme_schemes, mc_prescale_check,
                        oracle, read_cost, restricted_growth_strings,
                        storage_cost)
@@ -133,7 +133,7 @@ class TestEnumerateOptimal:
         for _ in range(4):
             inc, cat, n_streams = random_clustered_instance(rng)
             want = enumerate_optimal(inc, cat, n_streams, objective)
-            monkeypatch.setattr(oracle, "_BATCH_ELEMS", 1)
+            monkeypatch.setattr(cost, "_BATCH_ELEMS", 1)
             got = enumerate_optimal(inc, cat, n_streams, objective)
             monkeypatch.undo()
             assert got == want
