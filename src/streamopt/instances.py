@@ -14,9 +14,9 @@ one-line header::
 
 Events are indexed by first appearance in the incidence section.  Blank
 rows and rows that start with ``#`` are skipped.  A plain instance file,
-such rows included, is read from one scan of its bytes that finds every
-row's start, end and separators (:func:`_parse_bulk`); any other goes row
-by row (:func:`_parse_rows`), which raises every parse error.
+such rows included, is read from its bytes in windows, each scanned once
+for every row's start, end and separators (:func:`_parse_bulk`); any other
+goes row by row (:func:`_parse_rows`), which raises every parse error.
 
 Scheme files carry one ``module,stream`` row per module after a
 ``# n_streams=K`` header so that trailing empty streams survive a round
@@ -50,6 +50,7 @@ INCIDENCE_HEADER = "event,line"
 SCHEME_HEADER = "module,stream"
 MEASUREMENT_HEADER = "scheme_id,stream_id,n_lines,measured_time_s,measured_size_kb"
 _INSTANCE_HEADERS = {"catalog": CATALOG_HEADER, "incidence": INCIDENCE_HEADER}
+_TAGS = {name: f"[{name}]\n".encode() for name in _INSTANCE_HEADERS}
 
 
 def _read_text(path, what: str) -> str:
@@ -119,7 +120,8 @@ class InstanceFile:
 
     @classmethod
     def load(cls, path) -> "InstanceFile":
-        return cls.from_text(_read_text(path, "instance"))
+        return (_parse_bulk(path=path)
+                or _parse_rows(_read_text(path, "instance")))
 
 
 _FLAGS = {"1": True, "true": True, "0": False, "false": False}
@@ -215,25 +217,25 @@ def _parse_rows(text: str) -> InstanceFile:
         raise DataError(f"incidence references unknown line '{unknown[0]}'")
     catalog_line = np.array([line_index[name] for name in names],
                             dtype=np.int64)
-    return _instance(catalog, event_ids, ev, catalog_line[code])
+    return InstanceFile(catalog, _incidence(
+        len(event_ids), catalog.n_lines, ev, catalog_line[code]), event_ids)
 
 
-def _instance(catalog: LineCatalog, event_ids: tuple[str, ...],
-              ev: np.ndarray, li: np.ndarray) -> InstanceFile:
-    """The instance of incidence rows (event ``ev``, catalog line ``li``).
+def _incidence(n_events: int, n_lines: int, ev: np.ndarray,
+               li: np.ndarray) -> EventLineIncidence:
+    """The incidence of rows (event ``ev``, catalog line ``li``), which takes
+    the columns over.
 
     Repeated rows are dropped, with a warning.  Strictly increasing rows
     cannot repeat, so they are kept as they are.
     """
     if not _strictly_increasing(ev, li):
-        _, first = np.unique(ev * catalog.n_lines + li, return_index=True)
+        _, first = np.unique(ev * n_lines + li, return_index=True)
         if len(first) != len(ev):
             logger.warning("ignored %d duplicate incidence rows",
                            len(ev) - len(first))
         ev, li = ev[first], li[first]
-    incidence = EventLineIncidence(len(event_ids), catalog.n_lines,
-                                   np.column_stack((ev, li)))
-    return InstanceFile(catalog, incidence, event_ids)
+    return EventLineIncidence.of_sorted(n_events, n_lines, ev, li)
 
 
 def _number(keys: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -243,13 +245,16 @@ def _number(keys: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     return np.array(codes, dtype=np.int64), tuple(index)
 
 
-_NEWLINE, _SPACE, _QUOTE, _HASH, _COMMA, _BRACKET = b'\n "#,['
+_NEWLINE, _SPACE, _QUOTE, _HASH, _COMMA = b'\n "#,'
 # _BYTE_MASKS[k] keeps the first k bytes of a little-endian 8-byte word.
 _BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
+# Bytes of a section that the bulk parse scans and keys at once.
+_WINDOW_BYTES = 1 << 18
 
 
-def _parse_bulk(text: str) -> InstanceFile | None:
-    """Parse a plain instance from one scan of its bytes, or return None.
+def _parse_bulk(text: str | None = None, *, path=None) -> InstanceFile | None:
+    """Parse a plain instance ``text``, or the file at ``path``, from its
+    bytes, or return None.
 
     *Plain* means ASCII without any control character but the newline
     (CRLF line ends are read as LF first), and without quotes or spaces
@@ -260,89 +265,153 @@ def _parse_bulk(text: str) -> InstanceFile | None:
     row-by-row parse's.  Any other text, valid or not, returns None and goes
     through :func:`_parse_rows`.
 
-    One ``np.flatnonzero`` finds every comma, quote, space and control
-    character.  Its newlines are the row ends, and a kept row has one field
-    more than it has scanned bytes before its newline.  Skipped rows are
-    dropped by index, so no text is rebuilt; only kept rows that start with
-    ``[`` can be section tags, and the row after a tag must be its header.
+    Tag rows are found by byte search.  The rows before the first tag, the
+    catalog's sections, then the incidence's are scanned (:func:`_scan`) in
+    windows of about ``_WINDOW_BYTES`` that end at a row end, so the parse
+    holds the bytes, what it keeps of each row and one window's temporaries.
+    An incidence window's line names are looked up among the catalog's, and
+    its runs of rows of one event keep one event key each.  The bytes are
+    dropped before the events are numbered by first appearance.
     """
-    if "\r" in text:
-        # Gated: replace copies the whole text even when nothing matches.
-        text = text.replace("\r\n", "\n")
-    if not text.endswith("\n"):
-        text += "\n"
-    if not text.isascii():
+    if path is not None:
+        try:
+            with open(path, "rb") as handle:
+                buffer = bytearray(os.fstat(handle.fileno()).st_size + 9)
+                del buffer[handle.readinto(memoryview(buffer)[:-9]):-9]
+        except OSError as exc:
+            raise DataError(f"cannot read instance file: {exc}") from exc
+    elif text.isascii():
+        buffer = bytearray(text.encode("ascii") + bytes(9))
+    else:
         return None
-    # _field_keys reads a word at any byte of the text, so 8 zero bytes
-    # follow it, which the scan must not see.
-    data = np.frombuffer(text.encode("ascii") + bytes(8), np.uint8)
-    scan = data[:-8]
-    at = np.flatnonzero((scan <= _SPACE) | (scan == _COMMA) | (scan == _QUOTE))
-    byte = data[at]
+    if b"\r" in buffer:
+        # Gated: replace copies the whole text even when nothing matches.
+        buffer = buffer.replace(b"\r\n", b"\n")
+    if not buffer.isascii():
+        return None
+    if not buffer.endswith(b"\n", 0, len(buffer) - 9):
+        buffer[-9] = _NEWLINE
+    # The text, ending in a newline, and 8 zero bytes (see _field_keys).
+    data = np.frombuffer(buffer, np.uint8)[:-1]
+    tags, at = [], buffer.find(b"[")
+    while at != -1:
+        if at == 0 or buffer[at - 1] == _NEWLINE:
+            tags += [(at, at + len(tag), name) for name, tag in _TAGS.items()
+                     if buffer.startswith(tag, at)]
+        at = buffer.find(b"[", at + 1)
+    head = _scan(data, 0, tags[0][0]) if tags and tags[0][0] else [()]
+    if not tags or head is None or len(head[0]):
+        return None
+    sections = sorted(((stop, end, name) for (_, stop, name), (end, *_)
+                       in zip(tags, tags[1:] + [(len(data) - 8,)])),
+                      key=lambda section: section[2] == "incidence")
+    catalog_rows, keys, lengths, lines, catalog = [], [], [], [], None
+    tables = {}  # word count: the catalog's names that fit, see _name_table
+    for start, end, name in sections:
+        header = _INSTANCE_HEADERS[name].encode() + b"\n"
+        n_fields = header.count(b",") + 1
+        while start < end:
+            stop = buffer.find(b"\n", min(start + _WINDOW_BYTES, end) - 1) + 1
+            rows = _scan(data, start, stop)
+            start = stop
+            if rows is None:
+                return None
+            if header and len(rows[0]):
+                if not buffer.startswith(header, rows[0][0]):
+                    return None
+                header, rows = b"", [row[1:] for row in rows]
+            starts, ends, last, fields = rows
+            if (fields != n_fields).any():
+                return None
+            if not len(starts):
+                continue
+            if name == "catalog":
+                catalog_rows.append((starts, ends))
+                continue
+            catalog = catalog or catalog_rows and _bulk_catalog(buffer,
+                                                                catalog_rows)
+            events = _field_keys(data, starts, last)
+            line = _field_keys(data, last + 1, ends)
+            if not catalog or events is None or line is None:
+                return None
+            words = line.shape[1]
+            if words not in tables:
+                tables[words] = _name_table(catalog.line_names, words)
+            names, order = tables[words]
+            # Looked up in sorted order, where each search starts at the
+            # last one's place.
+            line = line.view(names.dtype)[:, 0]
+            by_name = np.argsort(line)
+            place = np.empty_like(by_name)
+            place[by_name] = np.searchsorted(names, line[by_name])
+            place = np.minimum(place, len(names) - 1, out=place)
+            if not len(names) or (names[place] != line).any():
+                return None
+            lines.append(order[place])
+            # A run cut by the window's edge goes on as a run of the same key.
+            heads = np.flatnonzero(np.concatenate((
+                [True], (events[1:] != events[:-1]).any(axis=1))))
+            keys.append(events[heads])
+            lengths.append(np.append(heads[1:], len(events)) - heads)
+    del buffer, data
+    if not lines:
+        return None
+
+    width = max(key.shape[1] for key in keys)
+    keys = np.concatenate([
+        key if key.shape[1] == width
+        else np.pad(key, ((0, 0), (0, width - key.shape[1]))) for key in keys])
+    code, first = _first_appearance(keys)
+    ev = np.repeat(code, np.concatenate(lengths))
+    del code, lengths
+    lines = np.concatenate(lines)
+    incidence = _incidence(len(first), catalog.n_lines, ev, lines)
+    del ev, lines
+    event_ids = []
+    step = max(1, _WINDOW_BYTES // width // 8)
+    for start in range(0, len(first), step):
+        event_ids += _decode_keys(keys[first[start:start + step]])
+    del keys, first
+    return InstanceFile(catalog, incidence, tuple(event_ids))
+
+
+def _scan(data: np.ndarray, start: int, stop: int) -> list | None:
+    """The starts, ends, last separators and field counts of the kept rows
+    of ``data[start:stop]``, which ends at a newline, from one scan for
+    commas, quotes, spaces and control characters; None if a row holds a
+    control character but the newline, or a kept row a quote or a space."""
+    window = data[start:stop]
+    at = np.flatnonzero((window <= _SPACE) | (window == _COMMA)
+                        | (window == _QUOTE))
+    byte = window[at]
+    at += start
     newline = np.flatnonzero(byte == _NEWLINE)
     if np.count_nonzero(byte < _SPACE) != len(newline):
         return None
     ends = at[newline]
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    starts = np.concatenate(([start], ends[:-1] + 1))
     first = data[starts]
     keep = (first != _NEWLINE) & (first != _HASH)
-    if " " in text or '"' in text:
-        odd = at[(byte == _SPACE) | (byte == _QUOTE)]
-        if keep[np.searchsorted(ends, odd)].any():
-            return None
+    odd = at[(byte == _SPACE) | (byte == _QUOTE)]
+    if keep[np.searchsorted(ends, odd)].any():
+        return None
     fields = newline - np.concatenate(([-1], newline[:-1]))
     # The comma of a row of two fields (an empty first row reads at[-1]).
     last = at[newline - 1]
-    del at, byte, newline  # else held through the peak of the keying
-    if not keep.all():
-        starts, ends, last, fields, first = (
-            array[keep] for array in (starts, ends, last, fields, first))
-
-    tags = []
-    for k in np.flatnonzero(first == _BRACKET).tolist():
-        row = text[starts[k]:ends[k]]
-        if row[-1] == "]" and row[1:-1] in _INSTANCE_HEADERS:
-            tags.append((k, row[1:-1]))
-    if not tags or tags[0][0] != 0:
-        return None
-    sections = {name: [] for name in _INSTANCE_HEADERS}
-    for (k, name), (end, _) in zip(tags, tags[1:] + [(len(starts), "")]):
-        header = _INSTANCE_HEADERS[name] + "\n"
-        if k + 1 < end and not text.startswith(header, starts[k + 1]):
-            return None
-        sections[name].append(slice(k + 2, end))
-    for name, spans in sections.items():
-        # One section is indexed by a slice, so its row arrays are views;
-        # slice(0, 0) keeps the indices integer when there is no section.
-        rows = spans[0] if len(spans) == 1 else np.r_[(slice(0, 0), *spans)]
-        n_fields = fields[rows]
-        if (not n_fields.size
-                or (n_fields != _INSTANCE_HEADERS[name].count(",") + 1).any()):
-            return None
-        sections[name] = rows
-
-    rows = sections["catalog"]
-    records = _bulk_catalog(text, starts[rows], ends[rows])
-    if records is None:
-        return None
-    catalog = LineCatalog(tuple(records))
-    rows = sections["incidence"]
-    numbered = _bulk_incidence(data, starts[rows], last[rows], ends[rows],
-                               catalog.line_names)
-    if numbered is None:
-        return None
-    return _instance(catalog, *numbered)
+    rows = [starts, ends, last, fields]
+    return rows if keep.all() else [row[keep] for row in rows]
 
 
-def _bulk_catalog(text: str, starts: np.ndarray, ends: np.ndarray
-                  ) -> list[LineRecord] | None:
-    """The line records of the catalog rows ``text[starts:ends]``, five
-    fields each, or None if a prescale or a flag is malformed.  Each run of
-    adjacent rows is read as one slice."""
+def _bulk_catalog(buffer: bytearray, rows: list) -> LineCatalog | None:
+    """The catalog of the catalog rows ``buffer[starts:ends]`` of the
+    ``(starts, ends)`` pairs in ``rows``, five fields each, or None if a
+    prescale or a flag is malformed.  Each run of adjacent rows is read as
+    one slice."""
+    starts, ends = (np.concatenate(column) for column in zip(*rows))
     cut = (np.flatnonzero(starts[1:] != ends[:-1] + 1) + 1).tolist()
     bounds = [0, *cut, len(starts)]
-    rows = "".join(text[starts[a]:ends[b - 1] + 1]
-                   for a, b in zip(bounds, bounds[1:]))
+    rows = b"".join(buffer[starts[a]:ends[b - 1] + 1]
+                    for a, b in zip(bounds, bounds[1:])).decode("ascii")
     cells = rows.replace("\n", ",").split(",")
     names, prescales, turbo, pr, modules = (cells[k:-1:5] for k in range(5))
     try:
@@ -352,68 +421,45 @@ def _bulk_catalog(text: str, starts: np.ndarray, ends: np.ndarray
     flags = {token: _FLAGS.get(token.lower()) for token in {*turbo, *pr}}
     if None in flags.values():
         return None
-    return list(map(LineRecord, names, prescales, map(flags.get, turbo),
-                    map(flags.get, pr), modules))
+    return LineCatalog(tuple(map(LineRecord, names, prescales,
+                                 map(flags.get, turbo), map(flags.get, pr),
+                                 modules)))
 
 
-def _bulk_incidence(data: np.ndarray, start: np.ndarray, comma: np.ndarray,
-                    stop: np.ndarray, line_names: tuple[str, ...]
-                    ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray] | None:
-    """Event ids, event numbers and catalog lines of the incidence rows
-    ``data[start:stop]``, each split at its ``comma``.
+def _name_table(line_names: tuple[str, ...], words: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The line names of at most ``words`` 8-byte words, as the keys of
+    :func:`_field_keys` compared as one value each (a word, or the bytes),
+    sorted, and the catalog line of each; a repeated name's first line
+    comes first."""
+    fits = [k for k, name in enumerate(line_names) if len(name) <= 8 * words]
+    keys = np.array([line_names[k] for k in fits], f"S{8 * words}")
+    keys = keys.view("<u8") if words == 1 else keys
+    order = np.argsort(keys, kind="stable")
+    return keys[order], np.array(fits, dtype=np.int64)[order]
 
-    Fields are compared as the keys of :func:`_field_keys`.  Events are
-    numbered by first appearance over the runs of rows that name them, and
-    only the distinct event ids and line names are decoded; a name stands
-    for its first catalog line.  Returns None when a line name is not in the
-    catalog, or when the fields are too uneven to pad.
+
+def _field_keys(data: np.ndarray, start: np.ndarray,
+                stop: np.ndarray) -> np.ndarray | None:
+    """Each field ``data[start:stop]`` as a row of little-endian 8-byte
+    words.
+
+    The bytes are zero-padded to the longest field rounded up to whole
+    words; a plain field holds no zero byte, so equal keys are equal
+    fields.  ``data`` ends in 8 zero bytes past the fields.  Keys may take
+    at most twice the rows' bytes, or 64 KiB; wider fields return None.
     """
-    row_bytes = int((stop - start).sum()) + len(start)
-    keys = _field_keys(data, ((start, comma), (comma + 1, stop)), row_bytes)
-    if keys is None:
-        return None
-    events, names = keys
-
-    runs = np.flatnonzero((events[1:] != events[:-1]).any(axis=1)) + 1
-    runs = np.concatenate(([0], runs))
-    events = events[runs]
-    run_ev, first = _first_appearance(events)
-    event_ids = _decode_keys(events[first])
-    ev = np.repeat(run_ev, np.diff(runs, append=len(names)))
-
-    code, first = _first_appearance(names)
-    index = _line_index(line_names)
-    lines = [index.get(name, -1) for name in _decode_keys(names[first])]
-    if -1 in lines:
-        return None
-    return tuple(event_ids), ev, np.array(lines, dtype=np.int64)[code]
-
-
-def _field_keys(data: np.ndarray,
-                fields: tuple[tuple[np.ndarray, np.ndarray], ...],
-                n_bytes: int) -> list[np.ndarray] | None:
-    """Each field ``data[start:stop]`` of the ``(start, stop)`` pairs in
-    ``fields`` as a row of little-endian 8-byte words.
-
-    The bytes are zero-padded to the field's longest value rounded up to
-    whole words; a plain field holds no zero byte, so equal keys are equal
-    fields.  ``data`` ends in 8 zero bytes past the fields.  A field's keys
-    may take at most twice ``n_bytes``, or 64 KiB; wider fields return None.
-    """
-    lengths = [stop - start for start, stop in fields]
-    words = [max(1, -(-int(length.max()) // 8)) for length in lengths]
-    if len(lengths[0]) * max(words) * 8 > max(2 * n_bytes, 1 << 16):
+    length = stop - start
+    words = max(1, -(-int(length.max()) // 8))
+    if len(start) * words * 8 > max(2 * int(stop[-1] - start[0]), 1 << 16):
         return None
     # The little-endian 8-byte word that starts at each byte of ``data``.
     word_at = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))
-    keys = []
-    for (start, stop), length, n in zip(fields, lengths, words):
-        word = 8 * np.arange(n)
-        # A word past the field's stop, masked to zero below, is read there.
-        key = word_at[np.minimum(start[:, None] + word, stop[:, None])]
-        key &= _BYTE_MASKS[(length[:, None] - word).clip(0, 8)]
-        keys.append(key)
-    return keys
+    word = 8 * np.arange(words)
+    # A word past the field's stop, masked to zero below, is read there.
+    key = word_at[np.minimum(start[:, None] + word, stop[:, None])]
+    key &= _BYTE_MASKS[(length[:, None] - word).clip(0, 8)]
+    return key
 
 
 def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

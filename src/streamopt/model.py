@@ -128,18 +128,30 @@ class EventLineIncidence:
     """
 
     def __init__(self, n_events: int, n_lines: int, entries):
+        self._adopt(n_events, n_lines, entries, False)
+
+    @classmethod
+    def of_sorted(cls, n_events: int, n_lines: int, ev: np.ndarray,
+                  li: np.ndarray) -> "EventLineIncidence":
+        """The incidence of int64 index columns already in strictly
+        increasing (event, line) order, which it takes over without a copy."""
+        incidence = cls.__new__(cls)
+        incidence._adopt(n_events, n_lines, (ev, li), True)
+        return incidence
+
+    def _adopt(self, n_events, n_lines, entries, ordered: bool):
         n_events = int(n_events)
         n_lines = int(n_lines)
         if n_events < 1 or n_lines < 1:
             raise DataError("incidence needs at least one event and one line")
-        ev, li = _entry_columns(entries)
+        ev, li = entries if ordered else _entry_columns(entries)
         if ev.min() < 0 or ev.max() >= n_events:
             raise DataError(f"event index out of range [0, {n_events})")
         if li.min() < 0 or li.max() >= n_lines:
             raise DataError(f"line index out of range [0, {n_lines})")
-        if _strictly_increasing(ev, li):
+        if not ordered and _strictly_increasing(ev, li):
             ev, li = ev.copy(), li.copy()
-        else:
+        elif not ordered:
             order = np.lexsort((li, ev))
             ev, li = ev[order], li[order]
             dup = (np.diff(ev) == 0) & (np.diff(li) == 0)
@@ -219,8 +231,9 @@ class EventLineIncidence:
 
 def _strictly_increasing(major: np.ndarray, minor: np.ndarray) -> bool:
     """Whether the (major, minor) pairs are in strictly increasing order."""
-    step = major[1:] - major[:-1]
-    return bool(np.all((step > 0) | ((step == 0) & (minor[1:] > minor[:-1]))))
+    later = major[1:] > major[:-1]
+    later |= (major[1:] == major[:-1]) & (minor[1:] > minor[:-1])
+    return bool(later.all())
 
 
 def _entry_columns(entries) -> tuple[np.ndarray, np.ndarray]:
@@ -339,45 +352,58 @@ class ModuleIncidence:
 
     def _group_rows(self) -> RowGroups:
         values = self._values
-        nnz = values.nnz
+        n_events, nnz = self._n_events, values.nnz
         # One column per distinct (module, value) pair, ordered by module and
         # then value, so each row's column ids come out sorted as its module
         # ids are.  The pairs are numbered through integer codes of the
-        # distinct values; return_counts keeps np.unique off its masked-array
-        # check, which imports numpy.ma (about 14 ms and 1.2 MB) on numpy 2.
+        # distinct values, by a table of the codes present unless the table
+        # would be larger than the fold; return_counts keeps np.unique off
+        # its masked-array check, which imports numpy.ma (about 14 ms and
+        # 1.2 MB) on numpy 2.
         distinct = np.unique(values.data, return_counts=True)[0]
         code = np.searchsorted(distinct, values.data)
-        pairs, column = np.unique(
-            values.indices.astype(np.int64) * len(distinct) + code,
-            return_inverse=True)
+        code += np.multiply(values.indices, len(distinct), dtype=np.int64)
+        if self._n_modules * len(distinct) <= max(nnz, 1 << 16):
+            present = np.zeros(self._n_modules * len(distinct), bool)
+            present[code] = True
+            pairs = np.flatnonzero(present)
+            label = np.cumsum(present)[code]  # column id + 1
+        else:
+            pairs, label = np.unique(code, return_inverse=True)
+            label += 1
+        del code
 
         # Exact row dedupe.  Each row's column ids + 1, zero-padded to the
         # widest row, are packed several to an int64 word, most significant
-        # first, so that the words sort as the rows do lexicographically and
-        # the sort takes one key per word, not one per column.  Any row of
-        # a group stands for it, so a one-word sort need not be stable.
+        # first, one place in the row at a time, so that the words sort as
+        # the rows do lexicographically and the sort takes one key per word,
+        # not one per column.  Any row of a group stands for it, so a
+        # one-word sort need not be stable.
         lengths = np.diff(values.indptr)
-        row = np.repeat(np.arange(self._n_events), lengths)
         width = max(1, int(lengths.max(initial=0)))
-        padded = np.zeros((self._n_events, width), dtype=np.int32)
-        padded[row, np.arange(nnz) - values.indptr[row]] = column + 1
+        padded = np.zeros((width, n_events), np.min_scalar_type(len(pairs)))
+        row = np.repeat(np.arange(n_events, dtype=lengths.dtype), lengths)
+        padded[np.arange(nnz, dtype=row.dtype) - values.indptr[row], row] = label
+        del row, label
         bits = max(1, len(pairs).bit_length())
         per_word = 63 // bits
-        shift = bits * (per_word - 1 - np.arange(width) % per_word)
-        words = np.add.reduceat(padded << shift,
-                                np.arange(0, width, per_word), axis=1)
-        rows = (np.argsort(words[:, 0]) if words.shape[1] == 1
-                else np.lexsort(words.T[::-1]))
-        words = words[rows]
-        starts = np.flatnonzero(np.r_[True, np.any(words[1:] != words[:-1],
-                                                   axis=1)])
+        words = np.zeros((-(-width // per_word), n_events), np.int64)
+        for j, column in enumerate(padded):
+            shift = bits * (per_word - 1 - j % per_word)
+            words[j // per_word] |= column.astype(np.int64) << shift
+        rows = (np.argsort(words[0]) if len(words) == 1
+                else np.lexsort(words[::-1]))
+        words = words[:, rows]
+        starts = np.flatnonzero(np.r_[True, np.any(words[:, 1:]
+                                                   != words[:, :-1], axis=0)])
+        del words
         first = rows[starts]
-        padded = padded[first]
+        padded = padded[:, first].T
         counts = lengths[first]
         hits = _csr(len(starts), len(pairs),
                     np.repeat(np.arange(len(starts)), counts),
                     padded[padded > 0] - 1, np.ones(counts.sum()))
-        weights = np.diff(np.r_[starts, self._n_events]).astype(float)
+        weights = np.diff(np.r_[starts, n_events]).astype(float)
         return RowGroups(hits, weights,
                          (pairs // len(distinct)).astype(values.indices.dtype),
                          distinct[pairs % len(distinct)])
@@ -470,7 +496,7 @@ def _log_keep_per_entry(incidence: EventLineIncidence,
                         catalog: LineCatalog) -> np.ndarray:
     """log(1 - prescale) per incidence entry; -inf where prescale == 1."""
     with np.errstate(divide="ignore"):
-        return np.log1p(-catalog.prescales[incidence.line_index])
+        return np.log1p(-catalog.prescales)[incidence.line_index]
 
 
 def fold_modules(incidence: EventLineIncidence,
@@ -484,14 +510,24 @@ def fold_modules(incidence: EventLineIncidence,
     """
     _require_consistent(incidence, catalog)
     n_events, n_modules = incidence.n_events, catalog.n_modules
-    entry_module = catalog.module_of_line[incidence.line_index]
+    module = catalog.module_of_line
     # Sorted (event, module) keys are the CSR entries in row-major order.
-    keys, entry = np.unique(incidence.event_index * n_modules + entry_module,
-                            return_inverse=True)
-    values = -np.expm1(np.bincount(
-        entry, weights=_log_keep_per_entry(incidence, catalog),
-        minlength=len(keys)))
+    # When each module's lines are adjacent in the catalog, the entries'
+    # keys come sorted, as the entries do, and need no sort.
+    key = incidence.event_index * n_modules
+    key += module[incidence.line_index]
+    if (module[1:] >= module[:-1]).all():
+        new = np.concatenate(([True], key[1:] != key[:-1]))
+        keys, entry = key[new], np.cumsum(new) - 1
+    else:
+        keys, entry = np.unique(key, return_inverse=True)
+    del key
+    values = np.bincount(entry, weights=_log_keep_per_entry(incidence, catalog),
+                         minlength=len(keys))
+    del entry
+    np.negative(np.expm1(values, out=values), out=values)
     keys, values = keys[values > 0.0], values[values > 0.0]
     events = keys // n_modules
     return ModuleIncidence(n_events, n_modules, _csr(
-        n_events, n_modules, events, keys - events * n_modules, values))
+        n_events, n_modules, events, np.remainder(keys, n_modules, out=keys),
+        values))

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import os
 import sys
-
+from contextlib import nullcontext
 from importlib import import_module, machinery, util
 
 import numpy as np
@@ -198,7 +198,7 @@ class LossEvaluator:
         # v_c L is below 1 unless both are exactly 1 (a NaN also takes the
         # zero-factor branch, which then finds no zeros).
         has_zero = not neg_taken.min(initial=0.0) > -1.0
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore") if has_zero else nullcontext():
             _product(self._hits, np.log1p(neg_taken, out=log_factor), log_miss)
         return has_zero
 
@@ -219,7 +219,7 @@ class LossEvaluator:
 
     def expected_lines(self, probs) -> np.ndarray:
         probs, squeeze = self._check_probs(probs)
-        lines = np.einsum("m,bms->bs", self._line_counts, probs)
+        lines = (self._line_counts[:, None] * probs).sum(axis=1)
         return lines[0] if squeeze else lines
 
     def loss(self, probs):
@@ -256,7 +256,7 @@ class LossEvaluator:
         devents = _product(self._to_modules, column).reshape(
             n_modules, n_batch, n_streams).transpose(1, 0, 2)
 
-        lines = np.einsum("m,bms->bs", counts, probs)
+        lines = (counts[:, None] * probs).sum(axis=1)
         loss = (lines * events).sum(axis=-1)
         # d loss / d L, then through the softmax.
         grad = counts[:, None] * events[:, None, :]

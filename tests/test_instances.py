@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from streamopt import instances
 from streamopt import (DataError, EventLineIncidence, InstanceFile,
                        LineCatalog, LineRecord, Scheme, SyntheticSpec,
-                       gen_synthetic, load_instance, load_measurements,
-                       load_scheme, validate_dataset, write_scheme)
+                       fold_modules, gen_synthetic, load_instance,
+                       load_measurements, load_scheme, validate_dataset,
+                       write_scheme)
 from streamopt.instances import scheme_from_text, scheme_to_text
 
 SAMPLE = """\
@@ -252,6 +254,13 @@ class TestLoaderCases:
             with pytest.raises(DataError, match=f"unknown line '{name}'"):
                 InstanceFile.from_text(unknown)
 
+    def test_long_unused_catalog_name_keeps_the_bulk_parse(self):
+        # Names are keyed as wide as the longest name of their window, not
+        # of the catalog, so a long name no row uses widens no key.
+        text = SAMPLE.replace("[incidence]", "x" * 200 + ",1.0,1,0,m3\n"
+                              "[incidence]") + "ev_c,l1\n" * 5000
+        TestProperties.assert_same_parse(instances._parse_bulk(text), text)
+
     def test_zero_byte_in_the_text_takes_the_row_parse(self):
         # The bulk parse pads its bytes with zeros, which its scan must not
         # see; a zero byte of the text's own is a control character.
@@ -319,6 +328,88 @@ class TestLoaderCases:
             with pytest.raises(DataError) as info:
                 EventLineIncidence(2, 3, np.array(entries))
             assert str(info.value) == "duplicate incidence entry (1, 0)"
+
+
+class TestWindowedParse:
+    """The bulk parse scans and keys each section in windows of about
+    ``_WINDOW_BYTES`` that end at a row end.  With windows of one to a few
+    rows, runs, names, comments and line ends meet window edges, and every
+    text must still parse as the row parse reads it, errors included."""
+
+    @pytest.fixture(autouse=True, params=[1, 20, 64])
+    def window(self, request, monkeypatch):
+        monkeypatch.setattr(instances, "_WINDOW_BYTES", request.param)
+
+    @staticmethod
+    def same(text: str):
+        TestProperties.assert_same_parse(instances._parse_bulk(text), text)
+
+    def test_runs_and_names_cut_by_window_edges(self):
+        # ev_c's run spans windows and ev_a comes back after it; l3 is first
+        # named in a later window, whose event keys are wider.
+        self.same(SAMPLE.replace("ev_b,l3\n", "") + "ev_c,l1\nev_c,l2\n"
+                  "ev_c,l1\nev_a,l2\nrun_0001_event_0002,l3\nev_b,l3\n")
+        self.same(TestLoaderCases.generated().to_text())
+
+    def test_crlf_and_commented_texts(self):
+        text = TestLoaderCases.generated().to_text()
+        self.same(text.replace("\n", "\r\n"))
+        head, rows = text.split("event,line\n")
+        self.same(head.replace("]\n", "]\n# a, \"b\"\n\n") + "event,line\n"
+                  + rows.replace("\n", "\n#\n\n", 7) + "# end")
+
+    def test_unknown_name_in_a_later_window(self):
+        text = SAMPLE + "ev_c,l1\n" * 5 + "ev_d,l4\n"
+        assert instances._parse_bulk(text) is None
+        with pytest.raises(DataError, match="unknown line 'l4'"):
+            InstanceFile.from_text(text)
+
+    @pytest.mark.parametrize("tail, message", [
+        ("ev_c,l1\n" * 4 + "ev_c,l1,x\n", "line 15: expected 2 fields, got 3"),
+        ("#\n\n" * 3 + "ev_c\n", "line 17: expected 2 fields, got 1"),
+        ("[incidence]\n#\nev_c,l1\n", "line 13: expected header "
+         "'event,line', got 'ev_c,l1'"),
+    ])
+    def test_errors_keep_their_line_numbers(self, tail, message):
+        assert TestIncidenceErrors.error(SAMPLE + tail) == message
+
+    @pytest.mark.parametrize("edit", [str, str.rstrip,
+                                      lambda t: t.replace("\n", "\r\n")])
+    def test_file_load_reads_as_the_text(self, tmp_path, edit):
+        text = edit(SAMPLE + "ev_c,l3\nev_a,l3\n")
+        path = tmp_path / "x.inst"
+        path.write_bytes(text.encode())
+        loaded, rows = InstanceFile.load(path), instances._parse_rows(text)
+        assert (loaded.catalog, loaded.event_ids, loaded.incidence.pairs()) \
+            == (rows.catalog, rows.event_ids, rows.incidence.pairs())
+
+
+class TestSetUpMemory:
+    def test_peaks_stay_proportional_to_the_file(self, tmp_path):
+        # The desk spec at 10^5 requested events: a 2.4 MB file, whose load,
+        # fold and row groups peaked at 4.2, 1.9 and 1.5 times its size.
+        spec = SyntheticSpec(n_events=100_000, n_modules=100,
+                             lines_per_module=(2, 2), n_latent_clusters=10,
+                             intra_cluster_pass_rate=0.06,
+                             cross_cluster_pass_rate=0.001,
+                             prescale_options=(1.0, 0.5), seed=1000)
+        path = tmp_path / "desk.inst"
+        gen_synthetic(spec).write(path)
+
+        def peak(stage):
+            tracemalloc.start()
+            try:
+                return stage(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (incidence, catalog), load = peak(lambda: load_instance(path))
+        fold, folding = peak(lambda: fold_modules(incidence, catalog))
+        _, grouping = peak(fold.row_groups)
+        size = path.stat().st_size
+        assert load < 5 * size, load / size
+        assert folding < 2.5 * size, folding / size
+        assert grouping < 2.5 * size, grouping / size
 
 
 class TestSchemeFiles:
