@@ -29,7 +29,7 @@ from .errors import DataError, InfeasibleError, StreamOptError
 from .instances import (SyntheticSpec, _write_text, gen_synthetic,
                         load_instance, load_measurements, load_scheme,
                         write_scheme)
-from .model import Scheme
+from .model import Scheme, fold_modules
 from .optimize import (OptimizerConfig, optimize, sweep_streams,
                        sweep_workers)
 
@@ -299,8 +299,10 @@ def cmd_optimize(args) -> int:
     start = time.perf_counter()
     incidence, catalog = load_instance(args.instance)
     loaded = time.perf_counter()
-    scorer = SchemeScorer(incidence, catalog, base_kb=args.base_kb,
-                          shared_kb=args.shared_kb)
+    scorer = SchemeScorer(None if args.objective == "T" else incidence,
+                          catalog, fold=fold_modules(incidence, catalog),
+                          base_kb=args.base_kb, shared_kb=args.shared_kb)
+    del incidence
     folded = time.perf_counter()
     groups = scorer.fold.row_groups()
     deduped = time.perf_counter()

@@ -113,15 +113,21 @@ class InstanceFile:
 
     @classmethod
     def from_text(cls, text: str) -> "InstanceFile":
-        return _parse_bulk(text) or _parse_rows(text)
+        return cls._of(*(_parse_bulk(text) or _parse_rows(text)))
 
     def write(self, path):
         _write_text(path, self.to_text())
 
     @classmethod
     def load(cls, path) -> "InstanceFile":
-        return (_parse_bulk(path=path)
-                or _parse_rows(_read_text(path, "instance")))
+        return cls._of(*(_parse_bulk(path=path)
+                         or _parse_rows(_read_text(path, "instance"))))
+
+    @classmethod
+    def _of(cls, catalog, incidence, ids) -> "InstanceFile":
+        """The instance of a parse; the bulk parse's ids are undecoded keys."""
+        return cls(catalog, incidence,
+                   ids if isinstance(ids, tuple) else _decode_keys(ids))
 
 
 _FLAGS = {"1": True, "true": True, "0": False, "false": False}
@@ -184,7 +190,7 @@ def _rows(text: str, headers: dict):
                 f"line {lineno}: expected header '{header}', got '{line}'")
 
 
-def _parse_rows(text: str) -> InstanceFile:
+def _parse_rows(text: str) -> tuple:
     """Parse an instance row by row; every parse error is raised here."""
     records: list[LineRecord] = []
     events: list[str] = []
@@ -217,8 +223,8 @@ def _parse_rows(text: str) -> InstanceFile:
         raise DataError(f"incidence references unknown line '{unknown[0]}'")
     catalog_line = np.array([line_index[name] for name in names],
                             dtype=np.int64)
-    return InstanceFile(catalog, _incidence(
-        len(event_ids), catalog.n_lines, ev, catalog_line[code]), event_ids)
+    return catalog, _incidence(
+        len(event_ids), catalog.n_lines, ev, catalog_line[code]), event_ids
 
 
 def _incidence(n_events: int, n_lines: int, ev: np.ndarray,
@@ -252,9 +258,9 @@ _BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
 _WINDOW_BYTES = 1 << 18
 
 
-def _parse_bulk(text: str | None = None, *, path=None) -> InstanceFile | None:
+def _parse_bulk(text: str | None = None, *, path=None) -> tuple | None:
     """Parse a plain instance ``text``, or the file at ``path``, from its
-    bytes, or return None.
+    bytes into its catalog, incidence and event keys, or return None.
 
     *Plain* means ASCII without any control character but the newline
     (CRLF line ends are read as LF first), and without quotes or spaces
@@ -366,13 +372,7 @@ def _parse_bulk(text: str | None = None, *, path=None) -> InstanceFile | None:
     del code, lengths
     lines = np.concatenate(lines)
     incidence = _incidence(len(first), catalog.n_lines, ev, lines)
-    del ev, lines
-    event_ids = []
-    step = max(1, _WINDOW_BYTES // width // 8)
-    for start in range(0, len(first), step):
-        event_ids += _decode_keys(keys[first[start:start + step]])
-    del keys, first
-    return InstanceFile(catalog, incidence, tuple(event_ids))
+    return catalog, incidence, keys[first]
 
 
 def _scan(data: np.ndarray, start: int, stop: int) -> list | None:
@@ -485,14 +485,16 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return code, first[by_first]
 
 
-def _decode_keys(keys: np.ndarray) -> list[str]:
-    """The fields of :func:`_field_keys`'s keys, as strings."""
-    n, words = keys.shape
-    fields = np.empty((n, 8 * words + 1), np.uint8)
-    fields[:, :-1] = keys.view(np.uint8).reshape(n, -1)
-    fields[:, -1] = _NEWLINE
-    text = fields[fields != 0].tobytes().decode("ascii")
-    return text.split("\n")[:-1]
+def _decode_keys(keys: np.ndarray) -> tuple[str, ...]:
+    """The fields of :func:`_field_keys`'s keys, as strings, decoded about
+    ``_WINDOW_BYTES`` of keys at a time."""
+    step = max(1, _WINDOW_BYTES // keys.shape[1] // 8)
+    fields = []
+    for chunk in np.split(keys, range(step, len(keys), step)):
+        chunk = np.column_stack((chunk.view(np.uint8).reshape(len(chunk), -1),
+                                 np.full(len(chunk), _NEWLINE, np.uint8)))
+        fields += chunk[chunk != 0].tobytes().decode("ascii").split("\n")[:-1]
+    return tuple(fields)
 
 
 def _line_index(line_names: tuple[str, ...]) -> dict[str, int]:
@@ -502,12 +504,13 @@ def _line_index(line_names: tuple[str, ...]) -> dict[str, int]:
 
 
 def load_instance(path) -> tuple[EventLineIncidence, LineCatalog]:
-    """Load and validate an instance file."""
-    instance = InstanceFile.load(path)
-    violations = validate_dataset(instance.incidence, instance.catalog)
+    """Load and validate an instance file; its event ids are not decoded."""
+    catalog, incidence = (_parse_bulk(path=path)
+                          or _parse_rows(_read_text(path, "instance")))[:2]
+    violations = validate_dataset(incidence, catalog)
     if violations:
         raise DataError("invalid instance: " + "; ".join(violations))
-    return instance.incidence, instance.catalog
+    return incidence, catalog
 
 
 # -- schemes ---------------------------------------------------------------

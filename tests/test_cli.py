@@ -9,6 +9,7 @@ import subprocess
 import sys
 import types
 import warnings
+import weakref
 
 import pytest
 
@@ -151,6 +152,31 @@ class TestOptimizeCommand:
         diag = json.loads((tmp_path / "c.scheme.diag.json").read_text())
         assert f"wrote {out} (read cost {diag['best']['read_cost']:.6g})" \
             in capsys.readouterr().out
+
+    @pytest.mark.parametrize("objective, held", [
+        ("T", False), ("S", True), ("weighted:1", True)])
+    def test_only_storage_keeps_the_incidence_past_the_fold(
+            self, instance_path, tmp_path, monkeypatch, objective, held):
+        # T reads the fold alone, so the line-level incidence is gone
+        # before the descent; S re-ranks with it afterwards.
+        loaded, alive = [], []
+
+        def load(path):
+            incidence, catalog = load_instance(path)
+            loaded.append(weakref.ref(incidence))
+            return incidence, catalog
+
+        def descend(*args):
+            alive.append(loaded[0]() is not None)
+            return optimize_module.optimize(*args)
+
+        monkeypatch.setattr(streamopt.cli, "load_instance", load)
+        monkeypatch.setattr(streamopt.cli, "optimize", descend)
+        assert main(["optimize", "--instance", str(instance_path),
+                     "--streams", "3", "--restarts", "2", "--seed", "5",
+                     "--objective", objective,
+                     "--out", str(tmp_path / "c.scheme")]) == 0
+        assert alive == [held]
 
     def test_cpu_timings_are_null_without_resource(self, instance_path,
                                                    tmp_path, monkeypatch):

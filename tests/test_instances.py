@@ -30,6 +30,17 @@ ev_b,l3
 CATALOG, INCIDENCE = (f"[{part}" for part in SAMPLE.split("[")[1:])
 
 
+def bulk_parse(text: str) -> InstanceFile | None:
+    """The bulk parse of ``text``, its event keys decoded, or None."""
+    parsed = instances._parse_bulk(text)
+    return parsed and InstanceFile._of(*parsed)
+
+
+def row_parse(text: str) -> InstanceFile:
+    """The row-by-row parse of ``text``."""
+    return InstanceFile(*instances._parse_rows(text))
+
+
 class TestInstanceFormat:
     def test_parse_sample(self):
         inst = InstanceFile.from_text(SAMPLE)
@@ -189,11 +200,11 @@ class TestLoaderCases:
         # CRLF text takes the bulk parse and reads as the row parse does; a
         # lone CR still goes row by row.
         crlf = SAMPLE.replace("\n", "\r\n")
-        bulk, rows = instances._parse_bulk(crlf), instances._parse_rows(crlf)
+        bulk, rows = bulk_parse(crlf), row_parse(crlf)
         assert bulk is not None
         assert (bulk.catalog, bulk.event_ids, bulk.incidence.pairs()) == \
             (rows.catalog, rows.event_ids, rows.incidence.pairs())
-        assert instances._parse_bulk(SAMPLE.replace("ev_b", "ev\rb")) is None
+        assert bulk_parse(SAMPLE.replace("ev_b", "ev\rb")) is None
 
     def test_trailing_whitespace_is_ignored(self):
         text = self.generated().to_text()
@@ -209,11 +220,11 @@ class TestLoaderCases:
         head, rows = text.split("event,line\n")
         commented = ('# made by "gen", seed 3\n\n' + head + "event,line\n#\n"
                      + rows.replace("\n", "\n\n\n", 1) + "# end")
-        assert instances._parse_bulk(commented) is not None
+        assert bulk_parse(commented) is not None
         assert self.parsed(commented) == self.parsed(text)
         # A comment that str.splitlines would break in two goes row by row.
         for brk in "\r\x0b\x1c":
-            assert instances._parse_bulk(f"#a{brk}b\n" + text) is None
+            assert bulk_parse(f"#a{brk}b\n" + text) is None
 
     def test_keys_wider_than_one_word(self):
         # Line names that share their first 8-byte word, and one event id
@@ -223,12 +234,12 @@ class TestLoaderCases:
                 "shared08,1.0,0,1,m2\n[incidence]\nevent,line\n"
                 "run_0001_event_02,shared08_a\nrun_0001_event_01,shared08\n"
                 "x,shared08_b\nrun_0001_event_02,shared08_b\n")
-        bulk = instances._parse_bulk(text)
+        bulk = bulk_parse(text)
         assert bulk is not None
         assert bulk.event_ids == ("run_0001_event_02", "run_0001_event_01",
                                   "x")
         assert bulk.incidence.pairs() == [(0, 0), (0, 1), (1, 2), (2, 0)]
-        rows = instances._parse_rows(text)
+        rows = row_parse(text)
         assert (bulk.catalog, bulk.event_ids, bulk.incidence.pairs()) == \
             (rows.catalog, rows.event_ids, rows.incidence.pairs())
 
@@ -239,7 +250,7 @@ class TestLoaderCases:
         text = SAMPLE.replace("l1", catalog_name).replace(
             "[incidence]", f"{catalog_name},0.2,0,1,m3\n"
             "a_line_name_of_three_words,1.0,1,0,m3\n[incidence]")
-        bulk, rows = instances._parse_bulk(text), instances._parse_rows(text)
+        bulk, rows = bulk_parse(text), row_parse(text)
         assert bulk is not None
         assert bulk.incidence.pairs() == [(0, 0), (0, 1), (1, 2)]
         assert (bulk.catalog, bulk.event_ids, bulk.incidence.pairs()) == \
@@ -250,7 +261,7 @@ class TestLoaderCases:
         for name in ("l4", catalog_name + "x", "a_line_n", "a_line_name_of_t",
                      "x" * 40):
             unknown = text + f"ev_b,{name}\n"
-            assert instances._parse_bulk(unknown) is None
+            assert bulk_parse(unknown) is None
             with pytest.raises(DataError, match=f"unknown line '{name}'"):
                 InstanceFile.from_text(unknown)
 
@@ -259,12 +270,12 @@ class TestLoaderCases:
         # of the catalog, so a long name no row uses widens no key.
         text = SAMPLE.replace("[incidence]", "x" * 200 + ",1.0,1,0,m3\n"
                               "[incidence]") + "ev_c,l1\n" * 5000
-        TestProperties.assert_same_parse(instances._parse_bulk(text), text)
+        TestProperties.assert_same_parse(bulk_parse(text), text)
 
     def test_zero_byte_in_the_text_takes_the_row_parse(self):
         # The bulk parse pads its bytes with zeros, which its scan must not
         # see; a zero byte of the text's own is a control character.
-        assert instances._parse_bulk(SAMPLE.replace("ev_b", "ev\0b")) is None
+        assert bulk_parse(SAMPLE.replace("ev_b", "ev\0b")) is None
         assert InstanceFile.from_text(SAMPLE.replace("ev_b", "ev\0b")
                                       ).event_ids == ("ev_a", "ev\0b")
 
@@ -289,7 +300,7 @@ class TestLoaderCases:
     ], ids=["bracket-names", "commented-tag", "two-catalogs", "tag-then-tag",
             "skipped-before-header", "tag-text-as-event"])
     def test_bulk_parse_classifies_rows(self, text):
-        bulk, rows = instances._parse_bulk(text), instances._parse_rows(text)
+        bulk, rows = bulk_parse(text), row_parse(text)
         assert bulk is not None
         assert (bulk.catalog, bulk.event_ids, bulk.incidence.pairs()) == \
             (rows.catalog, rows.event_ids, rows.incidence.pairs())
@@ -302,7 +313,7 @@ class TestLoaderCases:
     ], ids=["near-tag", "row-before-tag", "space-for-comma",
             "quote-for-comma"])
     def test_bulk_parse_leaves_other_rows_to_the_row_parse(self, text):
-        assert instances._parse_bulk(text) is None
+        assert bulk_parse(text) is None
 
     def test_duplicate_warning_counts_rows(self, caplog):
         with caplog.at_level("WARNING"):
@@ -342,7 +353,7 @@ class TestWindowedParse:
 
     @staticmethod
     def same(text: str):
-        TestProperties.assert_same_parse(instances._parse_bulk(text), text)
+        TestProperties.assert_same_parse(bulk_parse(text), text)
 
     def test_runs_and_names_cut_by_window_edges(self):
         # ev_c's run spans windows and ev_a comes back after it; l3 is first
@@ -360,7 +371,7 @@ class TestWindowedParse:
 
     def test_unknown_name_in_a_later_window(self):
         text = SAMPLE + "ev_c,l1\n" * 5 + "ev_d,l4\n"
-        assert instances._parse_bulk(text) is None
+        assert bulk_parse(text) is None
         with pytest.raises(DataError, match="unknown line 'l4'"):
             InstanceFile.from_text(text)
 
@@ -379,9 +390,65 @@ class TestWindowedParse:
         text = edit(SAMPLE + "ev_c,l3\nev_a,l3\n")
         path = tmp_path / "x.inst"
         path.write_bytes(text.encode())
-        loaded, rows = InstanceFile.load(path), instances._parse_rows(text)
+        loaded, rows = InstanceFile.load(path), row_parse(text)
         assert (loaded.catalog, loaded.event_ids, loaded.incidence.pairs()) \
             == (rows.catalog, rows.event_ids, rows.incidence.pairs())
+
+
+class TestLoaders:
+    """``load_instance`` reads a file as ``InstanceFile.load`` does, errors
+    included, and never decodes an event id."""
+
+    @staticmethod
+    def texts() -> dict:
+        text = TestLoaderCases.generated().to_text()
+        head, rows = text.split("event,line\n")
+        return {
+            "plain": text,
+            "commented": ('# made by "gen", seed 3\n\n' + head
+                          + "event,line\n#\n" + rows.replace("\n", "\n\n", 3)
+                          + "# end"),
+            "crlf": text.replace("\n", "\r\n"),
+            "quoted": text + '"ev,x",mod00_l0\n',
+        }
+
+    @staticmethod
+    def refuse_decoding(monkeypatch):
+        def refuse(keys):
+            raise AssertionError("an event id was decoded")
+
+        monkeypatch.setattr(instances, "_decode_keys", refuse)
+
+    @pytest.mark.parametrize("kind", ["plain", "commented", "crlf", "quoted"])
+    def test_both_loaders_agree(self, tmp_path, monkeypatch, kind):
+        path = tmp_path / "x.inst"
+        path.write_bytes(self.texts()[kind].encode())
+        assert (instances._parse_bulk(path=path) is None) == (kind == "quoted")
+        reference = InstanceFile.load(path)
+        self.refuse_decoding(monkeypatch)
+        incidence, catalog = load_instance(path)
+        assert catalog == reference.catalog
+        assert incidence.n_events == reference.incidence.n_events
+        for column in ("event_index", "line_index"):
+            np.testing.assert_array_equal(
+                getattr(incidence, column),
+                getattr(reference.incidence, column), strict=True)
+
+    @pytest.mark.parametrize("tail", [
+        "ev_c,l9\n", "#\n\nev_c,l1,x\n", "ev_c\n",
+        "[incidence]\n#\nev_c,l1\n", '"ev,c",l1,"x"\n', "ev_c,l1\r\nev_d\n",
+    ])
+    def test_errors_agree(self, tmp_path, monkeypatch, tail):
+        self.refuse_decoding(monkeypatch)
+        path = tmp_path / "x.inst"
+        path.write_bytes((SAMPLE + tail).encode())
+        messages = []
+        for load in (load_instance, InstanceFile.load):
+            with pytest.raises(DataError) as info:
+                load(path)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == TestIncidenceErrors.error(
+            SAMPLE + tail.replace("\r\n", "\n"))
 
 
 class TestSetUpMemory:
@@ -710,14 +777,14 @@ class TestProperties:
         # The row-by-row parse is the reference: the bulk parse takes every
         # canonical text, and whatever it takes it must read the same way.
         text = inst.to_text()
-        assert instances._parse_bulk(text) is not None
+        assert bulk_parse(text) is not None
         rows = text.splitlines()
         # Blank and comment rows anywhere keep a text plain.
         for _ in range(data.draw(st.integers(1, 3))):
             rows.insert(data.draw(st.integers(0, len(rows))),
                         data.draw(skipped_rows))
         text = "\n".join(rows) + data.draw(st.sampled_from(["", "\n"]))
-        self.assert_same_parse(instances._parse_bulk(text), text)
+        self.assert_same_parse(bulk_parse(text), text)
         for _ in range(data.draw(st.integers(0, 3))):
             i = data.draw(st.integers(0, len(rows) - 1))
             j = data.draw(st.integers(0, len(rows) - 1))
@@ -729,13 +796,13 @@ class TestProperties:
             elif len(rows) > 1:
                 del rows[i]
         text = "\n".join(rows) + data.draw(st.sampled_from(["", "\n"]))
-        bulk = instances._parse_bulk(text)
+        bulk = bulk_parse(text)
         if bulk is not None:
             self.assert_same_parse(bulk, text)
 
     @staticmethod
     def assert_same_parse(bulk, text):
-        reference = instances._parse_rows(text)
+        reference = row_parse(text)
         assert bulk is not None
         assert bulk.catalog == reference.catalog
         assert bulk.event_ids == reference.event_ids
