@@ -101,14 +101,15 @@ class InstanceFile:
 
     def to_text(self) -> str:
         out = ["[catalog]", CATALOG_HEADER]
-        for rec in self.catalog.lines:
-            out.append(f"{rec.name},{rec.prescale!r},{int(rec.is_turbo)},"
-                       f"{int(rec.is_persist_reco)},{rec.module}")
+        names = [_field(name) for name in self.catalog.line_names]
+        for rec, name in zip(self.catalog.lines, names):
+            out.append(f"{name},{rec.prescale!r},{int(rec.is_turbo)},"
+                       f"{int(rec.is_persist_reco)},{_field(rec.module)}")
         out.append("[incidence]")
         out.append(INCIDENCE_HEADER)
-        names = self.catalog.line_names
+        event_ids = [_field(event) for event in self.event_ids]
         for e, l in self.incidence.pairs():
-            out.append(f"{self.event_ids[e]},{names[l]}")
+            out.append(f"{event_ids[e]},{names[l]}")
         return "\n".join(out) + "\n"
 
     @classmethod
@@ -128,6 +129,15 @@ class InstanceFile:
         """The instance of a parse; the bulk parse's ids are undecoded keys."""
         return cls(catalog, incidence,
                    ids if isinstance(ids, tuple) else _decode_keys(ids))
+
+
+def _field(name: str) -> str:
+    """``name`` as a field that :func:`_rows` reads back: quoted, as in CSV,
+    if it holds a comma or a quote, starts with ``#`` or has whitespace at
+    either end.  A name with a line break cannot be written."""
+    if "," in name or '"' in name or name[:1] == "#" or name != name.strip():
+        return '"' + name.replace('"', '""') + '"'
+    return name
 
 
 _FLAGS = {"1": True, "true": True, "0": False, "false": False}
@@ -521,7 +531,7 @@ def scheme_to_text(scheme: Scheme, catalog: LineCatalog) -> str:
         raise DataError("scheme does not cover the catalog's modules")
     out = [f"# n_streams={scheme.n_streams}", SCHEME_HEADER]
     for name, stream in zip(catalog.modules, scheme.assignment):
-        out.append(f"{name},{stream}")
+        out.append(f"{_field(name)},{stream}")
     return "\n".join(out) + "\n"
 
 

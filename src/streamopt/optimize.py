@@ -349,9 +349,9 @@ def sweep_streams(scorer: SchemeScorer, stream_counts,
         _check_feasible(k, n_modules)
     descents = _descents(counts, n_modules)
     workers = sweep_workers(counts, n_modules)
-    # Built before any worker starts, so that the workers inherit the fold's
-    # cached row groups, and the shortcuts below reuse them.
-    scorer.evaluator
+    # Grouped before any worker starts, so that forked workers inherit the
+    # fold's cached row groups; every descent builds its own evaluator.
+    module_incidence.row_groups()
     with contextlib.ExitStack() as stack:
         mapper = map
         task = functools.partial(_timed_optimize, module_incidence, catalog)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import importlib
 import json
 import logging
@@ -13,9 +14,10 @@ import weakref
 
 import pytest
 
-from streamopt import (InfeasibleError, OptimizerConfig, Scheme,
-                       extreme_schemes, fold_modules, load_instance,
-                       load_scheme, read_cost, storage_cost, write_scheme)
+from streamopt import (InfeasibleError, InstanceFile, LineCatalog,
+                       OptimizerConfig, Scheme, extreme_schemes, fold_modules,
+                       load_instance, load_scheme, read_cost, storage_cost,
+                       write_scheme)
 import streamopt.cli
 from streamopt.cli import main
 from streamopt.optimize import SETTLED_ENTROPY
@@ -227,6 +229,29 @@ class TestOptimizeCommand:
             "toy.inst", "x.scheme", "x.scheme.diag.json", "x.scheme.tmp"]
         # The output gets the mode of a plain write, not the temp file's 0600.
         assert out.stat().st_mode & 0o777 == stale.stat().st_mode & 0o777
+
+
+    def test_names_that_need_quotes_round_trip(self, instance_path,
+                                               tmp_path, capsys):
+        # Module names that a bare row would split, skip or strip.
+        inst = InstanceFile.load(instance_path)
+        names = dict(zip(inst.catalog.modules,
+                         ["m,1", "#m2", " m3", "m4 ", 'm"5', "m6"]))
+        catalog = LineCatalog(tuple(
+            dataclasses.replace(rec, module=names[rec.module])
+            for rec in inst.catalog.lines))
+        path, out = tmp_path / "quoted.inst", tmp_path / "quoted.scheme"
+        InstanceFile(catalog, inst.incidence, inst.event_ids).write(path)
+        assert main(["optimize", "--instance", str(path), "--streams", "3",
+                     "--restarts", "2", "--seed", "3", "--out", str(out)]) == 0
+        diag = json.loads((tmp_path / "quoted.scheme.diag.json").read_text())
+        assert load_scheme(out, catalog).assignment == \
+            tuple(diag["best"]["assignment"])
+        assert main(["evaluate", "--instance", str(path), "--scheme",
+                     str(out), "--out", str(tmp_path / "eval.json")]) == 0
+        evaluated = json.loads((tmp_path / "eval.json").read_text())
+        assert evaluated["read_cost"]["total"] == pytest.approx(
+            diag["best"]["read_cost"], rel=1e-9)
 
 
 class TestEvaluateCommand:

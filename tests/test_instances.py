@@ -54,6 +54,26 @@ class TestInstanceFormat:
         inst = InstanceFile.from_text(SAMPLE)
         assert InstanceFile.from_text(inst.to_text()).to_text() == inst.to_text()
 
+    def test_names_that_need_quotes_round_trip(self):
+        # Commas and quotes would split a row, and a leading "#" or a
+        # leading or trailing blank would skip or strip it, unless quoted.
+        names = ("m,1", "#m1", " m1", "m1\t", 'a"b', '"q"', "m2", "")
+        inst = InstanceFile(
+            LineCatalog(tuple(LineRecord(f"l{name}", 0.5, True, False, name)
+                              for name in names)),
+            EventLineIncidence(len(names), len(names),
+                               [(k, k) for k in range(len(names))]),
+            tuple(f"{name}e" for name in names))
+        text = inst.to_text()
+        assert 'lm2,0.5,1,0,m2\n' in text and "\nm2e,lm2\n" in text
+        parsed = InstanceFile.from_text(text)
+        assert (parsed.catalog, parsed.event_ids, parsed.incidence.pairs()) \
+            == (inst.catalog, inst.event_ids, inst.incidence.pairs())
+        assert parsed.to_text() == text
+        scheme = Scheme(3, tuple(k % 3 for k in range(len(names))))
+        assert scheme_from_text(scheme_to_text(scheme, inst.catalog),
+                                inst.catalog) == scheme
+
     def test_load_instance_validates(self, tmp_path):
         path = tmp_path / "toy.inst"
         path.write_text(SAMPLE)
@@ -454,7 +474,7 @@ class TestLoaders:
 class TestSetUpMemory:
     def test_peaks_stay_proportional_to_the_file(self, tmp_path):
         # The desk spec at 10^5 requested events: a 2.4 MB file, whose load,
-        # fold and row groups peaked at 4.2, 1.9 and 1.5 times its size.
+        # fold and row groups peaked at 3.3, 1.9 and 1.5 times its size.
         spec = SyntheticSpec(n_events=100_000, n_modules=100,
                              lines_per_module=(2, 2), n_latent_clusters=10,
                              intra_cluster_pass_rate=0.06,
@@ -474,7 +494,7 @@ class TestSetUpMemory:
         fold, folding = peak(lambda: fold_modules(incidence, catalog))
         _, grouping = peak(fold.row_groups)
         size = path.stat().st_size
-        assert load < 5 * size, load / size
+        assert load < 4 * size, load / size
         assert folding < 2.5 * size, folding / size
         assert grouping < 2.5 * size, grouping / size
 
@@ -729,8 +749,13 @@ skipped_rows = st.one_of(
         lambda comment: "#" + comment))
 
 
+# Names the writers must quote: commas and quotes anywhere, "#" and blanks
+# at either end.
+quoted_names = st.text(st.sampled_from('ab,"# \t'), max_size=6)
+
+
 @st.composite
-def instance_files(draw):
+def instance_files(draw, names=names):
     line_names = draw(st.lists(names, min_size=1, max_size=6, unique=True))
     module_names = draw(st.lists(names, min_size=1, max_size=len(line_names),
                                  unique=True))
@@ -761,7 +786,7 @@ class TestProperties:
                 f"got {len(expected)}$")):
             instances._split_row(line, 7, len(expected) + 1)
 
-    @given(instance_files())
+    @given(instance_files(names | quoted_names))
     def test_instance_text_round_trip(self, inst):
         text = inst.to_text()
         parsed = InstanceFile.from_text(text)
@@ -809,7 +834,7 @@ class TestProperties:
         assert bulk.incidence.n_events == reference.incidence.n_events
         assert bulk.incidence.pairs() == reference.incidence.pairs()
 
-    @given(instance_files(), st.data())
+    @given(instance_files(names | quoted_names), st.data())
     def test_scheme_text_round_trip(self, inst, data):
         n_modules = inst.catalog.n_modules
         n_streams = data.draw(st.integers(1, n_modules + 2))
