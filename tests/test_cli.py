@@ -232,7 +232,7 @@ class TestOptimizeCommand:
 
 
     def test_names_that_need_quotes_round_trip(self, instance_path,
-                                               tmp_path, capsys):
+                                               tmp_path):
         # Module names that a bare row would split, skip or strip.
         inst = InstanceFile.load(instance_path)
         names = dict(zip(inst.catalog.modules,
