@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -226,9 +226,11 @@ class SchemeScorer:
             raise ValueError("storage needs the line-level incidence")
         # The shared payload is kept by the persist-reco lines only, so fold
         # with every other line's prescale set to 0.
-        pr_catalog = LineCatalog(
-            tuple(rec if rec.is_persist_reco else replace(rec, prescale=0.0)
-                  for rec in catalog.lines))
+        pr_catalog = LineCatalog.of_columns(
+            catalog.line_names,
+            np.where(catalog.persist_reco_mask, catalog.prescales, 0.0),
+            catalog.turbo_mask, catalog.persist_reco_mask,
+            catalog.module_of_line, catalog.modules)
         shared = LossEvaluator(fold_modules(incidence, pr_catalog),
                                catalog.module_line_counts)
         # The turbo payload is additive over modules, so every scheme stores

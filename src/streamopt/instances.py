@@ -40,8 +40,8 @@ import numpy as np
 
 from .calibrate import MeasurementRecord
 from .errors import DataError
-from .model import (EventLineIncidence, LineCatalog, LineRecord, Scheme,
-                    _strictly_increasing, validate_dataset)
+from .model import (EventLineIncidence, LineCatalog, Scheme, _line_index,
+                    _number, _strictly_increasing, validate_dataset)
 
 logger = logging.getLogger(__name__)
 
@@ -101,10 +101,13 @@ class InstanceFile:
 
     def to_text(self) -> str:
         out = ["[catalog]", CATALOG_HEADER]
-        names = [_field(name) for name in self.catalog.line_names]
-        for rec, name in zip(self.catalog.lines, names):
-            out.append(f"{name},{rec.prescale!r},{int(rec.is_turbo)},"
-                       f"{int(rec.is_persist_reco)},{_field(rec.module)}")
+        catalog = self.catalog
+        names = [_field(name) for name in catalog.line_names]
+        modules = [_field(name) for name in catalog.modules]
+        out += map("%s,%r,%d,%d,%s".__mod__, zip(
+            names, catalog.prescales.tolist(), catalog.turbo_mask.tolist(),
+            catalog.persist_reco_mask.tolist(),
+            map(modules.__getitem__, catalog.module_of_line.tolist())))
         out.append("[incidence]")
         out.append(INCIDENCE_HEADER)
         event_ids = [_field(event) for event in self.event_ids]
@@ -202,7 +205,7 @@ def _rows(text: str, headers: dict):
 
 def _parse_rows(text: str) -> tuple:
     """Parse an instance row by row; every parse error is raised here."""
-    records: list[LineRecord] = []
+    lines: list[tuple] = []
     events: list[str] = []
     line_names: list[str] = []
     for lineno, section, row in _rows(text, _INSTANCE_HEADERS):
@@ -211,20 +214,17 @@ def _parse_rows(text: str) -> tuple:
             line_names.append(row[1])
             continue
         name, prescale, turbo, pr, module = row
-        records.append(LineRecord(
-            name=name,
-            prescale=_parse_float(prescale, lineno, "prescale"),
-            is_turbo=_parse_bool(turbo, lineno),
-            is_persist_reco=_parse_bool(pr, lineno),
-            module=module,
-        ))
+        lines.append((name, _parse_float(prescale, lineno, "prescale"),
+                      _parse_bool(turbo, lineno), _parse_bool(pr, lineno),
+                      module))
 
-    if not records:
+    if not lines:
         raise DataError("instance file has no catalog section or no lines")
     if not events:
         raise DataError("instance file has no events")
 
-    catalog = LineCatalog(tuple(records))
+    *columns, modules = zip(*lines)
+    catalog = LineCatalog.of_columns(*columns, *_number(modules))
     ev, event_ids = _number(events)
     code, names = _number(line_names)
     line_index = _line_index(catalog.line_names)
@@ -252,13 +252,6 @@ def _incidence(n_events: int, n_lines: int, ev: np.ndarray,
                            len(ev) - len(first))
         ev, li = ev[first], li[first]
     return EventLineIncidence.of_sorted(n_events, n_lines, ev, li)
-
-
-def _number(keys: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Codes of ``keys`` by first appearance, and the distinct keys."""
-    index: dict[str, int] = {}
-    codes = [index.setdefault(key, len(index)) for key in keys]
-    return np.array(codes, dtype=np.int64), tuple(index)
 
 
 _NEWLINE, _SPACE, _QUOTE, _HASH, _COMMA = b'\n "#,'
@@ -431,9 +424,9 @@ def _bulk_catalog(buffer: bytearray, rows: list) -> LineCatalog | None:
     flags = {token: _FLAGS.get(token.lower()) for token in {*turbo, *pr}}
     if None in flags.values():
         return None
-    return LineCatalog(tuple(map(LineRecord, names, prescales,
-                                 map(flags.get, turbo), map(flags.get, pr),
-                                 modules)))
+    return LineCatalog.of_columns(names, prescales,
+                                  list(map(flags.get, turbo)),
+                                  list(map(flags.get, pr)), *_number(modules))
 
 
 def _name_table(line_names: tuple[str, ...], words: int
@@ -505,12 +498,6 @@ def _decode_keys(keys: np.ndarray) -> tuple[str, ...]:
                                  np.full(len(chunk), _NEWLINE, np.uint8)))
         fields += chunk[chunk != 0].tobytes().decode("ascii").split("\n")[:-1]
     return tuple(fields)
-
-
-def _line_index(line_names: tuple[str, ...]) -> dict[str, int]:
-    """Each line name's first catalog line."""
-    n = len(line_names)
-    return dict(zip(reversed(line_names), range(n - 1, -1, -1)))
 
 
 def load_instance(path) -> tuple[EventLineIncidence, LineCatalog]:
@@ -666,23 +653,20 @@ def gen_synthetic(spec: SyntheticSpec) -> InstanceFile:
                          ) // spec.n_modules
 
     lo, hi = spec.lines_per_module
-    records: list[LineRecord] = []
-    cluster_of_line: list[int] = []
-    for m in range(spec.n_modules):
-        module = f"mod{m:02d}"
+    modules = [f"mod{m:02d}" for m in range(spec.n_modules)]
+    names, prescales, turbo, pr, module_of_line = [], [], [], [], []
+    for m, module in enumerate(modules):
         for j in range(int(rng.integers(lo, hi + 1))):
-            records.append(LineRecord(
-                name=f"{module}_l{j}",
-                prescale=float(rng.choice(spec.prescale_options)),
-                is_turbo=bool(rng.random() < spec.turbo_fraction),
-                is_persist_reco=bool(rng.random() < spec.persist_reco_fraction),
-                module=module,
-            ))
-            cluster_of_line.append(int(cluster_of_module[m]))
-    catalog = LineCatalog(tuple(records))
+            names.append(f"{module}_l{j}")
+            prescales.append(float(rng.choice(spec.prescale_options)))
+            turbo.append(bool(rng.random() < spec.turbo_fraction))
+            pr.append(bool(rng.random() < spec.persist_reco_fraction))
+            module_of_line.append(m)
+    catalog = LineCatalog.of_columns(names, prescales, turbo, pr,
+                                     module_of_line, modules)
 
     cluster_of_event = rng.integers(0, n_clusters, size=spec.n_events)
-    line_cluster = np.asarray(cluster_of_line)[None, :]
+    line_cluster = cluster_of_module[catalog.module_of_line][None, :]
     # Passes are drawn over blocks of event rows to bound memory; the blocks'
     # draws concatenate to the one events x lines draw, so the output does
     # not depend on the block size.

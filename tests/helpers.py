@@ -144,3 +144,22 @@ def reference_mc_prescale_check(incidence, catalog, scheme, n_samples, seed, *,
         return mean, float(samples.std(ddof=1) / np.sqrt(n_samples))
 
     return (*mean_se(read_samples), *mean_se(storage_samples), n_samples)
+
+
+def reference_validate_dataset(incidence, catalog):
+    """The checks of :func:`streamopt.validate_dataset`, line by line over
+    the catalog's records."""
+    violations = []
+    if incidence.n_lines != catalog.n_lines:
+        violations.append(f"incidence has {incidence.n_lines} lines but "
+                          f"catalog has {catalog.n_lines}")
+    seen = set()
+    for rec in catalog.lines:
+        if not 0.0 <= rec.prescale <= 1.0:
+            violations.append(
+                f"line '{rec.name}': prescale {rec.prescale} outside [0, 1]")
+        if rec.name in seen:
+            violations.append(f"duplicate line name '{rec.name}'")
+        seen.add(rec.name)
+    return violations
+

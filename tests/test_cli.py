@@ -15,9 +15,9 @@ import weakref
 import pytest
 
 from streamopt import (InfeasibleError, InstanceFile, LineCatalog,
-                       OptimizerConfig, Scheme, extreme_schemes, fold_modules,
-                       load_instance, load_scheme, read_cost, storage_cost,
-                       write_scheme)
+                       LineRecord, OptimizerConfig, Scheme, extreme_schemes,
+                       fold_modules, load_instance, load_scheme, read_cost,
+                       storage_cost, write_scheme)
 import streamopt.cli
 from streamopt.cli import main
 from streamopt.optimize import SETTLED_ENTROPY
@@ -559,6 +559,31 @@ class TestScoring:
             read_cost(incidence, catalog, written).total, rel=1e-9)
         assert totals["storage_kb"]["total"] == pytest.approx(
             storage_cost(incidence, catalog, written).total, rel=1e-9)
+
+    def test_no_command_builds_line_records(self, instance_path, tmp_path,
+                                            monkeypatch):
+        # The catalog is columns; its records are built only when asked for.
+        def no_records(self, *args, **kwargs):
+            raise AssertionError("a command built a LineRecord")
+
+        monkeypatch.setattr(LineRecord, "__init__", no_records)
+        incidence, catalog = load_instance(instance_path)
+        assert catalog.n_lines == incidence.n_lines
+        inst, scheme = str(instance_path), str(tmp_path / "c.scheme")
+        for argv in (
+                ["optimize", "--instance", inst, "--streams", "3",
+                 "--restarts", "2", "--seed", "5", "--objective", "T",
+                 "--out", scheme],
+                ["optimize", "--instance", inst, "--streams", "3",
+                 "--restarts", "2", "--seed", "5", "--objective",
+                 "weighted:1", "--out", scheme],
+                ["sweep", "--instance", inst, "--streams", "1,3",
+                 "--restarts", "2", "--baseline", "single-stream"],
+                ["evaluate", "--instance", inst, "--scheme", scheme,
+                 "--out", str(tmp_path / "eval.json")]):
+            assert main(argv) == 0, argv
+        with pytest.raises(AssertionError, match="LineRecord"):
+            catalog.lines
 
 
 class TestMaxRss:

@@ -14,6 +14,7 @@ from streamopt import (DataError, EventLineIncidence, InstanceFile,
                        load_measurements, load_scheme, validate_dataset,
                        write_scheme)
 from streamopt.instances import scheme_from_text, scheme_to_text
+from helpers import reference_validate_dataset
 
 SAMPLE = """\
 [catalog]
@@ -755,17 +756,22 @@ quoted_names = st.text(st.sampled_from('ab,"# \t'), max_size=6)
 
 
 @st.composite
-def instance_files(draw, names=names):
+def line_records(draw, names=names, prescales=st.floats(0.0, 1.0)):
     line_names = draw(st.lists(names, min_size=1, max_size=6, unique=True))
     module_names = draw(st.lists(names, min_size=1, max_size=len(line_names),
                                  unique=True))
     # Each module gets its first line; the rest go anywhere.
     modules = module_names + [draw(st.sampled_from(module_names))
                               for _ in line_names[len(module_names):]]
-    lines = tuple(
-        LineRecord(name, draw(st.floats(0.0, 1.0)), draw(st.booleans()),
+    return tuple(
+        LineRecord(name, draw(prescales), draw(st.booleans()),
                    draw(st.booleans()), module)
         for name, module in zip(line_names, modules))
+
+
+@st.composite
+def instance_files(draw, names=names):
+    lines = draw(line_records(names))
     event_ids = draw(st.lists(names, min_size=1, max_size=8, unique=True))
     n_lines = len(lines)
     pairs = {(e, draw(st.integers(0, n_lines - 1)))
@@ -796,6 +802,42 @@ class TestProperties:
         assert parsed.incidence.n_lines == inst.incidence.n_lines
         assert parsed.incidence.pairs() == inst.incidence.pairs()
         assert parsed.to_text() == text
+
+    @given(line_records(names | quoted_names))
+    def test_parsed_catalogs_equal_the_records(self, records):
+        # Both parsers build the columns straight from the text; they must
+        # equal the columns of the records the text was written from.
+        catalog = LineCatalog(records)
+        n_lines = catalog.n_lines
+        text = InstanceFile(catalog, EventLineIncidence(
+            1, n_lines, [(0, k) for k in range(n_lines)]), ("e",)).to_text()
+        parsed = [instances._parse_rows(text)[0]]
+        bulk = instances._parse_bulk(text)
+        plain = all(set(name) <= set(NAME_CHARS)
+                    for name in catalog.line_names + catalog.modules)
+        assert plain <= (bulk is not None)
+        parsed += [bulk[0]] if bulk else []
+        for parse in parsed:
+            assert parse == catalog
+            assert parse.lines == records
+            assert LineCatalog(parse.lines) == parse
+            for column in ("prescales", "turbo_mask", "persist_reco_mask",
+                           "module_of_line", "module_line_counts"):
+                array, expected = getattr(parse, column), getattr(catalog,
+                                                                  column)
+                assert array.dtype == expected.dtype
+                assert not array.flags.writeable
+
+    @given(st.lists(st.builds(LineRecord, st.sampled_from(["a", "b", "c,d"]),
+                              st.floats(-0.5, 1.5) | st.floats()),
+                    min_size=1, max_size=8),
+           st.integers(1, 8))
+    def test_validation_matches_record_reference(self, records, n_lines):
+        # Repeated names, and prescales out of range, infinite or NaN.
+        incidence = EventLineIncidence(1, n_lines, [(0, 0)])
+        catalog = LineCatalog(records)
+        assert validate_dataset(incidence, catalog) == \
+            reference_validate_dataset(incidence, catalog)
 
     @given(instance_files(), st.data())
     def test_bulk_parse_matches_row_parse(self, inst, data):

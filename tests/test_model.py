@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from streamopt import (DataError, EventLineIncidence, LineCatalog, LineRecord,
-                       ModuleIncidence, Scheme, fold_modules, validate_dataset)
+                       ModuleIncidence, Scheme, enumerate_optimal,
+                       fold_modules, mc_prescale_check, read_cost,
+                       storage_cost, validate_dataset)
 from streamopt.model import CSR, _csr
-from helpers import build_catalog, random_instance
+from helpers import (build_catalog, random_instance,
+                     reference_validate_dataset)
 
 
 def simple_catalog():
@@ -119,6 +124,52 @@ class TestCatalog:
     def test_empty_catalog_rejected(self):
         with pytest.raises(DataError):
             LineCatalog(())
+        with pytest.raises(DataError):
+            LineCatalog.of_columns((), [], [], [], [], ())
+
+    def test_columns(self):
+        cat = simple_catalog()
+        assert cat.line_names == ("l1", "l2", "l3")
+        for column, dtype in (("prescales", np.float64),
+                              ("turbo_mask", np.bool_),
+                              ("persist_reco_mask", np.bool_),
+                              ("module_of_line", np.int64),
+                              ("module_line_counts", np.int64)):
+            array = getattr(cat, column)
+            assert array.dtype == dtype
+            assert not array.flags.writeable
+        assert cat.prescales.tolist() == [1.0, 1.0, 0.5]
+        assert cat.persist_reco_mask.tolist() == [False, True, False]
+        columns = LineCatalog.of_columns(
+            ["l1", "l2", "l3"], np.array([1.0, 1.0, 0.5]), [True] * 3,
+            np.array([False, True, False]), np.array([0, 0, 1]), ["m1", "m2"])
+        assert columns == cat and hash(columns) == hash(cat)
+
+    def test_records_round_trip(self):
+        records = (LineRecord("a", 0.25, False, True, "m"), LineRecord("b"),
+                   LineRecord("c", 1.0, True, False, "m"))
+        cat = LineCatalog(records)
+        assert cat.lines == records
+        assert cat.lines is cat.lines
+        assert LineCatalog(cat.lines) == cat
+        assert LineCatalog(iter(records)) == cat
+
+    def test_equal_exactly_when_the_records_are(self):
+        base = (LineRecord("a", 0.5, True, False, "m"),
+                LineRecord("b", 1.0, False, True, "n"))
+        same = (LineRecord("a", 0.5, True, False, "m"),
+                LineRecord("b", 1.0, False, True, "n"))
+        assert LineCatalog(base) == LineCatalog(same)
+        changes = [dict(name="c"), dict(prescale=0.25), dict(is_turbo=False),
+                   dict(is_persist_reco=True), dict(module="n")]
+        for change in changes:
+            other = (replace(base[0], **change), base[1])
+            assert LineCatalog(base) != LineCatalog(other), change
+        # The same modules in another order number the lines otherwise.
+        swapped = (replace(base[0], module="n"), replace(base[1], module="m"))
+        assert LineCatalog(base) != LineCatalog(swapped)
+        assert LineCatalog(base) != LineCatalog(base[:1])
+        assert LineCatalog(base).__eq__(base) is NotImplemented
 
 
 class TestValidateDataset:
@@ -137,6 +188,24 @@ class TestValidateDataset:
         inc = EventLineIncidence(1, 8, [(0, 7)])
         report = validate_dataset(inc, simple_catalog())
         assert any("8 lines" in v for v in report)
+
+    def test_messages_in_line_order(self):
+        cat = build_catalog([("a", 1.0, True, False, "m"),
+                             ("a", np.nan, True, False, "m"),
+                             ("b", -1.0, True, False, "m"),
+                             ("b", 0.5, True, False, "m"),
+                             ("a", 2.0, True, False, "m")])
+        inc = EventLineIncidence(1, 4, [(0, 0)])
+        report = validate_dataset(inc, cat)
+        assert report == reference_validate_dataset(inc, cat)
+        assert report == [
+            "incidence has 4 lines but catalog has 5",
+            "line 'a': prescale nan outside [0, 1]",
+            "duplicate line name 'a'",
+            "line 'b': prescale -1.0 outside [0, 1]",
+            "duplicate line name 'b'",
+            "line 'a': prescale 2.0 outside [0, 1]",
+            "duplicate line name 'a'"]
 
     def test_duplicate_line_names_reported(self):
         cat = build_catalog([("dup", 1.0, True, False, "m"),
@@ -206,6 +275,25 @@ class TestFoldModules:
         inc = EventLineIncidence(1, 1, [(0, 0)])
         with pytest.raises(DataError, match="prescale"):
             fold_modules(inc, cat)
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, 1.5, np.inf])
+    def test_prescale_outside_unit_interval_rejected_everywhere(self, bad):
+        # NaN fails every comparison, so the range test must be negated.
+        cat = build_catalog([("a", 1.0, True, True, "m"),
+                             ("b", bad, True, True, "m")])
+        inc = EventLineIncidence(2, 2, [(0, 0), (1, 1)])
+        scheme = Scheme(1, (0,))
+        message = ("catalog contains prescales outside \\[0, 1\\]; "
+                   "run validate_dataset for details")
+        for check in (lambda: fold_modules(inc, cat),
+                      lambda: read_cost(inc, cat, scheme),
+                      lambda: storage_cost(inc, cat, scheme),
+                      lambda: enumerate_optimal(inc, cat, 1),
+                      lambda: mc_prescale_check(inc, cat, scheme, 10, 0)):
+            with pytest.raises(DataError, match=message):
+                check()
+        assert validate_dataset(inc, cat) == [
+            f"line 'b': prescale {bad} outside [0, 1]"]
 
 
 class TestScheme:

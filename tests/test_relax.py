@@ -290,6 +290,18 @@ class TestKernel:
             dense = inc.to_dense()
             dense[:, :12] = True
             cases.append((EventLineIncidence.from_dense(dense), cat))
+        # 90 one-line modules give 7-bit ids, 9 to a word.  Rows share one of
+        # three 9-module heads, so their first words are equal, and half add
+        # modules past the first word: each head's run mixes one-word and
+        # longer rows, repeats included.
+        dense = np.zeros((400, 90), dtype=bool)
+        for row in dense:
+            row[rng.integers(3) + np.arange(9)] = True
+            if rng.random() < 0.5:
+                row[rng.choice(np.arange(11, 89), rng.integers(1, 4))] = True
+        dense[0, 11:89] = True  # a row of ten words
+        cases.append((EventLineIncidence.from_dense(dense), build_catalog(
+            [(f"l{m}", 1.0, True, False, f"l{m}") for m in range(90)])))
         multi_word = 0
         for inc, cat in cases:
             folded = fold_modules(inc, cat)
