@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Full sweep experiment on a planted-cluster instance.
 
-Generates a clustered synthetic dataset, optimizes one scheme per stream
-count, and writes a table of read cost and storage versus stream count,
-normalized to the planted grouping at the reference stream count.  The
-table's shape is the usual story: read cost falls as streams are added while
-storage creeps up from event duplication.
+Generates a clustered synthetic dataset and runs ``streamopt sweep`` on it,
+with the planted grouping (contiguous cluster blocks, written to
+``planted.scheme``) as the baseline.  The table, ``sweep.csv``, gives read
+cost and storage per stream count, each also normalized to the planted
+grouping.  Its shape is the usual story: read cost falls as streams are added
+while storage creeps up from event duplication.
 
 Usage:
     python3 scripts/sweep_experiment.py --out-dir out/ --events 10000
@@ -15,8 +16,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from streamopt import (OptimizerConfig, Scheme, SchemeScorer, SyntheticSpec,
-                       gen_synthetic, sweep_streams)
+from streamopt import Scheme, SyntheticSpec, gen_synthetic, write_scheme
+from streamopt.cli import main as streamopt_main
 
 
 def parse_args():
@@ -35,45 +36,23 @@ def parse_args():
 
 def main():
     args = parse_args()
-    counts = [int(tok) for tok in args.streams.split(",")]
     args.out_dir.mkdir(parents=True, exist_ok=True)
-
-    spec = SyntheticSpec(
+    instance = gen_synthetic(SyntheticSpec(
         n_events=args.events, n_modules=args.modules,
         lines_per_module=(2, 4), n_latent_clusters=args.clusters,
         intra_cluster_pass_rate=args.intra,
         cross_cluster_pass_rate=args.cross, seed=args.seed,
-    )
-    instance = gen_synthetic(spec)
-    incidence, catalog = instance.incidence, instance.catalog
-    instance.write(args.out_dir / "instance.txt")
-    print(f"instance: {incidence.n_events} events, {catalog.n_lines} lines, "
-          f"{catalog.n_modules} modules")
-
-    # The planted grouping (contiguous cluster blocks) is the reference.
-    baseline = Scheme(args.clusters, tuple(
-        (m * args.clusters) // args.modules for m in range(args.modules)))
-    scorer = SchemeScorer(incidence, catalog)
-    t_base = scorer.read_cost(baseline).total
-    s_base = scorer.storage_cost(baseline).total
-    print(f"planted grouping at {args.clusters} streams: "
-          f"T={t_base:.0f} S={s_base:.0f} kB")
-
-    config = OptimizerConfig(n_streams=1, n_restarts=args.restarts,
-                             seed=args.seed)
-    points = sweep_streams(scorer, counts, config)
-
-    rows = ["n_streams,read_cost,storage_kb,read_vs_planted,storage_vs_planted"]
-    for point in points:
-        t = point.result.best_cost_discrete.total
-        s = point.storage.total
-        rows.append(f"{point.n_streams},{t:.6g},{s:.6g},"
-                    f"{t / t_base:.4f},{s / s_base:.4f}")
-        print(rows[-1])
-    table = args.out_dir / "sweep.csv"
-    table.write_text("\n".join(rows) + "\n")
-    print(f"wrote {table}")
-    return 0
+    ))
+    path = args.out_dir / "instance.txt"
+    planted = args.out_dir / "planted.scheme"
+    instance.write(path)
+    write_scheme(planted, Scheme(args.clusters, tuple(
+        (m * args.clusters) // args.modules for m in range(args.modules))),
+        instance.catalog)
+    return streamopt_main([
+        "sweep", "--instance", str(path), "--streams", args.streams,
+        "--restarts", str(args.restarts), "--seed", str(args.seed),
+        "--baseline", str(planted), "--out", str(args.out_dir / "sweep.csv")])
 
 
 if __name__ == "__main__":

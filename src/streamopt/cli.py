@@ -100,44 +100,22 @@ def _float_list(value: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad float list '{value}'") from None
 
 
-def _usages(children: bool = False):
-    """Resource usage of this process, and with ``children`` of its
-    waited-for child processes too; None where the ``resource`` module is
-    missing."""
+def _resource_usage(children: bool = False, since=(0.0, 0.0, None)):
+    """User and sys CPU seconds, less those of ``since`` (an earlier
+    reading), and peak resident set size in MB (2**20 bytes) of this
+    process; with ``children``, also of its waited-for child processes (the
+    largest child's peak is added).  None for each where the ``resource``
+    module is missing."""
     if resource is None:
-        return None
+        return None, None, None
     usages = [resource.getrusage(resource.RUSAGE_SELF)]
     if children:
         usages.append(resource.getrusage(resource.RUSAGE_CHILDREN))
-    return usages
-
-
-def _cpu_seconds(children: bool = False):
-    """User and sys CPU seconds used so far (see ``_usages``), or None."""
-    usages = _usages(children)
-    if usages is None:
-        return None
-    return (sum(u.ru_utime for u in usages), sum(u.ru_stime for u in usages))
-
-
-def _max_rss_mb(children: bool = False):
-    """Peak resident set size in MB (2**20 bytes) of this process, plus with
-    ``children`` that of its largest waited-for child process, or None."""
-    usages = _usages(children)
-    if usages is None:
-        return None
     # ru_maxrss is in bytes on macOS and in KiB on Linux and the BSDs.
     unit = 1 if sys.platform == "darwin" else 1024
-    return sum(u.ru_maxrss for u in usages) * unit / 2**20
-
-
-def _cpu_timings(start, children: bool = False) -> dict:
-    """``user_s`` and ``sys_s`` since ``start`` (a ``_cpu_seconds`` value),
-    both None where it is None."""
-    if start is None:
-        return {"user_s": None, "sys_s": None}
-    end = _cpu_seconds(children)
-    return {"user_s": end[0] - start[0], "sys_s": end[1] - start[1]}
+    return (sum(u.ru_utime for u in usages) - since[0],
+            sum(u.ru_stime for u in usages) - since[1],
+            sum(u.ru_maxrss for u in usages) * unit / 2**20)
 
 
 def _load_named_scheme(token: str, catalog) -> Scheme:
@@ -295,7 +273,7 @@ def _restart_diag(r) -> dict:
 def cmd_optimize(args) -> int:
     if args.streams < 1:
         raise InfeasibleError("stream counts must be >= 1")
-    cpu_start = _cpu_seconds()
+    usage_start = _resource_usage()
     start = time.perf_counter()
     incidence, catalog = load_instance(args.instance)
     loaded = time.perf_counter()
@@ -331,6 +309,7 @@ def cmd_optimize(args) -> int:
         best, relaxed_loss, best_read_cost = (
             chosen.scheme, chosen.relaxed_loss, chosen.discrete_cost)
 
+    user_s, sys_s, max_rss_mb = _resource_usage(since=usage_start)
     diag = {
         "instance": str(args.instance),
         "n_streams": args.streams,
@@ -341,9 +320,10 @@ def cmd_optimize(args) -> int:
             "fold_s": folded - loaded,
             "dedupe_s": deduped - folded,
             "optimize_s": optimized - deduped,
-            **_cpu_timings(cpu_start),
+            "user_s": user_s,
+            "sys_s": sys_s,
         },
-        "max_rss_mb": _max_rss_mb(),
+        "max_rss_mb": max_rss_mb,
         "kernel": {
             "events": scorer.fold.n_events,
             "unique_rows": len(groups.weights),
@@ -428,7 +408,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cpu_start = _cpu_seconds(children=True)
+    usage_start = _resource_usage(children=True)
     scorer = _scorer(args)
     header = "n_streams,read_cost,storage_kb"
     if args.baseline:
@@ -451,12 +431,13 @@ def cmd_sweep(args) -> int:
         rows.append(row)
     table = "\n".join(rows) + "\n"
     if args.out:
+        user_s, sys_s, max_rss_mb = _resource_usage(True, usage_start)
         diag = {
             "instance": str(args.instance),
             "seed": args.seed,
             "workers": sweep_workers(args.streams, scorer.catalog.n_modules),
-            "timings": _cpu_timings(cpu_start, children=True),
-            "max_rss_mb": _max_rss_mb(children=True),
+            "timings": {"user_s": user_s, "sys_s": sys_s},
+            "max_rss_mb": max_rss_mb,
             "points": [
                 {
                     "n_streams": point.n_streams,

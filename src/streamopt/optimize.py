@@ -15,24 +15,23 @@ discrete cost seen along its whole trajectory, not just at the stopping
 point.
 
 All restarts advance together as one batched tensor.  A restart leaves the
-batch when its loss turns non-finite, or when it has settled: every module
+batch when its loss turns non-finite, when it has settled (every module
 row's entropy is below ``SETTLED_ENTROPY`` nats, so each module sits almost
-wholly on one stream.  The stop is taken after that step's rounding, and on
-logged trajectories (the benchmark workloads and the oracle suite) no
-restart changed its argmax or improved its best rounded scheme after that
-point.  A restart that keeps a module split between streams (a 50/50 row
-has entropy ln 2) runs to ``max_iters``.  Leaving the batch does not change
-the other restarts' trajectories, so results are bit-reproducible for a
-given seed and configuration.
+wholly on one stream) or at step ``max_iters``, all in one place after that
+step's rounding; nothing is updated or evaluated after a restart's last
+step.  On logged trajectories (the benchmark workloads and the oracle
+suite) no settled restart changed its argmax or improved its best rounded
+scheme after its stop step.  A restart that keeps a module split between
+streams (a 50/50 row has entropy ln 2) runs to the cap.  Leaving the batch
+does not change the other restarts' trajectories, so results are
+bit-reproducible for a given seed and configuration.
 
 The driver keeps two kinds of per-restart state.  The descent state (logits,
 the AdaMax moments, the gradient, the previous argmax and each batch slice's
 restart index) holds one slice per restart still in the batch, and only it is
-compacted when restarts leave.  The restart table holds what each restart has
-found, by restart index: its best rounded cost, the step that found it, its
-assignment and, once it stops, its ``RestartRecord``.  Every record of a
-descending restart, whether settled, capped or non-finite, is built by one
-``stop`` call.
+compacted when restarts leave.  The restart table holds, in arrays by
+restart index, each restart's best rounded cost, the step that found it and
+its assignment; a restart's ``RestartRecord`` is built where it stops.
 
 A sweep runs its stream counts' descents in worker processes, one task per
 stream count.  The descents share no state and each seeds its own generator
@@ -54,7 +53,7 @@ from .cost import (CostBreakdown, SchemeScorer, StorageBreakdown,
                    extreme_schemes, first_minimum)
 from .errors import InfeasibleError, StreamOptError
 from .model import LineCatalog, ModuleIncidence, Scheme, _row_entropy
-from .relax import one_hot, softmax_rows
+from .relax import one_hot
 
 # AdaMax step size, moment decay rates and denominator guard, and the
 # standard deviation of the initial logits.
@@ -93,7 +92,8 @@ class RestartRecord:
 
     ``stop_reason`` is ``"settled"`` (every module row's entropy fell below
     ``SETTLED_ENTROPY``), ``"max_iters"`` or ``"non_finite"`` (the run is
-    discarded).  ``best_found_at`` is the step that first rounded to the
+    discarded); ``relaxed_loss`` and ``max_row_entropy`` are those of its
+    last step.  ``best_found_at`` is the step that first rounded to the
     restart's best scheme.
     """
 
@@ -205,19 +205,8 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
     # The restart table, by restart index.
     best_cost = np.full(n_restarts, np.inf)
     best_step = np.zeros(n_restarts, dtype=np.int64)
-    best_assignment: list[tuple[int, ...] | None] = [None] * n_restarts
+    best_assignment = np.zeros((n_restarts, n_modules), dtype=np.int64)
     records: list[RestartRecord | None] = [None] * n_restarts
-
-    def stop(k: int, loss, entropy, iterations: int, reason: str):
-        """Record restart k's outcome; a non-finite run keeps no scheme."""
-        if reason == "non_finite":
-            cost, entropy, scheme = math.inf, math.nan, None
-        else:
-            cost = float(best_cost[k])
-            scheme = Scheme(n_streams, best_assignment[k])
-        records[k] = RestartRecord(k, float(loss), cost, iterations,
-                                   float(entropy), scheme, reason,
-                                   int(best_step[k]))
 
     # A restart can have settled only once every softmax row sum (1 / the
     # row's largest probability) is below this; the 0.01 margin covers
@@ -241,30 +230,38 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
         moved = (rounded != previous).any(axis=1).nonzero()[0]
         if moved.size:
             costs = evaluator.loss(one_hot(rounded[moved], n_streams))
-            for j, k, cost in zip(moved.tolist(), origin[moved].tolist(),
-                                  costs.tolist()):
-                if cost < best_cost[k]:
-                    best_cost[k] = cost
-                    best_step[k] = step
-                    best_assignment[k] = tuple(rounded[j].tolist())
+            better = costs < best_cost[origin[moved]]
+            j, k = moved[better], origin[moved[better]]
+            best_cost[k], best_step[k] = costs[better], step
+            best_assignment[k] = rounded[j]
         previous = rounded
 
+        # Every restart stops here: when its loss is not finite, when it has
+        # settled, or at the cap.  Entropy is taken only when some restart
+        # may have settled, and at the cap for its record.
+        last = step == config.max_iters
         retire = failed = ~np.isfinite(loss)
-        entropy = None
-        if sums.max(axis=1).min() < settle_sum:
+        if last or sums.max(axis=1).min() < settle_sum:
             entropy = _row_entropy(probs).max(axis=1)
-            retire = failed | (entropy < SETTLED_ENTROPY)
+            settled = entropy < SETTLED_ENTROPY
+            retire = failed | settled | last
         if retire.any():
-            for j in retire.nonzero()[0]:
-                if failed[j]:
-                    stop(int(origin[j]), loss[j], math.nan, step, "non_finite")
-                else:
-                    stop(int(origin[j]), loss[j], entropy[j], step, "settled")
+            for j in retire.nonzero()[0].tolist():
+                # A non-finite run keeps no scheme.
+                k = int(origin[j])
+                cost, row_entropy, scheme, reason = (
+                    (math.inf, math.nan, None, "non_finite") if failed[j] else
+                    (float(best_cost[k]), float(entropy[j]),
+                     Scheme(n_streams, tuple(best_assignment[k].tolist())),
+                     "settled" if settled[j] else "max_iters"))
+                records[k] = RestartRecord(k, float(loss[j]), cost, step,
+                                           row_entropy, scheme, reason,
+                                           int(best_step[k]))
+            if retire.all():
+                break
             keep = ~retire
             logits, moment, inf_norm = logits[keep], moment[keep], inf_norm[keep]
             grad, previous, origin = grad[keep], previous[keep], origin[keep]
-            if origin.size == 0:
-                break
 
         # AdaMax in place, in the same order of operations as
         # m = b1 m + (1 - b1) g; u = max(b2 u, |g|); x -= c m / (u + eps).
@@ -276,13 +273,6 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
         step_term = (STEP_SIZE / (1.0 - beta1_power)) * moment
         step_term /= np.add(inf_norm, EPSILON, out=grad)
         logits -= step_term
-    else:
-        probs = softmax_rows(logits)
-        loss = np.atleast_1d(evaluator.loss(probs))
-        entropy = _row_entropy(probs).max(axis=1)
-        for j, k in enumerate(origin.tolist()):
-            stop(k, loss[j], entropy[j], config.max_iters,
-                 "max_iters" if np.isfinite(loss[j]) else "non_finite")
 
     survivors = [r for r in records if not r.failed]
     if not survivors:

@@ -184,13 +184,19 @@ class TestOptimizeCommand:
                                                    tmp_path, monkeypatch):
         monkeypatch.setattr(streamopt.cli, "resource", None)
         out = tmp_path / "x.scheme"
+        table = tmp_path / "sweep.csv"
         assert main(["optimize", "--instance", str(instance_path),
                      "--streams", "2", "--restarts", "2",
                      "--out", str(out)]) == 0
-        diag = json.loads((tmp_path / "x.scheme.diag.json").read_text())
-        assert diag["timings"]["user_s"] is None
-        assert diag["timings"]["sys_s"] is None
-        assert diag["max_rss_mb"] is None
+        assert main(["sweep", "--instance", str(instance_path),
+                     "--streams", "1,2", "--restarts", "2",
+                     "--out", str(table)]) == 0
+        for written in (out, table):
+            diag = json.loads((tmp_path / f"{written.name}.diag.json")
+                              .read_text())
+            assert diag["timings"]["user_s"] is None
+            assert diag["timings"]["sys_s"] is None
+            assert diag["max_rss_mb"] is None
 
     def test_infeasible_exit_code(self, instance_path, tmp_path):
         code = main(["optimize", "--instance", str(instance_path),
@@ -596,8 +602,8 @@ class TestMaxRss:
             getrusage=lambda who: types.SimpleNamespace(
                 ru_maxrss=peaks[who], ru_utime=0.0, ru_stime=0.0)))
         monkeypatch.setattr(sys, "platform", platform)
-        assert streamopt.cli._max_rss_mb() == 3.0
-        assert streamopt.cli._max_rss_mb(children=True) == 4.0
+        assert streamopt.cli._resource_usage()[2] == 3.0
+        assert streamopt.cli._resource_usage(children=True)[2] == 4.0
 
 
 @pytest.fixture

@@ -236,6 +236,53 @@ class TestSettledStop:
         assert record.stop_reason == "max_iters"
         assert record.iterations == capped_at
 
+    def test_capped_record_describes_its_last_step(self):
+        rng = np.random.default_rng(31)
+        inc, cat = random_instance(rng)
+        folded = fold_modules(inc, cat)
+        config = OptimizerConfig(n_streams=3, n_restarts=4, max_iters=1,
+                                 seed=8)
+        result = optimize(folded, cat, config)
+        probs = relax.softmax_rows(np.random.default_rng(config.seed).normal(
+            0.0, optimize_module.INIT_SCALE,
+            (config.n_restarts, cat.n_modules, config.n_streams)))
+        evaluator = relax.LossEvaluator(folded, cat.module_line_counts)
+        losses = evaluator.loss(probs)
+        entropies = _row_entropy(probs).max(axis=1)
+        for record, loss, entropy in zip(result.per_restart, losses,
+                                         entropies, strict=True):
+            assert record.stop_reason == "max_iters"
+            assert record.iterations == 1
+            assert record.relaxed_loss == pytest.approx(loss, rel=1e-12)
+            assert record.max_row_entropy == pytest.approx(entropy, rel=1e-12)
+            for name in ("relaxed_loss", "discrete_cost", "max_row_entropy"):
+                assert type(getattr(record, name)) is float, name
+            for name in ("index", "iterations", "best_found_at"):
+                assert type(getattr(record, name)) is int, name
+        assert type(result.best_loss_relaxed) is float
+
+    def test_nothing_is_evaluated_after_the_last_step(self, monkeypatch):
+        # The driver evaluates soft assignments only through
+        # loss_and_gradient; its `loss` calls cost rounded schemes.
+        inputs = []
+        real = relax.LossEvaluator.loss
+
+        def recording(self, probs):
+            inputs.append(np.array(probs))
+            return real(self, probs)
+
+        monkeypatch.setattr(relax.LossEvaluator, "loss", recording)
+        inc, cat = duplicate_module_instance()
+        for max_iters in (1, 40, 5000):
+            result = optimize(fold_modules(inc, cat), cat, OptimizerConfig(
+                n_streams=2, n_restarts=3, max_iters=max_iters, seed=1))
+            assert {r.stop_reason for r in result.per_restart} == \
+                {"max_iters" if max_iters < 5000 else "settled"}
+        assert inputs
+        for probs in inputs:
+            assert np.isin(probs, (0.0, 1.0)).all()
+            assert (probs.sum(axis=-1) == 1.0).all()
+
 
 def clustered_sweep_instance():
     spec = SyntheticSpec(n_events=400, n_modules=6, lines_per_module=(1, 3),
