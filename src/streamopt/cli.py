@@ -304,7 +304,8 @@ def cmd_optimize(args) -> int:
         if not np.isfinite(costs).any():
             raise InfeasibleError(
                 f"objective {args.objective} is not finite for any restart; "
-                f"use a smaller weight")
+                "use " + ("smaller --base-kb and --shared-kb"
+                          if args.objective == "S" else "a smaller weight"))
         chosen = survivors[first_minimum(costs)]
         best, relaxed_loss, best_read_cost = (
             chosen.scheme, chosen.relaxed_loss, chosen.discrete_cost)

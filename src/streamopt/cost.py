@@ -259,9 +259,10 @@ class SchemeScorer:
                objective: str = "T") -> np.ndarray:
         """The objective (see :func:`parse_objective`) of the hard schemes
         of integer ``assignments``, shape ``(batch, modules)``, in kernel
-        calls whose temporaries stay under ``_BATCH_ELEMS`` elements.  A
-        large weight may overflow to inf, which the caller can check."""
+        calls whose temporaries stay under ``_BATCH_ELEMS`` elements.  S may
+        overflow to inf, which the caller can check; weight 0 scores T."""
         kind, weight = parse_objective(objective)
+        kind = "T" if kind == "weighted" and weight == 0 else kind
         read = self.evaluator if kind != "S" else None
         shared, turbo_kb, _ = self._storage if kind != "T" else (None,) * 3
         rows = max(e.rows for e in (read, shared) if e is not None)
@@ -269,10 +270,10 @@ class SchemeScorer:
         values = np.empty(len(assignments))
         for start in range(0, len(values), batch):
             probs = one_hot(assignments[start:start + batch], n_streams)
-            if kind != "T":
-                stored = turbo_kb + self.shared_kb * shared.expected_events(
-                    probs).sum(axis=1)
             with np.errstate(over="ignore"):
+                if kind != "T":
+                    stored = turbo_kb + self.shared_kb * (
+                        shared.expected_events(probs).sum(axis=1))
                 values[start:start + batch] = (
                     read.loss(probs) if kind == "T" else stored if kind == "S"
                     else read.loss(probs) + weight * stored)

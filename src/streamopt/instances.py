@@ -227,12 +227,11 @@ def _parse_rows(text: str) -> tuple:
     catalog = LineCatalog.of_columns(*columns, *_number(modules))
     ev, event_ids = _number(events)
     code, names = _number(line_names)
-    line_index = _line_index(catalog.line_names)
-    unknown = [name for name in names if name not in line_index]
-    if unknown:
-        raise DataError(f"incidence references unknown line '{unknown[0]}'")
-    catalog_line = np.array([line_index[name] for name in names],
-                            dtype=np.int64)
+    index = _line_index(catalog.line_names)
+    catalog_line = np.array([index.get(name, -1) for name in names], np.int64)
+    if catalog_line.min() < 0:
+        raise DataError("incidence references unknown line "
+                        f"'{names[catalog_line.argmin()]}'")
     return catalog, _incidence(
         len(event_ids), catalog.n_lines, ev, catalog_line[code]), event_ids
 
@@ -278,8 +277,8 @@ def _parse_bulk(text: str | None = None, *, path=None) -> tuple | None:
     catalog's sections, then the incidence's are scanned (:func:`_scan`) in
     windows of about ``_WINDOW_BYTES`` that end at a row end, so the parse
     holds the bytes, what it keeps of each row and one window's temporaries.
-    An incidence window's line names are looked up among the catalog's, and
-    its runs of rows of one event keep one event key each.  The bytes are
+    An incidence window's distinct names are looked up by :func:`_line_index`,
+    and its runs of rows of one event keep one event key each.  The bytes are
     dropped before the events are numbered by first appearance.
     """
     if path is not None:
@@ -315,7 +314,6 @@ def _parse_bulk(text: str | None = None, *, path=None) -> tuple | None:
                        in zip(tags, tags[1:] + [(len(data) - 8,)])),
                       key=lambda section: section[2] == "incidence")
     catalog_rows, keys, lengths, lines, catalog = [], [], [], [], None
-    tables = {}  # word count: the catalog's names that fit, see _name_table
     for start, end, name in sections:
         header = _INSTANCE_HEADERS[name].encode() + b"\n"
         n_fields = header.count(b",") + 1
@@ -337,26 +335,23 @@ def _parse_bulk(text: str | None = None, *, path=None) -> tuple | None:
             if name == "catalog":
                 catalog_rows.append((starts, ends))
                 continue
-            catalog = catalog or catalog_rows and _bulk_catalog(buffer,
-                                                                catalog_rows)
+            if not catalog:
+                catalog = catalog_rows and _bulk_catalog(buffer, catalog_rows)
+                index = catalog and _line_index(catalog.line_names)
             events = _field_keys(data, starts, last)
             line = _field_keys(data, last + 1, ends)
             if not catalog or events is None or line is None:
                 return None
-            words = line.shape[1]
-            if words not in tables:
-                tables[words] = _name_table(catalog.line_names, words)
-            names, order = tables[words]
-            # Looked up in sorted order, where each search starts at the
-            # last one's place.
-            line = line.view(names.dtype)[:, 0]
-            by_name = np.argsort(line)
-            place = np.empty_like(by_name)
-            place[by_name] = np.searchsorted(names, line[by_name])
-            place = np.minimum(place, len(names) - 1, out=place)
-            if not len(names) or (names[place] != line).any():
+            # Each distinct name is looked up once; wider keys group as bytes.
+            dtype = f"S{8 * line.shape[1]}"
+            names, code = np.unique(line[:, 0] if line.shape[1] == 1
+                                    else line.view(dtype)[:, 0],
+                                    return_inverse=True)
+            found = np.array([index.get(name, -1) for name in b"\n".join(
+                names.view(dtype).tolist()).decode().split("\n")], np.int64)
+            if found.min() < 0:
                 return None
-            lines.append(order[place])
+            lines.append(found[code])
             # A run cut by the window's edge goes on as a run of the same key.
             heads = np.flatnonzero(np.concatenate((
                 [True], (events[1:] != events[:-1]).any(axis=1))))
@@ -427,19 +422,6 @@ def _bulk_catalog(buffer: bytearray, rows: list) -> LineCatalog | None:
     return LineCatalog.of_columns(names, prescales,
                                   list(map(flags.get, turbo)),
                                   list(map(flags.get, pr)), *_number(modules))
-
-
-def _name_table(line_names: tuple[str, ...], words: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The line names of at most ``words`` 8-byte words, as the keys of
-    :func:`_field_keys` compared as one value each (a word, or the bytes),
-    sorted, and the catalog line of each; a repeated name's first line
-    comes first."""
-    fits = [k for k, name in enumerate(line_names) if len(name) <= 8 * words]
-    keys = np.array([line_names[k] for k in fits], f"S{8 * words}")
-    keys = keys.view("<u8") if words == 1 else keys
-    order = np.argsort(keys, kind="stable")
-    return keys[order], np.array(fits, dtype=np.int64)[order]
 
 
 def _field_keys(data: np.ndarray, start: np.ndarray,

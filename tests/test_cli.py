@@ -12,12 +12,13 @@ import types
 import warnings
 import weakref
 
+import numpy as np
 import pytest
 
 from streamopt import (InfeasibleError, InstanceFile, LineCatalog,
-                       LineRecord, OptimizerConfig, Scheme, extreme_schemes,
-                       fold_modules, load_instance, load_scheme, read_cost,
-                       storage_cost, write_scheme)
+                       LineRecord, LossEvaluator, OptimizerConfig, Scheme,
+                       extreme_schemes, fold_modules, load_instance,
+                       load_scheme, read_cost, storage_cost, write_scheme)
 import streamopt.cli
 from streamopt.cli import main
 from streamopt.optimize import SETTLED_ENTROPY
@@ -214,6 +215,42 @@ class TestOptimizeCommand:
         assert code == 3
         assert "weighted:1e308" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.inst"]
+
+    def test_weight_zero_is_the_read_cost_when_storage_overflows(
+            self, instance_path, tmp_path, capsys):
+        outs = [tmp_path / "t.scheme", tmp_path / "w0.scheme"]
+        argv = ["optimize", "--instance", str(instance_path), "--streams",
+                "2", "--restarts", "3", "--shared-kb", "1e308"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + ["--out", str(outs[0])]) == 0
+            assert main(argv + ["--objective", "weighted:0",
+                                "--out", str(outs[1])]) == 0
+            assert main(argv + ["--objective", "S",
+                                "--out", str(tmp_path / "s.scheme")]) == 3
+        assert outs[0].read_text() == outs[1].read_text()
+        assert capsys.readouterr().err == (
+            "error: objective S is not finite for any restart; use smaller "
+            "--base-kb and --shared-kb\n")
+        assert not (tmp_path / "s.scheme").exists()
+
+    def test_every_restart_diverging_is_a_data_error(
+            self, instance_path, tmp_path, capsys, monkeypatch):
+        kernel = LossEvaluator.loss_and_gradient
+
+        def diverge(self, probs):
+            loss, grad = kernel(self, probs)
+            return np.full_like(loss, np.nan), grad
+
+        monkeypatch.setattr(LossEvaluator, "loss_and_gradient", diverge)
+        out = tmp_path / "x.scheme"
+        assert main(["optimize", "--instance", str(instance_path),
+                     "--streams", "2", "--restarts", "3",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: every restart diverged to a non-finite "
+                       "loss\n")
+        assert not out.exists()
 
     def test_no_partial_output_on_failure(self, instance_path, tmp_path):
         missing_dir = tmp_path / "does" / "not" / "exist" / "x.scheme"
@@ -510,6 +547,36 @@ class TestCalibrateCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "[a] time fit" in out and "[b] time fit" in out
+
+    @pytest.mark.parametrize("case, message", [
+        ("no id", "--scheme-file expects ID=PATH, got 'run1'"),
+        ("no instance", "--scheme-file requires --instance to compute "
+                        "model terms"),
+        ("no scheme file", "no --scheme-file given for scheme 'other'"),
+        ("stream out of range", "measurement stream 2 out of range for "
+                                "scheme 'run1'"),
+    ])
+    def test_scheme_file_errors(self, instance_path, tmp_path, capsys, case,
+                                message):
+        _, catalog = load_instance(instance_path)
+        scheme = tmp_path / "two.scheme"
+        write_scheme(scheme, Scheme(2, (0, 1) * (catalog.n_modules // 2)),
+                     catalog)
+        row = {"no scheme file": "other,0", "stream out of range": "run1,2"
+               }.get(case, "run1,1")
+        meas = tmp_path / "m.csv"
+        meas.write_text(
+            "scheme_id,stream_id,n_lines,measured_time_s,measured_size_kb\n"
+            f"run1,0,3,19.0,120.5\n{row},3,14.0,60.25\n")
+        argv = ["calibrate", "--measurements", str(meas),
+                "--scheme-file", "run1" if case == "no id" else
+                f"run1={scheme}"]
+        if case != "no instance":
+            argv += ["--instance", str(instance_path)]
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_time_below_startup_is_data_error(self, tmp_path, capsys):
         meas = tmp_path / "m.csv"

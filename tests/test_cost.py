@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from streamopt import (DataError, EventLineIncidence, LineCatalog, Scheme,
                        parse_objective, read_cost, read_cost_from_modules,
                        storage_cost)
 from streamopt.cost import first_minimum
+from streamopt.oracle import enumerate_optimal
 from helpers import build_catalog, brute_force_read_cost, random_instance, \
     random_scheme
 
@@ -225,6 +227,26 @@ class TestObjective:
     def test_parse_rejects(self, token):
         with pytest.raises(ValueError):
             parse_objective(token)
+
+    def test_weight_zero_scores_read_cost_when_storage_overflows(self):
+        # Every line is persist-reco, so S at shared_kb=1e308 overflows to
+        # inf on every scheme, and 0 * inf would score NaN.
+        rng = np.random.default_rng(32)
+        inc, cat = random_instance(rng, max_modules=5, pr_prob=1.0)
+        scorer = SchemeScorer(inc, cat, shared_kb=1e308)
+        assignments = np.array(list(itertools.product(range(2),
+                                                      repeat=cat.n_modules)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.isposinf(scorer.values(assignments, 2, "S")).all()
+            assert np.isposinf(scorer.values(assignments, 2,
+                                             "weighted:1")).all()
+            np.testing.assert_array_equal(
+                scorer.values(assignments, 2, "weighted:0"),
+                scorer.values(assignments, 2, "T"), strict=True)
+            oracle = enumerate_optimal(inc, cat, 2, "weighted:0",
+                                       shared_kb=1e308)
+        assert oracle == enumerate_optimal(inc, cat, 2, "T")
 
     @pytest.mark.parametrize("flags", [
         None, dict(is_persist_reco=False), dict(is_turbo=False)],

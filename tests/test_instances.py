@@ -293,6 +293,31 @@ class TestLoaderCases:
                               "[incidence]") + "ev_c,l1\n" * 5000
         TestProperties.assert_same_parse(bulk_parse(text), text)
 
+    def test_too_wide_keys_take_the_row_parse(self, tmp_path, monkeypatch):
+        # One 2,000-byte event id among 100 short rows would key every row
+        # 2,000 bytes wide, more than the keys may take.
+        text = (SAMPLE + "".join(f"ev_{k},l{1 + k % 3}\n" for k in range(100))
+                + "e" * 2000 + ",l2\n")
+        path = tmp_path / "x.inst"
+        path.write_text(text)
+        field_keys, refused = instances._field_keys, []
+
+        def spy(data, start, stop):
+            keys = field_keys(data, start, stop)
+            refused.append(keys is None)
+            return keys
+
+        monkeypatch.setattr(instances, "_field_keys", spy)
+        assert instances._parse_bulk(path=path) is None
+        assert refused == [True, False]  # the event ids, then the names
+        incidence, catalog = load_instance(path)
+        rows = row_parse(text)
+        assert catalog == rows.catalog
+        assert incidence.pairs() == rows.incidence.pairs()
+        loaded = InstanceFile.load(path)
+        assert (loaded.catalog, loaded.event_ids, loaded.incidence.pairs()) \
+            == (rows.catalog, rows.event_ids, rows.incidence.pairs())
+
     def test_zero_byte_in_the_text_takes_the_row_parse(self):
         # The bulk parse pads its bytes with zeros, which its scan must not
         # see; a zero byte of the text's own is a control character.

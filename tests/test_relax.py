@@ -8,8 +8,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamopt import (EventLineIncidence, LossEvaluator, fold_modules,
-                       read_cost, softmax_rows)
+from streamopt import (EventLineIncidence, LossEvaluator, Scheme,
+                       fold_modules, read_cost, softmax_rows)
 from streamopt.model import _row_entropy
 from streamopt import relax
 from streamopt.relax import _operand, _product, one_hot
@@ -253,25 +253,55 @@ def dense_reference(fold, counts, probs):
 
 
 class TestKernel:
+    @staticmethod
+    def assert_groups_rebuild(folded):
+        """The fold's row groups are distinct rows whose weights, which
+        count every event, repeat them into the fold's rows exactly."""
+        groups = folded.row_groups()
+        assert groups.weights.sum() == folded.n_events
+        rows = np.zeros((len(groups.weights), folded.n_modules))
+        hits = groups.hits
+        assert np.all(hits.data == 1.0)
+        r = np.repeat(np.arange(hits.shape[0]), np.diff(hits.indptr))
+        c = hits.indices
+        rows[r, groups.column_module[c]] = groups.column_value[c]
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        rebuilt = np.repeat(rows, groups.weights.astype(int), axis=0)
+        for got, want in zip(np.unique(rebuilt, axis=0, return_counts=True),
+                             np.unique(folded.to_dense(), axis=0,
+                                       return_counts=True)):
+            assert np.array_equal(got, want)
+
     def test_row_groups_rebuild_the_fold(self):
         rng = np.random.default_rng(41)
         for _ in range(10):
             inc, cat = random_instance(rng, max_modules=6)
-            folded = fold_modules(inc, cat)
-            groups = folded.row_groups()
-            assert groups.weights.sum() == inc.n_events
-            rows = np.zeros((len(groups.weights), cat.n_modules))
-            hits = groups.hits
-            assert np.all(hits.data == 1.0)
-            r = np.repeat(np.arange(hits.shape[0]), np.diff(hits.indptr))
-            c = hits.indices
-            rows[r, groups.column_module[c]] = groups.column_value[c]
-            assert len(np.unique(rows, axis=0)) == len(rows)
-            rebuilt = np.repeat(rows, groups.weights.astype(int), axis=0)
-            for got, want in zip(np.unique(rebuilt, axis=0, return_counts=True),
-                                 np.unique(folded.to_dense(), axis=0,
-                                           return_counts=True)):
-                assert np.array_equal(got, want)
+            self.assert_groups_rebuild(fold_modules(inc, cat))
+
+    def test_row_groups_of_many_distinct_values(self):
+        # 300 one-line modules, each with its own prescale below 1, give
+        # 300 x 300 (module, value) codes, more than the nonzeros: the
+        # columns are numbered by np.unique, not by a table of the codes.
+        rng = np.random.default_rng(47)
+        prescales = rng.permutation(np.linspace(0.05, 0.95, 300))
+        cat = build_catalog([(f"l{m}", float(p), True, False, f"l{m}")
+                             for m, p in enumerate(prescales)])
+        patterns = rng.random((400, 300)) < rng.uniform(0.01, 0.1, (400, 1))
+        patterns[:, 0] = True
+        inc = EventLineIncidence.from_dense(
+            patterns[rng.integers(0, 400, 1500)])
+        folded = fold_modules(inc, cat)
+        nnz = folded.values.nnz
+        assert nnz < 90_000
+        assert 300 * len(np.unique(folded.values.data)) > max(nnz, 1 << 16)
+        self.assert_groups_rebuild(folded)
+        evaluator = evaluator_of(inc, cat)
+        for n_streams in (1, 3, 7):
+            assignment = rng.integers(0, n_streams, (1, 300))
+            np.testing.assert_allclose(
+                evaluator.loss(one_hot(assignment, n_streams)),
+                [read_cost(inc, cat, Scheme(n_streams, tuple(
+                    assignment[0].tolist()))).total], rtol=1e-9)
 
     def test_row_groups_match_loop_reference(self):
         # Columns are the distinct (module, value) pairs in sorted order, and
