@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import DataError
 
+# Per-job startup time in seconds, subtracted from each measured time.
+DEFAULT_T_INITIAL = 9.0
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     """One measured stream of one scheme."""
@@ -74,7 +77,7 @@ def fit_linear(x, y) -> CalibrationReport:
     return CalibrationReport(slope, float(intercept), r_squared, len(x))
 
 
-def corrected_read_cost(measurements, t_initial: float = 9.0) -> float:
+def corrected_read_cost(measurements, t_initial=DEFAULT_T_INITIAL) -> float:
     """Line-weighted sum of measured times after removing job startup.
 
     Every record must satisfy measured_time_s >= t_initial; a negative

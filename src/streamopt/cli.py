@@ -9,6 +9,7 @@ file + rename), so a failing command never leaves partial output behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -22,7 +23,7 @@ except ImportError:  # a platform without getrusage, such as Windows
 
 import numpy as np
 
-from .calibrate import corrected_read_cost, fit_linear
+from .calibrate import DEFAULT_T_INITIAL, corrected_read_cost, fit_linear
 from .cost import (DEFAULT_BASE_KB, DEFAULT_SHARED_KB, SchemeScorer,
                    extreme_schemes, first_minimum, parse_objective)
 from .errors import DataError, InfeasibleError, StreamOptError
@@ -128,6 +129,24 @@ def _load_named_scheme(token: str, catalog) -> Scheme:
     return load_scheme(token, catalog)
 
 
+def _set_up(args, storage: bool = True) -> tuple[SchemeScorer, dict]:
+    """The scorer of the command's instance and sizes, and the seconds of
+    its load, fold and row dedupe.  The incidence outlives the fold, in the
+    scorer, only with ``storage``, which S needs."""
+    start = time.perf_counter()
+    incidence, catalog = load_instance(args.instance)
+    loaded = time.perf_counter()
+    scorer = SchemeScorer(incidence if storage else None, catalog,
+                          fold=fold_modules(incidence, catalog),
+                          base_kb=args.base_kb, shared_kb=args.shared_kb)
+    del incidence
+    folded = time.perf_counter()
+    scorer.fold.row_groups()
+    deduped = time.perf_counter()
+    return scorer, {"load_s": loaded - start, "fold_s": folded - loaded,
+                    "dedupe_s": deduped - folded}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="streamopt",
                      description="Assign selection-line modules to output "
@@ -143,6 +162,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
+    descent = OptimizerConfig(n_streams=1)  # its defaults are the CLI's
     size = argparse.ArgumentParser(add_help=False)
     size_kb = _at_least(0.0, float)
     size.add_argument("--base-kb", type=size_kb, default=DEFAULT_BASE_KB,
@@ -150,22 +170,23 @@ def build_parser() -> _Parser:
     size.add_argument("--shared-kb", type=size_kb, default=DEFAULT_SHARED_KB,
                       help="shared persist-reco payload per event in kB")
 
-    p = sub.add_parser("generate",
+    # Each dest is a SyntheticSpec field, set only by a given option.
+    p = sub.add_parser("generate", argument_default=argparse.SUPPRESS,
                        help="write a synthetic planted-cluster instance")
-    p.add_argument("--events", type=int, default=1000)
-    p.add_argument("--modules", type=int, default=10)
-    p.add_argument("--lines-per-module", type=_int_range, default=(1, 4),
-                   metavar="LO:HI")
-    p.add_argument("--clusters", type=int, default=4)
-    p.add_argument("--intra", type=float, default=0.7,
+    p.add_argument("--events", dest="n_events", type=int)
+    p.add_argument("--modules", dest="n_modules", type=int)
+    p.add_argument("--lines-per-module", type=_int_range, metavar="LO:HI")
+    p.add_argument("--clusters", dest="n_latent_clusters", type=int)
+    p.add_argument("--intra", dest="intra_cluster_pass_rate", type=float,
                    help="pass rate on the line's own cluster")
-    p.add_argument("--cross", type=float, default=0.02,
+    p.add_argument("--cross", dest="cross_cluster_pass_rate", type=float,
                    help="pass rate on other clusters")
-    p.add_argument("--prescales", type=_float_list, default=(1.0,),
+    p.add_argument("--prescales", dest="prescale_options", type=_float_list,
                    metavar="P1,P2,...")
-    p.add_argument("--persistreco-frac", type=float, default=0.25)
-    p.add_argument("--turbo-frac", type=float, default=1.0)
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--persistreco-frac", dest="persist_reco_fraction",
+                   type=float)
+    p.add_argument("--turbo-frac", dest="turbo_fraction", type=float)
+    p.add_argument("--seed", type=_at_least(0))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -173,8 +194,8 @@ def build_parser() -> _Parser:
                        help="optimize a scheme and write it with diagnostics")
     p.add_argument("--instance", required=True)
     p.add_argument("--streams", type=int, required=True)
-    p.add_argument("--restarts", type=_at_least(1), default=20)
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--restarts", type=_at_least(1), default=descent.n_restarts)
+    p.add_argument("--seed", type=_at_least(0), default=descent.seed)
     p.add_argument("--objective", type=_objective, default="T",
                    help="rank the restarts, which descend T, by T, S, or "
                         "weighted:<w>")
@@ -203,8 +224,8 @@ def build_parser() -> _Parser:
     p.add_argument("--instance", required=True)
     p.add_argument("--streams", type=_stream_list, required=True,
                    metavar="K1,K2,...")
-    p.add_argument("--restarts", type=_at_least(1), default=20)
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--restarts", type=_at_least(1), default=descent.n_restarts)
+    p.add_argument("--seed", type=_at_least(0), default=descent.seed)
     p.add_argument("--baseline",
                    help="scheme used to normalize the T and S columns")
     p.add_argument("--out", help="write the table as CSV instead of stdout")
@@ -213,7 +234,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("calibrate", parents=[size],
                        help="fit model terms against measurements")
     p.add_argument("--measurements", required=True)
-    p.add_argument("--t-initial", type=_at_least(0.0, float), default=9.0,
+    p.add_argument("--t-initial", type=_at_least(0.0, float),
+                   default=DEFAULT_T_INITIAL,
                    help="per-job startup time subtracted from measurements")
     p.add_argument("--pool-schemes", action=argparse.BooleanOptionalAction,
                    default=True,
@@ -234,19 +256,11 @@ def build_parser() -> _Parser:
 
 
 def cmd_generate(args) -> int:
+    fields = {field.name for field in dataclasses.fields(SyntheticSpec)}
     try:
         instance = gen_synthetic(SyntheticSpec(
-            n_events=args.events,
-            n_modules=args.modules,
-            lines_per_module=args.lines_per_module,
-            n_latent_clusters=args.clusters,
-            intra_cluster_pass_rate=args.intra,
-            cross_cluster_pass_rate=args.cross,
-            prescale_options=args.prescales,
-            persist_reco_fraction=args.persistreco_frac,
-            turbo_fraction=args.turbo_frac,
-            seed=args.seed,
-        ))
+            **{key: value for key, value in vars(args).items()
+               if key in fields}))
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     instance.write(args.out)
@@ -273,57 +287,42 @@ def _restart_diag(r) -> dict:
 def cmd_optimize(args) -> int:
     if args.streams < 1:
         raise InfeasibleError("stream counts must be >= 1")
+    _, s_weight = parse_objective(args.objective)
     usage_start = _resource_usage()
+    scorer, timings = _set_up(args, storage=s_weight != 0)
     start = time.perf_counter()
-    incidence, catalog = load_instance(args.instance)
-    loaded = time.perf_counter()
-    scorer = SchemeScorer(None if args.objective == "T" else incidence,
-                          catalog, fold=fold_modules(incidence, catalog),
-                          base_kb=args.base_kb, shared_kb=args.shared_kb)
-    del incidence
-    folded = time.perf_counter()
-    groups = scorer.fold.row_groups()
-    deduped = time.perf_counter()
     config = OptimizerConfig(n_streams=args.streams, n_restarts=args.restarts,
                              seed=args.seed)
-    result = optimize(scorer.fold, catalog, config)
-    optimized = time.perf_counter()
+    result = optimize(scorer.fold, scorer.catalog, config)
+    timings["optimize_s"] = time.perf_counter() - start
     logger.debug("load %.3f s, fold %.3f s, dedupe %.3f s, optimize %.3f s",
-                 loaded - start, folded - loaded, deduped - folded,
-                 optimized - deduped)
+                 *timings.values())
 
     best = result.best_scheme
     relaxed_loss = result.best_loss_relaxed
     best_read_cost = result.best_cost_discrete.total
-    if args.objective != "T":
-        # Re-rank the recorded restarts by the requested objective; ties go
-        # to the lowest restart index.
+    if s_weight:
+        # Re-rank the restarts by the objective, ties to the lowest index.
+        # The scorer checks S, so only the weight can overflow T + w * S.
         survivors = [r for r in result.per_restart if not r.failed]
         costs = scorer.values([r.scheme.assignment for r in survivors],
                               args.streams, args.objective)
         if not np.isfinite(costs).any():
             raise InfeasibleError(
                 f"objective {args.objective} is not finite for any restart; "
-                "use " + ("smaller --base-kb and --shared-kb"
-                          if args.objective == "S" else "a smaller weight"))
+                "use a smaller weight")
         chosen = survivors[first_minimum(costs)]
         best, relaxed_loss, best_read_cost = (
             chosen.scheme, chosen.relaxed_loss, chosen.discrete_cost)
 
     user_s, sys_s, max_rss_mb = _resource_usage(since=usage_start)
+    groups = scorer.fold.row_groups()
     diag = {
         "instance": str(args.instance),
         "n_streams": args.streams,
         "objective": args.objective,
         "seed": result.seed,
-        "timings": {
-            "load_s": loaded - start,
-            "fold_s": folded - loaded,
-            "dedupe_s": deduped - folded,
-            "optimize_s": optimized - deduped,
-            "user_s": user_s,
-            "sys_s": sys_s,
-        },
+        "timings": {**timings, "user_s": user_s, "sys_s": sys_s},
         "max_rss_mb": max_rss_mb,
         "kernel": {
             "events": scorer.fold.n_events,
@@ -339,18 +338,12 @@ def cmd_optimize(args) -> int:
         },
         "restarts": [_restart_diag(r) for r in result.per_restart],
     }
-    write_scheme(args.out, best, catalog)
+    write_scheme(args.out, best, scorer.catalog)
     _write_text(str(args.out) + ".diag.json", json.dumps(diag, indent=2) + "\n")
     print(f"wrote {args.out} (read cost {best_read_cost:.6g})")
     if best.empty_streams():
         print(f"note: streams {list(best.empty_streams())} ended up empty")
     return 0
-
-
-def _scorer(args) -> SchemeScorer:
-    """The scorer of the command's instance and sizes."""
-    return SchemeScorer(*load_instance(args.instance), base_kb=args.base_kb,
-                        shared_kb=args.shared_kb)
 
 
 def _baseline_breakdowns(scorer, token):
@@ -363,7 +356,7 @@ def _baseline_breakdowns(scorer, token):
 
 
 def cmd_evaluate(args) -> int:
-    scorer = _scorer(args)
+    scorer, _ = _set_up(args)
     scheme = _load_named_scheme(args.scheme, scorer.catalog)
     t, s = scorer.read_cost(scheme), scorer.storage_cost(scheme)
     print("stream  units  lines  expected_events  read_contribution  storage_kb")
@@ -388,29 +381,23 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    scorer = _scorer(args)
+    scorer, _ = _set_up(args)
     candidate = _load_named_scheme(args.scheme, scorer.catalog)
     t_c, s_c = scorer.read_cost(candidate), scorer.storage_cost(candidate)
     t_b, s_b = _baseline_breakdowns(scorer, args.baseline)
-    rows = [
-        ("read_cost", t_c.total, t_b.total, t_c.total / t_b.total),
-        ("storage_kb", s_c.total, s_b.total, s_c.total / s_b.total),
-    ]
-    print("metric,candidate,baseline,ratio")
-    lines = []
-    for name, cand, base, ratio in rows:
-        line = f"{name},{cand:.6g},{base:.6g},{ratio!r}"
-        print(line)
-        lines.append(line)
+    table = "metric,candidate,baseline,ratio\n" + "".join(
+        f"{name},{cand:.6g},{base:.6g},{cand / base!r}\n"
+        for name, cand, base in (("read_cost", t_c.total, t_b.total),
+                                 ("storage_kb", s_c.total, s_b.total)))
+    print(table, end="")
     if args.out:
-        _write_text(args.out,
-                    "metric,candidate,baseline,ratio\n" + "\n".join(lines) + "\n")
+        _write_text(args.out, table)
     return 0
 
 
 def cmd_sweep(args) -> int:
     usage_start = _resource_usage(children=True)
-    scorer = _scorer(args)
+    scorer, _ = _set_up(args)
     header = "n_streams,read_cost,storage_kb"
     if args.baseline:
         # Checked before the sweep, so an unusable baseline fails fast.
@@ -469,12 +456,11 @@ def cmd_calibrate(args) -> int:
         schemes[scheme_id] = path
 
     report: dict = {"t_initial": args.t_initial}
-    fits_possible = bool(schemes)
-    if fits_possible:
+    if schemes:
         if not args.instance:
             raise DataError("--scheme-file requires --instance to compute "
                             "model terms")
-        scorer = _scorer(args)
+        scorer, _ = _set_up(args)
         breakdowns = {}
         for sid, path in schemes.items():
             scheme = load_scheme(path, scorer.catalog)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, InfeasibleError
 from .model import (EventLineIncidence, LineCatalog, ModuleIncidence, Scheme,
                     _log_keep_per_entry, _require_consistent, fold_modules)
 from .relax import LossEvaluator, one_hot
@@ -177,10 +177,11 @@ def extreme_schemes(catalog: LineCatalog) -> tuple[Scheme, Scheme]:
     return single, per_unit
 
 
-def parse_objective(spec: str) -> tuple[str, float]:
-    """Parse an objective token: 'T', 'S', or 'weighted:<w>'."""
+def parse_objective(spec: str) -> tuple[float, float]:
+    """The weights of T and S in an objective token: 'T' is (1, 0), 'S' is
+    (0, 1) and 'weighted:<w>' is (1, w)."""
     if spec == "T" or spec == "S":
-        return spec, 0.0
+        return (1.0, 0.0) if spec == "T" else (0.0, 1.0)
     if spec.startswith("weighted:"):
         try:
             weight = float(spec.split(":", 1)[1])
@@ -188,8 +189,16 @@ def parse_objective(spec: str) -> tuple[str, float]:
             raise ValueError(f"bad objective weight in '{spec}'") from None
         if not math.isfinite(weight) or weight < 0:
             raise ValueError("objective weight must be finite and nonnegative")
-        return "weighted", weight
+        return 1.0, weight
     raise ValueError(f"unknown objective '{spec}' (use T, S, or weighted:<w>)")
+
+
+def _finite_storage(stored):
+    """``stored``, sizes in kB, checked finite: only the sizes overflow it."""
+    if not np.isfinite(stored).all():
+        raise InfeasibleError("storage overflows to infinity; use smaller "
+                              "--base-kb and --shared-kb")
+    return stored
 
 
 class SchemeScorer:
@@ -219,8 +228,8 @@ class SchemeScorer:
 
     @functools.cached_property
     def _storage(self) -> tuple[LossEvaluator, float, np.ndarray]:
-        """The persist-reco lines' evaluator, the turbo payload in kB, and
-        the expected turbo passes per module."""
+        """The persist-reco lines' evaluator, and the expected turbo passes
+        in all and per module."""
         catalog, incidence = self.catalog, self._incidence
         if incidence is None:
             raise ValueError("storage needs the line-level incidence")
@@ -237,7 +246,7 @@ class SchemeScorer:
         # the same amount of it.
         lines = incidence.line_index[catalog.turbo_mask[incidence.line_index]]
         passes = catalog.prescales[lines]
-        return shared, self.base_kb * passes.sum(), np.bincount(
+        return shared, passes.sum(), np.bincount(
             catalog.module_of_line[lines], passes, catalog.n_modules)
 
     def read_cost(self, scheme: Scheme) -> CostBreakdown:
@@ -250,31 +259,33 @@ class SchemeScorer:
         """Per-stream storage of a hard scheme, as :func:`storage_cost`'s."""
         stream, k = _stream_of_units(self.catalog, scheme), scheme.n_streams
         shared, _, turbo_passes = self._storage
-        sizes = (self.base_kb * np.bincount(stream, turbo_passes, k)
-                 + self.shared_kb * shared.expected_events(one_hot(stream, k)))
-        return StorageBreakdown(tuple(float(v) for v in sizes),
-                                float(sizes.sum()))
+        with np.errstate(over="ignore"):
+            sizes = (self.base_kb * np.bincount(stream, turbo_passes, k)
+                     + self.shared_kb * shared.expected_events(
+                         one_hot(stream, k)))
+            total = _finite_storage(sizes.sum())
+        return StorageBreakdown(tuple(float(v) for v in sizes), float(total))
 
     def values(self, assignments, n_streams: int,
                objective: str = "T") -> np.ndarray:
         """The objective (see :func:`parse_objective`) of the hard schemes
         of integer ``assignments``, shape ``(batch, modules)``, in kernel
-        calls whose temporaries stay under ``_BATCH_ELEMS`` elements.  S may
-        overflow to inf, which the caller can check; weight 0 scores T."""
-        kind, weight = parse_objective(objective)
-        kind = "T" if kind == "weighted" and weight == 0 else kind
-        read = self.evaluator if kind != "S" else None
-        shared, turbo_kb, _ = self._storage if kind != "T" else (None,) * 3
+        calls whose temporaries stay under ``_BATCH_ELEMS`` elements.  Only
+        terms of nonzero weight are computed; T + w * S may overflow to inf."""
+        t_weight, s_weight = parse_objective(objective)
+        read = self.evaluator if t_weight else None
+        shared, turbo, _ = self._storage if s_weight else (None,) * 3
         rows = max(e.rows for e in (read, shared) if e is not None)
         batch = max(1, _BATCH_ELEMS // (rows * n_streams))
-        values = np.empty(len(assignments))
+        values = np.zeros(len(assignments))
         for start in range(0, len(values), batch):
             probs = one_hot(assignments[start:start + batch], n_streams)
+            chunk = values[start:start + batch]
             with np.errstate(over="ignore"):
-                if kind != "T":
-                    stored = turbo_kb + self.shared_kb * (
-                        shared.expected_events(probs).sum(axis=1))
-                values[start:start + batch] = (
-                    read.loss(probs) if kind == "T" else stored if kind == "S"
-                    else read.loss(probs) + weight * stored)
+                if t_weight:
+                    chunk += t_weight * read.loss(probs)
+                if s_weight:
+                    chunk += s_weight * _finite_storage(
+                        self.base_kb * turbo + self.shared_kb
+                        * shared.expected_events(probs).sum(axis=1))
         return values

@@ -16,15 +16,19 @@ import numpy as np
 import pytest
 
 from streamopt import (InfeasibleError, InstanceFile, LineCatalog,
-                       LineRecord, LossEvaluator, OptimizerConfig, Scheme,
-                       extreme_schemes, fold_modules, load_instance,
-                       load_scheme, read_cost, storage_cost, write_scheme)
+                       LineRecord, LossEvaluator, ModuleIncidence,
+                       OptimizerConfig, Scheme, SyntheticSpec,
+                       extreme_schemes, fold_modules, gen_synthetic,
+                       load_instance, load_scheme, read_cost, storage_cost,
+                       write_scheme)
 import streamopt.cli
 from streamopt.cli import main
 from streamopt.optimize import SETTLED_ENTROPY
 
 # The package binds the name ``optimize`` to the function.
 optimize_module = importlib.import_module("streamopt.optimize")
+MEASUREMENT_HEADER = ("scheme_id,stream_id,n_lines,measured_time_s,"
+                      "measured_size_kb\n")
 
 
 def two_cpus(monkeypatch):
@@ -53,6 +57,12 @@ class TestGenerate:
     def test_loadable(self, instance_path):
         incidence, catalog = load_instance(instance_path)
         assert catalog.n_modules == 6
+
+    def test_defaults_are_the_spec_defaults(self, tmp_path):
+        out = tmp_path / "defaults.inst"
+        assert main(["generate", "--out", str(out)]) == 0
+        assert out.read_bytes() == \
+            gen_synthetic(SyntheticSpec()).to_text().encode()
 
 
 class TestOptimizeCommand:
@@ -157,29 +167,37 @@ class TestOptimizeCommand:
             in capsys.readouterr().out
 
     @pytest.mark.parametrize("objective, held", [
-        ("T", False), ("S", True), ("weighted:1", True)])
+        ("T", False), ("weighted:0", False), ("S", True),
+        ("weighted:1", True)])
     def test_only_storage_keeps_the_incidence_past_the_fold(
             self, instance_path, tmp_path, monkeypatch, objective, held):
-        # T reads the fold alone, so the line-level incidence is gone
-        # before the descent; S re-ranks with it afterwards.
-        loaded, alive = [], []
+        # T, and T + 0 * S, read the fold alone, so the line-level incidence
+        # is gone before the row dedupe; S re-ranks with it after the
+        # descent.
+        loaded, alive = [], {}
+        dedupe = ModuleIncidence.row_groups
 
         def load(path):
             incidence, catalog = load_instance(path)
             loaded.append(weakref.ref(incidence))
             return incidence, catalog
 
+        def first_dedupe(self):
+            alive.setdefault("dedupe", loaded[0]() is not None)
+            return dedupe(self)
+
         def descend(*args):
-            alive.append(loaded[0]() is not None)
+            alive["descent"] = loaded[0]() is not None
             return optimize_module.optimize(*args)
 
         monkeypatch.setattr(streamopt.cli, "load_instance", load)
+        monkeypatch.setattr(ModuleIncidence, "row_groups", first_dedupe)
         monkeypatch.setattr(streamopt.cli, "optimize", descend)
         assert main(["optimize", "--instance", str(instance_path),
                      "--streams", "3", "--restarts", "2", "--seed", "5",
                      "--objective", objective,
                      "--out", str(tmp_path / "c.scheme")]) == 0
-        assert alive == [held]
+        assert alive == {"dedupe": held, "descent": held}
 
     def test_cpu_timings_are_null_without_resource(self, instance_path,
                                                    tmp_path, monkeypatch):
@@ -230,8 +248,8 @@ class TestOptimizeCommand:
                                 "--out", str(tmp_path / "s.scheme")]) == 3
         assert outs[0].read_text() == outs[1].read_text()
         assert capsys.readouterr().err == (
-            "error: objective S is not finite for any restart; use smaller "
-            "--base-kb and --shared-kb\n")
+            "error: storage overflows to infinity; use smaller --base-kb and "
+            "--shared-kb\n")
         assert not (tmp_path / "s.scheme").exists()
 
     def test_every_restart_diverging_is_a_data_error(
@@ -808,6 +826,80 @@ class TestUsageErrors:
             argv = argv + ["--instance", str(instance_path)]
         assert main(argv + ["--out", str(out)]) == code
         assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("argv, text, code, message", [
+        (["sweep", "--instance", "{inst}", "--streams", ","], None, 1,
+         "argument --streams: empty stream list"),
+        (["generate", "--lines-per-module", "a:b"], None, 1,
+         "argument --lines-per-module: bad range 'a:b' (use LO:HI)"),
+        (["optimize", "--instance", "{inst}", "--streams", "2",
+          "--restarts", "x"], None, 1,
+         "argument --restarts: invalid int value: 'x'"),
+        (["generate", "--prescales", "a,b"], None, 1,
+         "argument --prescales: bad float list 'a,b'"),
+        (["evaluate", "--instance", "{inst}", "--scheme", "{file}"],
+         "# n_streams=2\nmodule,stream\nmod00,x\n", 2,
+         "line 3: bad stream index 'x'"),
+        (["calibrate", "--measurements", "{file}"], MEASUREMENT_HEADER, 2,
+         "measurement file has no rows"),
+        (["calibrate", "--measurements", "{file}"],
+         MEASUREMENT_HEADER + "run1,0,-1,19.0,120.5\n", 2,
+         "line 2: negative line count"),
+        (["calibrate", "--measurements", "{file}"],
+         MEASUREMENT_HEADER + "run1,a,4,19.0,120.5\n", 2,
+         "line 2: bad integer field"),
+        (["generate", "--intra", "0", "--cross", "0"], None, 2,
+         "generator produced no passing events; raise the rates"),
+    ])
+    def test_input_errors_name_the_fault(self, instance_path, tmp_path,
+                                         capsys, argv, text, code, message):
+        bad, out = tmp_path / "bad.txt", tmp_path / "out"
+        if text is not None:
+            bad.write_text(text)
+        argv = [a.format(inst=instance_path, file=bad) for a in argv]
+        assert main(argv + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: {message}\n")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestStorageOverflow:
+    """Only the sizes can make S overflow, so every command that scores S
+    names them and exits 3, without a numpy warning or an output file."""
+
+    @pytest.mark.parametrize("size", ["--base-kb", "--shared-kb"])
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--streams", "2", "--restarts", "2", "--objective", "S"],
+        ["optimize", "--streams", "2", "--restarts", "2", "--objective",
+         "weighted:1"],
+        ["evaluate", "--scheme", "single-stream"],
+        ["compare", "--scheme", "per-module", "--baseline", "per-module"],
+        ["sweep", "--streams", "1"],
+        ["calibrate", "--measurements", "{meas}", "--scheme-file",
+         "run1={scheme}"],
+    ], ids=["optimize-S", "optimize-weighted", "evaluate", "compare",
+            "sweep", "calibrate"])
+    def test_every_command_names_the_sizes(self, instance_path, tmp_path,
+                                           capsys, argv, size):
+        _, catalog = load_instance(instance_path)
+        scheme, meas = tmp_path / "two.scheme", tmp_path / "m.csv"
+        write_scheme(scheme, Scheme(2, (0, 1) * (catalog.n_modules // 2)),
+                     catalog)
+        meas.write_text(MEASUREMENT_HEADER + "run1,0,3,19.0,120.5\n"
+                        "run1,1,3,14.0,60.25\n")
+        argv = [a.format(meas=meas, scheme=scheme) for a in argv]
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv + ["--instance", str(instance_path), size,
+                                "1e308", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: storage overflows to infinity; use smaller --base-kb and "
+            "--shared-kb\n")
         assert not out.exists()
 
 

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamopt import (DataError, EventLineIncidence, LineCatalog, Scheme,
-                       SchemeScorer, extreme_schemes, fold_modules,
-                       parse_objective, read_cost, read_cost_from_modules,
-                       storage_cost)
+from streamopt import (DataError, EventLineIncidence, InfeasibleError,
+                       LineCatalog, Scheme, SchemeScorer, extreme_schemes,
+                       fold_modules, parse_objective, read_cost,
+                       read_cost_from_modules, storage_cost)
 from streamopt.cost import first_minimum
 from streamopt.oracle import enumerate_optimal
 from helpers import build_catalog, brute_force_read_cost, random_instance, \
@@ -215,8 +215,8 @@ class TestMonotonicity:
 
 class TestObjective:
     @pytest.mark.parametrize("token,expected", [
-        ("T", ("T", 0.0)), ("S", ("S", 0.0)),
-        ("weighted:0.25", ("weighted", 0.25)),
+        ("T", (1.0, 0.0)), ("S", (0.0, 1.0)),
+        ("weighted:0.25", (1.0, 0.25)), ("weighted:0", (1.0, 0.0)),
     ])
     def test_parse(self, token, expected):
         assert parse_objective(token) == expected
@@ -229,8 +229,8 @@ class TestObjective:
             parse_objective(token)
 
     def test_weight_zero_scores_read_cost_when_storage_overflows(self):
-        # Every line is persist-reco, so S at shared_kb=1e308 overflows to
-        # inf on every scheme, and 0 * inf would score NaN.
+        # Every line is persist-reco, so S at shared_kb=1e308 overflows on
+        # every scheme, which names the sizes; weight 0 never computes S.
         rng = np.random.default_rng(32)
         inc, cat = random_instance(rng, max_modules=5, pr_prob=1.0)
         scorer = SchemeScorer(inc, cat, shared_kb=1e308)
@@ -238,9 +238,11 @@ class TestObjective:
                                                       repeat=cat.n_modules)))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert np.isposinf(scorer.values(assignments, 2, "S")).all()
-            assert np.isposinf(scorer.values(assignments, 2,
-                                             "weighted:1")).all()
+            for objective in ("S", "weighted:1"):
+                with pytest.raises(InfeasibleError, match="--shared-kb"):
+                    scorer.values(assignments, 2, objective)
+            with pytest.raises(InfeasibleError, match="--shared-kb"):
+                scorer.storage_cost(Scheme(2, tuple(assignments[1].tolist())))
             np.testing.assert_array_equal(
                 scorer.values(assignments, 2, "weighted:0"),
                 scorer.values(assignments, 2, "T"), strict=True)
