@@ -451,17 +451,14 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Codes of the rows of ``keys`` by first appearance, and the row where
     each code first appears.
 
-    Equal rows are grouped by one sort: an argsort when a row is one word,
-    else a lexsort of the words.  Neither needs to be stable, as each
-    group's first row is its least index.
+    Equal rows are grouped by one lexsort of their bytes, a radix sort per
+    byte.  It is stable, so each group's first row is its least index.
     """
-    order = (np.argsort(keys[:, 0]) if keys.shape[1] == 1
-             else np.lexsort(keys.T))
+    order = np.lexsort(keys.view(np.uint8).reshape(len(keys), -1).T[::-1])
     keys = keys[order]
     new = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
     del keys  # a copy as large as the input
-    first = order if new.all() else np.minimum.reduceat(order,
-                                                       np.flatnonzero(new))
+    first = order if new.all() else order[new]
     by_first = np.argsort(first)
     rank = np.empty_like(by_first)
     rank[by_first] = np.arange(len(by_first))
@@ -664,10 +661,7 @@ def gen_synthetic(spec: SyntheticSpec) -> InstanceFile:
     entries = np.concatenate(found)
     if entries.size == 0:
         raise DataError("generator produced no passing events; raise the rates")
-    incidence, dropped = EventLineIncidence.dropping_empty_events(
+    incidence, _ = EventLineIncidence.dropping_empty_events(
         spec.n_events, catalog.n_lines, entries)
-    if dropped:
-        logger.info("synthetic instance kept %d of %d events",
-                    incidence.n_events, spec.n_events)
     event_ids = tuple(f"e{i:06d}" for i in range(incidence.n_events))
     return InstanceFile(catalog, incidence, event_ids)

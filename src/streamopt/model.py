@@ -395,41 +395,22 @@ class ModuleIncidence:
             label += 1
         del code
 
-        # Exact row dedupe.  Each row's column ids + 1, zero-padded to the
-        # widest row, are packed several to an int64 word, most significant
-        # first, one place in the row at a time, so that the words sort as
-        # the rows do lexicographically and the sort takes one key per word,
-        # not one per column.  Rows are sorted by their first word, and
-        # the later words order only the runs of one first word that hold a
-        # row with a nonzero later word, each on its own.  Any row of a
-        # group stands for it, so neither sort need be stable.  np.take
-        # gathers columns several times faster than fancy indexing.
+        # Exact row dedupe: each row's column ids + 1, zero-padded to the
+        # widest row, sorted lexicographically.  The labels are at most 16
+        # bits below 65,536 columns, where numpy's stable sort, and so
+        # np.lexsort, is a radix sort.  np.take gathers columns several
+        # times faster than fancy indexing.
         lengths = np.diff(values.indptr)
         width = max(1, int(lengths.max(initial=0)))
         padded = np.zeros((width, n_events), np.min_scalar_type(len(pairs)))
         row = np.repeat(np.arange(n_events, dtype=lengths.dtype), lengths)
         padded[np.arange(nnz, dtype=row.dtype) - values.indptr[row], row] = label
         del row, label
-        bits = max(1, len(pairs).bit_length())
-        per_word = 63 // bits
-        words = np.zeros((-(-width // per_word), n_events), np.int64)
-        for j, column in enumerate(padded):
-            shift = bits * (per_word - 1 - j % per_word)
-            words[j // per_word] |= column.astype(np.int64) << shift
-        rows = np.argsort(words[0])
-        words = np.take(words, rows, axis=1)
-        if len(words) > 1:
-            wide = np.unique(words[0, words[1:].any(axis=0)],
-                             return_counts=True)[0]
-            lo = np.searchsorted(words[0], wide)
-            size = np.searchsorted(words[0], wide, "right") - lo
-            at = np.repeat(lo - np.cumsum(size) + size, size)
-            at += np.arange(len(at))
-            run = at[np.lexsort(words[::-1, at])]
-            rows[at], words[:, at] = rows[run], words[:, run]
-        starts = np.flatnonzero(np.r_[True, np.any(words[:, 1:]
-                                                   != words[:, :-1], axis=0)])
-        del words
+        rows = np.lexsort(padded[::-1])
+        ordered = np.take(padded, rows, axis=1)
+        starts = np.flatnonzero(np.r_[True, np.any(
+            ordered[:, 1:] != ordered[:, :-1], axis=0)])
+        del ordered
         first = rows[starts]
         padded = np.take(padded, first, axis=1).T
         counts = lengths[first]

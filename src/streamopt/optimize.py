@@ -326,9 +326,10 @@ def sweep_streams(scorer: SchemeScorer, stream_counts,
 
     The descents run in ``sweep_workers`` worker processes, which receive
     the scorer's fold and catalog once, through the pool's initializer;
-    each task carries only its config.  Every count is checked before a
-    worker starts.  The shortcuts, and the storage costs from the scorer,
-    are computed here.  Points come in the requested order.
+    each task carries only its config.  Every count, and that S is
+    finite, is checked before any descent.  The shortcuts, and the storage
+    costs from the scorer, are computed here.  Points come in the requested
+    order.
     """
     counts = [int(k) for k in stream_counts]
     if any(k < 1 for k in counts):
@@ -337,6 +338,9 @@ def sweep_streams(scorer: SchemeScorer, stream_counts,
     n_modules = module_incidence.n_modules
     for k in counts:
         _check_feasible(k, n_modules)
+    # Merging streams never raises S, so the single stream stores least:
+    # if its S overflows, every point's does, and no descent need run.
+    scorer.storage_cost(extreme_schemes(catalog)[0])
     descents = _descents(counts, n_modules)
     workers = sweep_workers(counts, n_modules)
     # Grouped before any worker starts, so that forked workers inherit the

@@ -723,7 +723,7 @@ class TestVerbosity:
     def test_quiet_drops_info(self, tmp_path, caplog):
         out = str(tmp_path / "x.inst")
         assert main(self.GENERATE + ["--out", out]) == 0
-        assert "kept" in caplog.text
+        assert "events that pass no line" in caplog.text
         caplog.clear()
         assert main(["-q"] + self.GENERATE + ["--out", out]) == 0
         assert caplog.text == ""
@@ -868,7 +868,8 @@ class TestUsageErrors:
 
 class TestStorageOverflow:
     """Only the sizes can make S overflow, so every command that scores S
-    names them and exits 3, without a numpy warning or an output file."""
+    names them and exits 3, without a numpy warning or an output file.  A
+    sweep exits before its first descent."""
 
     @pytest.mark.parametrize("size", ["--base-kb", "--shared-kb"])
     @pytest.mark.parametrize("argv", [
@@ -877,13 +878,17 @@ class TestStorageOverflow:
          "weighted:1"],
         ["evaluate", "--scheme", "single-stream"],
         ["compare", "--scheme", "per-module", "--baseline", "per-module"],
-        ["sweep", "--streams", "1"],
+        ["sweep", "--streams", "1,2,3"],
         ["calibrate", "--measurements", "{meas}", "--scheme-file",
          "run1={scheme}"],
     ], ids=["optimize-S", "optimize-weighted", "evaluate", "compare",
             "sweep", "calibrate"])
     def test_every_command_names_the_sizes(self, instance_path, tmp_path,
-                                           capsys, argv, size):
+                                           capsys, monkeypatch, argv, size):
+        def no_descent(*args):
+            raise AssertionError("a descent ran")
+
+        monkeypatch.setattr(optimize_module, "optimize", no_descent)
         _, catalog = load_instance(instance_path)
         scheme, meas = tmp_path / "two.scheme", tmp_path / "m.csv"
         write_scheme(scheme, Scheme(2, (0, 1) * (catalog.n_modules // 2)),

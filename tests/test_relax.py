@@ -309,10 +309,9 @@ class TestKernel:
         # in lexicographic order.
         rng = np.random.default_rng(43)
         cases = [random_instance(rng, max_modules=6) for _ in range(10)]
-        # Up to 40 modules with mixed prescales: over 64 columns, so an id
-        # takes more than 6 bits, and rows longer than one packed key word.
-        # Every event passes the first 12 lines, so that rows agree on their
-        # leading ids and differ only in later words.
+        # Up to 40 modules with mixed prescales.  Every event passes the
+        # first 12 lines, so that rows agree on their leading ids and differ
+        # only in later places.
         rng = np.random.default_rng(45)
         for _ in range(4):
             inc, cat = random_instance(rng, max_modules=40,
@@ -320,19 +319,29 @@ class TestKernel:
             dense = inc.to_dense()
             dense[:, :12] = True
             cases.append((EventLineIncidence.from_dense(dense), cat))
-        # 90 one-line modules give 7-bit ids, 9 to a word.  Rows share one of
-        # three 9-module heads, so their first words are equal, and half add
-        # modules past the first word: each head's run mixes one-word and
+        # 90 one-line modules.  Rows share one of three 9-module heads, and
+        # half add modules past the head, so each head's rows mix short and
         # longer rows, repeats included.
         dense = np.zeros((400, 90), dtype=bool)
         for row in dense:
             row[rng.integers(3) + np.arange(9)] = True
             if rng.random() < 0.5:
                 row[rng.choice(np.arange(11, 89), rng.integers(1, 4))] = True
-        dense[0, 11:89] = True  # a row of ten words
+        dense[0, 11:89] = True  # a row of 87 places
         cases.append((EventLineIncidence.from_dense(dense), build_catalog(
             [(f"l{m}", 1.0, True, False, f"l{m}") for m in range(90)])))
-        multi_word = 0
+        # 300 one-line modules: over 255 columns, so the labels are 16-bit.
+        # Rows share one of three 20-module heads, at low and at high ids,
+        # and half add a few modules anywhere: long shared prefixes that
+        # differ past them, repeats included.
+        dense = np.zeros((600, 300), dtype=bool)
+        for row in dense:
+            row[135 * rng.integers(3) + np.arange(20)] = True
+            if rng.random() < 0.5:
+                row[rng.choice(300, rng.integers(1, 4))] = True
+        cases.append((EventLineIncidence.from_dense(dense), build_catalog(
+            [(f"l{m}", 1.0, True, False, f"l{m}") for m in range(300)])))
+        long_rows = wide = 0
         for inc, cat in cases:
             folded = fold_modules(inc, cat)
             values, groups = folded.values, folded.row_groups()
@@ -353,9 +362,10 @@ class TestKernel:
                     in zip(hits.indptr[:-1], hits.indptr[1:])] == distinct
             assert groups.weights.tolist() == [rows.count(row)
                                                for row in distinct]
-            bits = len(pairs).bit_length()
-            multi_word += bits > 6 and max(map(len, rows)) > 63 // bits
-        assert multi_word >= 2
+            long_rows += max(map(len, rows)) >= 8
+            wide += len(pairs) > 255
+        # Rows of 8 or more places, and more than 255 columns.
+        assert long_rows >= 2 and wide >= 1
 
     def test_matches_dense_formula_with_zero_factors(self):
         rng = np.random.default_rng(42)
