@@ -147,6 +147,23 @@ def _set_up(args, storage: bool = True) -> tuple[SchemeScorer, dict]:
                     "dedupe_s": deduped - folded}
 
 
+def _run_diag(scorer, timings: dict, usage) -> dict:
+    """A diag's ``timings``, with the CPU seconds of ``usage`` (a reading of
+    :func:`_resource_usage`), its ``max_rss_mb`` and the ``kernel``'s size."""
+    user_s, sys_s, max_rss_mb = usage
+    groups = scorer.fold.row_groups()
+    return {
+        "timings": {**timings, "user_s": user_s, "sys_s": sys_s},
+        "max_rss_mb": max_rss_mb,
+        "kernel": {
+            "events": scorer.fold.n_events,
+            "unique_rows": len(groups.weights),
+            "columns": groups.hits.shape[1],
+            "nonzeros": groups.hits.nnz,
+        },
+    }
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="streamopt",
                      description="Assign selection-line modules to output "
@@ -315,21 +332,12 @@ def cmd_optimize(args) -> int:
         best, relaxed_loss, best_read_cost = (
             chosen.scheme, chosen.relaxed_loss, chosen.discrete_cost)
 
-    user_s, sys_s, max_rss_mb = _resource_usage(since=usage_start)
-    groups = scorer.fold.row_groups()
     diag = {
         "instance": str(args.instance),
         "n_streams": args.streams,
         "objective": args.objective,
         "seed": result.seed,
-        "timings": {**timings, "user_s": user_s, "sys_s": sys_s},
-        "max_rss_mb": max_rss_mb,
-        "kernel": {
-            "events": scorer.fold.n_events,
-            "unique_rows": len(groups.weights),
-            "columns": groups.hits.shape[1],
-            "nonzeros": groups.hits.nnz,
-        },
+        **_run_diag(scorer, timings, _resource_usage(since=usage_start)),
         "best": {
             "relaxed_loss": relaxed_loss,
             "read_cost": best_read_cost,
@@ -397,7 +405,7 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     usage_start = _resource_usage(children=True)
-    scorer, _ = _set_up(args)
+    scorer, timings = _set_up(args)
     header = "n_streams,read_cost,storage_kb"
     if args.baseline:
         # Checked before the sweep, so an unusable baseline fails fast.
@@ -419,13 +427,11 @@ def cmd_sweep(args) -> int:
         rows.append(row)
     table = "\n".join(rows) + "\n"
     if args.out:
-        user_s, sys_s, max_rss_mb = _resource_usage(True, usage_start)
         diag = {
             "instance": str(args.instance),
             "seed": args.seed,
             "workers": sweep_workers(args.streams, scorer.catalog.n_modules),
-            "timings": {"user_s": user_s, "sys_s": sys_s},
-            "max_rss_mb": max_rss_mb,
+            **_run_diag(scorer, timings, _resource_usage(True, usage_start)),
             "points": [
                 {
                     "n_streams": point.n_streams,

@@ -13,10 +13,12 @@ one-line header::
     ...
 
 Events are indexed by first appearance in the incidence section.  Blank
-rows and rows that start with ``#`` are skipped.  A plain instance file,
-such rows included, is read from its bytes in windows, each scanned once
-for every row's start, end and separators (:func:`_parse_bulk`); any other
-goes row by row (:func:`_parse_rows`), which raises every parse error.
+rows and rows that start with ``#`` are skipped.  :func:`load_instance`
+reads a plain instance file, such rows included, from its bytes in
+windows, each scanned once for every row's start, end and separators
+(:func:`_parse_bulk`).  Every other file, and every :class:`InstanceFile`,
+is read row by row (:func:`_parse_rows`), which raises every parse error
+and keeps the event ids.
 
 Scheme files carry one ``module,stream`` row per module after a
 ``# n_streams=K`` header so that trailing empty streams survive a round
@@ -117,27 +119,22 @@ class InstanceFile:
 
     @classmethod
     def from_text(cls, text: str) -> "InstanceFile":
-        return cls._of(*(_parse_bulk(text) or _parse_rows(text)))
+        return cls(*_parse_rows(text))
 
     def write(self, path):
         _write_text(path, self.to_text())
 
     @classmethod
     def load(cls, path) -> "InstanceFile":
-        return cls._of(*(_parse_bulk(path=path)
-                         or _parse_rows(_read_text(path, "instance"))))
-
-    @classmethod
-    def _of(cls, catalog, incidence, ids) -> "InstanceFile":
-        """The instance of a parse; the bulk parse's ids are undecoded keys."""
-        return cls(catalog, incidence,
-                   ids if isinstance(ids, tuple) else _decode_keys(ids))
+        return cls.from_text(_read_text(path, "instance"))
 
 
 def _field(name: str) -> str:
     """``name`` as a field that :func:`_rows` reads back: quoted, as in CSV,
     if it holds a comma or a quote, starts with ``#`` or has whitespace at
-    either end.  A name with a line break cannot be written."""
+    either end.  A name with a line break cannot be written: it raises."""
+    if "".join(name.splitlines()) != name:
+        raise DataError(f"cannot write name {name!r}: it holds a line break")
     if "," in name or '"' in name or name[:1] == "#" or name != name.strip():
         return '"' + name.replace('"', '""') + '"'
     return name
@@ -260,9 +257,9 @@ _BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
 _WINDOW_BYTES = 1 << 18
 
 
-def _parse_bulk(text: str | None = None, *, path=None) -> tuple | None:
-    """Parse a plain instance ``text``, or the file at ``path``, from its
-    bytes into its catalog, incidence and event keys, or return None.
+def _parse_bulk(path) -> tuple | None:
+    """Parse the plain instance file at ``path`` from its bytes into its
+    catalog and incidence, or return None.
 
     *Plain* means ASCII without any control character but the newline
     (CRLF line ends are read as LF first), and without quotes or spaces
@@ -270,8 +267,9 @@ def _parse_bulk(text: str | None = None, *, path=None) -> tuple | None:
     ``#``); each section with its column header, and every row with the
     right number of fields naming a catalog line.  Then ``str.splitlines``
     and ``str.strip`` see exactly the newline rows, and the result is the
-    row-by-row parse's.  Any other text, valid or not, returns None and goes
-    through :func:`_parse_rows`.
+    row-by-row parse's.  Any other file, valid or not, returns None, and
+    :func:`load_instance` reads it with :func:`_parse_rows`, as
+    :class:`InstanceFile` reads every file.
 
     Tag rows are found by byte search.  The rows before the first tag, the
     catalog's sections, then the incidence's are scanned (:func:`_scan`) in
@@ -281,17 +279,12 @@ def _parse_bulk(text: str | None = None, *, path=None) -> tuple | None:
     and its runs of rows of one event keep one event key each.  The bytes are
     dropped before the events are numbered by first appearance.
     """
-    if path is not None:
-        try:
-            with open(path, "rb") as handle:
-                buffer = bytearray(os.fstat(handle.fileno()).st_size + 9)
-                del buffer[handle.readinto(memoryview(buffer)[:-9]):-9]
-        except OSError as exc:
-            raise DataError(f"cannot read instance file: {exc}") from exc
-    elif text.isascii():
-        buffer = bytearray(text.encode("ascii") + bytes(9))
-    else:
-        return None
+    try:
+        with open(path, "rb") as handle:
+            buffer = bytearray(os.fstat(handle.fileno()).st_size + 9)
+            del buffer[handle.readinto(memoryview(buffer)[:-9]):-9]
+    except OSError as exc:
+        raise DataError(f"cannot read instance file: {exc}") from exc
     if b"\r" in buffer:
         # Gated: replace copies the whole text even when nothing matches.
         buffer = buffer.replace(b"\r\n", b"\n")
@@ -365,12 +358,11 @@ def _parse_bulk(text: str | None = None, *, path=None) -> tuple | None:
     keys = np.concatenate([
         key if key.shape[1] == width
         else np.pad(key, ((0, 0), (0, width - key.shape[1]))) for key in keys])
-    code, first = _first_appearance(keys)
+    code, n_events = _first_appearance(keys)
     ev = np.repeat(code, np.concatenate(lengths))
     del code, lengths
     lines = np.concatenate(lines)
-    incidence = _incidence(len(first), catalog.n_lines, ev, lines)
-    return catalog, incidence, keys[first]
+    return catalog, _incidence(n_events, catalog.n_lines, ev, lines)
 
 
 def _scan(data: np.ndarray, start: int, stop: int) -> list | None:
@@ -447,9 +439,9 @@ def _field_keys(data: np.ndarray, start: np.ndarray,
     return key
 
 
-def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Codes of the rows of ``keys`` by first appearance, and the row where
-    each code first appears.
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Codes of the rows of ``keys`` by first appearance, and the number of
+    distinct rows.
 
     Equal rows are grouped by one lexsort of their bytes, a radix sort per
     byte.  It is stable, so each group's first row is its least index.
@@ -464,25 +456,13 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank[by_first] = np.arange(len(by_first))
     code = np.empty_like(order)
     code[order] = rank[np.cumsum(new) - 1]
-    return code, first[by_first]
-
-
-def _decode_keys(keys: np.ndarray) -> tuple[str, ...]:
-    """The fields of :func:`_field_keys`'s keys, as strings, decoded about
-    ``_WINDOW_BYTES`` of keys at a time."""
-    step = max(1, _WINDOW_BYTES // keys.shape[1] // 8)
-    fields = []
-    for chunk in np.split(keys, range(step, len(keys), step)):
-        chunk = np.column_stack((chunk.view(np.uint8).reshape(len(chunk), -1),
-                                 np.full(len(chunk), _NEWLINE, np.uint8)))
-        fields += chunk[chunk != 0].tobytes().decode("ascii").split("\n")[:-1]
-    return tuple(fields)
+    return code, len(first)
 
 
 def load_instance(path) -> tuple[EventLineIncidence, LineCatalog]:
-    """Load and validate an instance file; its event ids are not decoded."""
-    catalog, incidence = (_parse_bulk(path=path)
-                          or _parse_rows(_read_text(path, "instance")))[:2]
+    """Load and validate an instance file; its event ids are not kept."""
+    catalog, incidence = (_parse_bulk(path)
+                          or _parse_rows(_read_text(path, "instance"))[:2])
     violations = validate_dataset(incidence, catalog)
     if violations:
         raise DataError("invalid instance: " + "; ".join(violations))

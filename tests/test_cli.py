@@ -437,8 +437,10 @@ class TestSweepCommand:
         diag = json.loads((tmp_path / "sweep.csv.diag.json").read_text())
         assert diag["seed"] == 5
         assert diag["workers"] == 2
-        # CPU seconds of this process and of its two finished workers.
-        assert set(diag["timings"]) == {"user_s", "sys_s"}
+        # Set-up's seconds, and the CPU seconds of this process and of its
+        # two finished workers.
+        assert list(diag["timings"]) == ["load_s", "fold_s", "dedupe_s",
+                                         "user_s", "sys_s"]
         assert all(isinstance(t, float) and t >= 0.0
                    for t in diag["timings"].values())
         assert diag["max_rss_mb"] > 0.0
@@ -458,6 +460,7 @@ class TestSweepCommand:
             optimized = json.loads(
                 (tmp_path / (scheme.name + ".diag.json")).read_text())
             assert point["restarts"] == optimized["restarts"]
+            assert diag["kernel"] == optimized["kernel"]
 
     def test_no_process_left_running(self, instance_path, tmp_path,
                                      monkeypatch, capsys):

@@ -1,6 +1,9 @@
 import csv
 import hashlib
+import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,10 +34,21 @@ ev_b,l3
 CATALOG, INCIDENCE = (f"[{part}" for part in SAMPLE.split("[")[1:])
 
 
-def bulk_parse(text: str) -> InstanceFile | None:
-    """The bulk parse of ``text``, its event keys decoded, or None."""
-    parsed = instances._parse_bulk(text)
-    return parsed and InstanceFile._of(*parsed)
+def bulk_parse(text: str) -> tuple | None:
+    """The bulk parse of a file holding ``text``: its catalog and incidence,
+    or None."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "x.inst"
+        path.write_bytes(text.encode())
+        return instances._parse_bulk(path)
+
+
+def same_columns(incidence, reference):
+    """``incidence`` has ``reference``'s events and columns, dtypes too."""
+    assert incidence.n_events == reference.n_events
+    for column in ("event_index", "line_index"):
+        np.testing.assert_array_equal(getattr(incidence, column),
+                                      getattr(reference, column), strict=True)
 
 
 def row_parse(text: str) -> InstanceFile:
@@ -74,6 +88,20 @@ class TestInstanceFormat:
         scheme = Scheme(3, tuple(k % 3 for k in range(len(names))))
         assert scheme_from_text(scheme_to_text(scheme, inst.catalog),
                                 inst.catalog) == scheme
+
+    @pytest.mark.parametrize("name", ["a\nb", "a\r", "\x1cb", "a\u2028b"])
+    def test_names_with_line_breaks_are_not_written(self, name):
+        # str.splitlines breaks such a name, so no reader could take it back.
+        for line, module, event in ((name, "m", "e"), ("l", name, "e"),
+                                    ("l", "m", name)):
+            inst = InstanceFile(
+                LineCatalog((LineRecord(line, module=module),)),
+                EventLineIncidence(1, 1, [(0, 0)]), (event,))
+            with pytest.raises(DataError, match=re.escape(repr(name))):
+                inst.to_text()
+        catalog = LineCatalog((LineRecord("l", module=name),))
+        with pytest.raises(DataError, match=re.escape(repr(name))):
+            scheme_to_text(Scheme(1, (0,)), catalog)
 
     def test_load_instance_validates(self, tmp_path):
         path = tmp_path / "toy.inst"
@@ -132,6 +160,7 @@ class TestIncidenceErrors:
 
     @staticmethod
     def error(text: str) -> str:
+        assert bulk_parse(text) is None
         with pytest.raises(DataError) as info:
             InstanceFile.from_text(text)
         return str(info.value)
@@ -178,6 +207,10 @@ class TestLoaderCases:
 
     @staticmethod
     def parsed(text: str) -> tuple:
+        # The bulk parse, where it takes the text, reads it the same way.
+        bulk = bulk_parse(text)
+        if bulk is not None:
+            TestProperties.assert_same_parse(bulk, text)
         inst = InstanceFile.from_text(text)
         inc = inst.incidence
         return (inst.catalog, inst.event_ids, inc.n_events, inc.n_lines,
@@ -221,10 +254,7 @@ class TestLoaderCases:
         # CRLF text takes the bulk parse and reads as the row parse does; a
         # lone CR still goes row by row.
         crlf = SAMPLE.replace("\n", "\r\n")
-        bulk, rows = bulk_parse(crlf), row_parse(crlf)
-        assert bulk is not None
-        assert (bulk.catalog, bulk.event_ids, bulk.incidence.pairs()) == \
-            (rows.catalog, rows.event_ids, rows.incidence.pairs())
+        TestProperties.assert_same_parse(bulk_parse(crlf), crlf)
         assert bulk_parse(SAMPLE.replace("ev_b", "ev\rb")) is None
 
     def test_trailing_whitespace_is_ignored(self):
@@ -255,14 +285,12 @@ class TestLoaderCases:
                 "shared08,1.0,0,1,m2\n[incidence]\nevent,line\n"
                 "run_0001_event_02,shared08_a\nrun_0001_event_01,shared08\n"
                 "x,shared08_b\nrun_0001_event_02,shared08_b\n")
+        assert row_parse(text).event_ids == ("run_0001_event_02",
+                                             "run_0001_event_01", "x")
         bulk = bulk_parse(text)
         assert bulk is not None
-        assert bulk.event_ids == ("run_0001_event_02", "run_0001_event_01",
-                                  "x")
-        assert bulk.incidence.pairs() == [(0, 0), (0, 1), (1, 2), (2, 0)]
-        rows = row_parse(text)
-        assert (bulk.catalog, bulk.event_ids, bulk.incidence.pairs()) == \
-            (rows.catalog, rows.event_ids, rows.incidence.pairs())
+        assert bulk[1].pairs() == [(0, 0), (0, 1), (1, 2), (2, 0)]
+        TestProperties.assert_same_parse(bulk, text)
 
     @pytest.mark.parametrize("catalog_name", ["l1", "shared08_b"])
     def test_line_names_are_looked_up_in_the_catalog(self, catalog_name):
@@ -271,11 +299,10 @@ class TestLoaderCases:
         text = SAMPLE.replace("l1", catalog_name).replace(
             "[incidence]", f"{catalog_name},0.2,0,1,m3\n"
             "a_line_name_of_three_words,1.0,1,0,m3\n[incidence]")
-        bulk, rows = bulk_parse(text), row_parse(text)
+        bulk = bulk_parse(text)
         assert bulk is not None
-        assert bulk.incidence.pairs() == [(0, 0), (0, 1), (1, 2)]
-        assert (bulk.catalog, bulk.event_ids, bulk.incidence.pairs()) == \
-            (rows.catalog, rows.event_ids, rows.incidence.pairs())
+        assert bulk[1].pairs() == [(0, 0), (0, 1), (1, 2)]
+        TestProperties.assert_same_parse(bulk, text)
         # An unknown name, one that only extends a catalog name, the first
         # one or two words of the wide catalog name, and one wider than
         # every catalog name go to the row parse, which names it.
@@ -308,7 +335,7 @@ class TestLoaderCases:
             return keys
 
         monkeypatch.setattr(instances, "_field_keys", spy)
-        assert instances._parse_bulk(path=path) is None
+        assert instances._parse_bulk(path) is None
         assert refused == [True, False]  # the event ids, then the names
         incidence, catalog = load_instance(path)
         rows = row_parse(text)
@@ -346,10 +373,7 @@ class TestLoaderCases:
     ], ids=["bracket-names", "commented-tag", "two-catalogs", "tag-then-tag",
             "skipped-before-header", "tag-text-as-event"])
     def test_bulk_parse_classifies_rows(self, text):
-        bulk, rows = bulk_parse(text), row_parse(text)
-        assert bulk is not None
-        assert (bulk.catalog, bulk.event_ids, bulk.incidence.pairs()) == \
-            (rows.catalog, rows.event_ids, rows.incidence.pairs())
+        TestProperties.assert_same_parse(bulk_parse(text), text)
 
     @pytest.mark.parametrize("text", [
         SAMPLE.replace("[incidence]", "[incidence_"),
@@ -432,18 +456,14 @@ class TestWindowedParse:
 
     @pytest.mark.parametrize("edit", [str, str.rstrip,
                                       lambda t: t.replace("\n", "\r\n")])
-    def test_file_load_reads_as_the_text(self, tmp_path, edit):
-        text = edit(SAMPLE + "ev_c,l3\nev_a,l3\n")
-        path = tmp_path / "x.inst"
-        path.write_bytes(text.encode())
-        loaded, rows = InstanceFile.load(path), row_parse(text)
-        assert (loaded.catalog, loaded.event_ids, loaded.incidence.pairs()) \
-            == (rows.catalog, rows.event_ids, rows.incidence.pairs())
+    def test_file_load_reads_as_the_text(self, edit):
+        self.same(edit(SAMPLE + "ev_c,l3\nev_a,l3\n"))
 
 
 class TestLoaders:
     """``load_instance`` reads a file as ``InstanceFile.load`` does, errors
-    included, and never decodes an event id."""
+    included.  Each parser has one consumer: ``load_instance`` reads a plain
+    file in bulk alone, and ``InstanceFile`` reads every file row by row."""
 
     @staticmethod
     def texts() -> dict:
@@ -459,33 +479,34 @@ class TestLoaders:
         }
 
     @staticmethod
-    def refuse_decoding(monkeypatch):
-        def refuse(keys):
-            raise AssertionError("an event id was decoded")
+    def refuse(monkeypatch, parser: str):
+        def refuse(*args):
+            raise AssertionError(f"{parser} was called")
 
-        monkeypatch.setattr(instances, "_decode_keys", refuse)
+        monkeypatch.setattr(instances, parser, refuse)
 
     @pytest.mark.parametrize("kind", ["plain", "commented", "crlf", "quoted"])
     def test_both_loaders_agree(self, tmp_path, monkeypatch, kind):
+        text = self.texts()[kind]
         path = tmp_path / "x.inst"
-        path.write_bytes(self.texts()[kind].encode())
-        assert (instances._parse_bulk(path=path) is None) == (kind == "quoted")
-        reference = InstanceFile.load(path)
-        self.refuse_decoding(monkeypatch)
+        path.write_bytes(text.encode())
+        assert (instances._parse_bulk(path) is None) == (kind == "quoted")
+        with monkeypatch.context() as patch:
+            self.refuse(patch, "_parse_bulk")
+            reference = InstanceFile.load(path)
+            assert InstanceFile.from_text(text).to_text() == \
+                reference.to_text()
+        if kind != "quoted":
+            self.refuse(monkeypatch, "_parse_rows")
         incidence, catalog = load_instance(path)
         assert catalog == reference.catalog
-        assert incidence.n_events == reference.incidence.n_events
-        for column in ("event_index", "line_index"):
-            np.testing.assert_array_equal(
-                getattr(incidence, column),
-                getattr(reference.incidence, column), strict=True)
+        same_columns(incidence, reference.incidence)
 
     @pytest.mark.parametrize("tail", [
         "ev_c,l9\n", "#\n\nev_c,l1,x\n", "ev_c\n",
         "[incidence]\n#\nev_c,l1\n", '"ev,c",l1,"x"\n', "ev_c,l1\r\nev_d\n",
     ])
-    def test_errors_agree(self, tmp_path, monkeypatch, tail):
-        self.refuse_decoding(monkeypatch)
+    def test_errors_agree(self, tmp_path, tail):
         path = tmp_path / "x.inst"
         path.write_bytes((SAMPLE + tail).encode())
         messages = []
@@ -839,7 +860,7 @@ class TestProperties:
         text = InstanceFile(catalog, EventLineIncidence(
             1, n_lines, [(0, k) for k in range(n_lines)]), ("e",)).to_text()
         parsed = [instances._parse_rows(text)[0]]
-        bulk = instances._parse_bulk(text)
+        bulk = bulk_parse(text)
         plain = all(set(name) <= set(NAME_CHARS)
                     for name in catalog.line_names + catalog.modules)
         assert plain <= (bulk is not None)
@@ -898,10 +919,9 @@ class TestProperties:
     def assert_same_parse(bulk, text):
         reference = row_parse(text)
         assert bulk is not None
-        assert bulk.catalog == reference.catalog
-        assert bulk.event_ids == reference.event_ids
-        assert bulk.incidence.n_events == reference.incidence.n_events
-        assert bulk.incidence.pairs() == reference.incidence.pairs()
+        catalog, incidence = bulk
+        assert catalog == reference.catalog
+        same_columns(incidence, reference.incidence)
 
     @given(instance_files(names | quoted_names), st.data())
     def test_scheme_text_round_trip(self, inst, data):
@@ -928,8 +948,14 @@ class TestProperties:
             del rows[at]
         else:
             rows[at] = rows[at][:data.draw(st.integers(0, len(rows[at])))]
+        text = "\n".join(rows)
+        # The bulk parse takes only what the row parse reads, and reads it
+        # the same way.
+        bulk = bulk_parse(text)
+        if bulk is not None:
+            self.assert_same_parse(bulk, text)
         try:
-            parsed = InstanceFile.from_text("\n".join(rows))
+            parsed = InstanceFile.from_text(text)
         except DataError:
             return
         validate_dataset(parsed.incidence, parsed.catalog)
