@@ -15,6 +15,7 @@ import logging
 import math
 import sys
 import time
+from pathlib import Path
 
 try:
     import resource
@@ -27,9 +28,9 @@ from .calibrate import DEFAULT_T_INITIAL, corrected_read_cost, fit_linear
 from .cost import (DEFAULT_BASE_KB, DEFAULT_SHARED_KB, SchemeScorer,
                    extreme_schemes, first_minimum, parse_objective)
 from .errors import DataError, InfeasibleError, StreamOptError
-from .instances import (SyntheticSpec, _write_text, gen_synthetic,
-                        load_instance, load_measurements, load_scheme,
-                        write_scheme)
+from .instances import (SyntheticSpec, _planted_scheme, _write_text,
+                        gen_synthetic, load_instance, load_measurements,
+                        load_scheme, write_scheme)
 from .model import Scheme, fold_modules
 from .optimize import (OptimizerConfig, optimize, sweep_streams,
                        sweep_workers)
@@ -204,7 +205,9 @@ def build_parser() -> _Parser:
                    type=float)
     p.add_argument("--turbo-frac", dest="turbo_fraction", type=float)
     p.add_argument("--seed", type=_at_least(0))
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True,
+                   help="instance file path; the planted grouping goes to "
+                        "<out>.planted.scheme")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("optimize", parents=[size],
@@ -275,12 +278,14 @@ def build_parser() -> _Parser:
 def cmd_generate(args) -> int:
     fields = {field.name for field in dataclasses.fields(SyntheticSpec)}
     try:
-        instance = gen_synthetic(SyntheticSpec(
-            **{key: value for key, value in vars(args).items()
-               if key in fields}))
+        spec = SyntheticSpec(**{key: value for key, value in vars(args).items()
+                                if key in fields})
+        instance = gen_synthetic(spec)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     instance.write(args.out)
+    write_scheme(str(args.out) + ".planted.scheme", _planted_scheme(spec),
+                 instance.catalog)
     print(f"wrote {args.out}: {instance.incidence.n_events} events, "
           f"{instance.catalog.n_lines} lines, "
           f"{instance.catalog.n_modules} modules")
@@ -364,7 +369,8 @@ def _baseline_breakdowns(scorer, token):
 
 
 def cmd_evaluate(args) -> int:
-    scorer, _ = _set_up(args)
+    usage_start = _resource_usage()
+    scorer, timings = _set_up(args)
     scheme = _load_named_scheme(args.scheme, scorer.catalog)
     t, s = scorer.read_cost(scheme), scorer.storage_cost(scheme)
     print("stream  units  lines  expected_events  read_contribution  storage_kb")
@@ -383,6 +389,7 @@ def cmd_evaluate(args) -> int:
                 "per_stream": [row.__dict__ for row in t.per_stream],
             },
             "storage_kb": {"total": s.total, "per_stream": list(s.per_stream)},
+            **_run_diag(scorer, timings, _resource_usage(since=usage_start)),
         }
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
@@ -526,6 +533,10 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(message)s")
     logging.getLogger("streamopt").setLevel(args.log_level)
     try:
+        # Checked first, so that a long run cannot end in an unwritable name.
+        if args.out and not Path(args.out).parent.is_dir():
+            raise DataError(f"cannot write '{args.out}': no directory "
+                            f"'{Path(args.out).parent}'")
         return args.func(args)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -215,6 +215,8 @@ class SchemeScorer:
                  catalog: LineCatalog, *, base_kb: float = DEFAULT_BASE_KB,
                  shared_kb: float = DEFAULT_SHARED_KB,
                  fold: ModuleIncidence | None = None):
+        if incidence is None and fold is None:
+            raise ValueError("the scorer needs the incidence or its fold")
         self.catalog, self._incidence = catalog, incidence
         self.base_kb, self.shared_kb = base_kb, shared_kb
         self.fold = fold_modules(incidence, catalog) if fold is None else fold

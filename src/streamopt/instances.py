@@ -604,12 +604,19 @@ class SyntheticSpec:
 _BLOCK_CELLS = 1 << 20
 
 
+def _planted_scheme(spec: SyntheticSpec) -> Scheme:
+    """The grouping the generator plants: ``min(C, M)`` streams, one per
+    latent cluster, with module ``m`` in stream ``m * min(C, M) // M``."""
+    k = min(spec.n_latent_clusters, spec.n_modules)
+    return Scheme(k, tuple(m * k // spec.n_modules
+                           for m in range(spec.n_modules)))
+
+
 def gen_synthetic(spec: SyntheticSpec) -> InstanceFile:
     """Generate a planted-cluster instance, deterministic for a given seed."""
     rng = np.random.default_rng(spec.seed)
-    n_clusters = min(spec.n_latent_clusters, spec.n_modules)
-    cluster_of_module = (np.arange(spec.n_modules) * n_clusters
-                         ) // spec.n_modules
+    planted = _planted_scheme(spec)
+    cluster_of_module = np.array(planted.assignment)
 
     lo, hi = spec.lines_per_module
     modules = [f"mod{m:02d}" for m in range(spec.n_modules)]
@@ -624,7 +631,7 @@ def gen_synthetic(spec: SyntheticSpec) -> InstanceFile:
     catalog = LineCatalog.of_columns(names, prescales, turbo, pr,
                                      module_of_line, modules)
 
-    cluster_of_event = rng.integers(0, n_clusters, size=spec.n_events)
+    cluster_of_event = rng.integers(0, planted.n_streams, size=spec.n_events)
     line_cluster = cluster_of_module[catalog.module_of_line][None, :]
     # Passes are drawn over blocks of event rows to bound memory; the blocks'
     # draws concatenate to the one events x lines draw, so the output does

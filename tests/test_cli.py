@@ -36,6 +36,17 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
+def kernel_block(incidence, catalog) -> dict:
+    """The ``kernel`` block that a command's JSON holds for an instance."""
+    groups = fold_modules(incidence, catalog).row_groups()
+    return {
+        "events": incidence.n_events,
+        "unique_rows": len(groups.weights),
+        "columns": groups.hits.shape[1],
+        "nonzeros": groups.hits.nnz,
+    }
+
+
 @pytest.fixture
 def instance_path(tmp_path):
     path = tmp_path / "toy.inst"
@@ -64,6 +75,26 @@ class TestGenerate:
         assert out.read_bytes() == \
             gen_synthetic(SyntheticSpec()).to_text().encode()
 
+    @pytest.mark.parametrize("modules, clusters, planted", [
+        (7, 3, (0, 0, 0, 1, 1, 2, 2)),  # blocks of modules, one per cluster
+        (4, 9, (0, 1, 2, 3)),           # more clusters than modules
+    ])
+    def test_writes_the_planted_grouping(self, tmp_path, capsys, modules,
+                                         clusters, planted):
+        out = tmp_path / "p.inst"
+        assert main(["generate", "--events", "200", "--modules", str(modules),
+                     "--clusters", str(clusters), "--seed", "3",
+                     "--out", str(out)]) == 0
+        scheme = tmp_path / "p.inst.planted.scheme"
+        _, catalog = load_instance(out)
+        assert load_scheme(scheme, catalog) == \
+            Scheme(max(planted) + 1, planted)
+        capsys.readouterr()
+        assert main(["sweep", "--instance", str(out), "--streams", "1",
+                     "--restarts", "1", "--baseline", str(scheme)]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(
+            ",read_vs_baseline,storage_vs_baseline")
+
 
 class TestOptimizeCommand:
     def test_writes_scheme_and_diagnostics(self, instance_path, tmp_path):
@@ -82,13 +113,7 @@ class TestOptimizeCommand:
         assert all(isinstance(t, float) and t >= 0.0
                    for t in diag["timings"].values())
         assert diag["max_rss_mb"] > 0.0
-        groups = fold_modules(incidence, catalog).row_groups()
-        assert diag["kernel"] == {
-            "events": incidence.n_events,
-            "unique_rows": len(groups.weights),
-            "columns": groups.hits.shape[1],
-            "nonzeros": groups.hits.nnz,
-        }
+        assert diag["kernel"] == kernel_block(incidence, catalog)
         assert diag["kernel"]["unique_rows"] <= incidence.n_events
         assert len(diag["restarts"]) == 8
         assert diag["best"]["read_cost"] == pytest.approx(
@@ -232,7 +257,8 @@ class TestOptimizeCommand:
                          "--objective", "weighted:1e308", "--out", str(out)])
         assert code == 3
         assert "weighted:1e308" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.inst"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "toy.inst", "toy.inst.planted.scheme"]
 
     def test_weight_zero_is_the_read_cost_when_storage_overflows(
             self, instance_path, tmp_path, capsys):
@@ -278,6 +304,22 @@ class TestOptimizeCommand:
         assert code == 2
         assert not missing_dir.exists()
 
+    @pytest.mark.parametrize("command, streams", [("optimize", "2"),
+                                                  ("sweep", "1,2")])
+    def test_missing_out_directory_fails_before_the_descent(
+            self, instance_path, tmp_path, capsys, monkeypatch, command,
+            streams):
+        def descend(*args, **kwargs):
+            raise AssertionError("descended before checking --out")
+        monkeypatch.setattr(streamopt.cli, "optimize", descend)
+        monkeypatch.setattr(streamopt.cli, "sweep_streams", descend)
+        out = tmp_path / "missing" / "x"
+        assert main([command, "--instance", str(instance_path), "--streams",
+                     streams, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write '{out}': no directory '{out.parent}'\n")
+        assert not out.parent.exists()
+
     def test_existing_tmp_file_left_untouched(self, instance_path, tmp_path):
         out = tmp_path / "x.scheme"
         stale = tmp_path / "x.scheme.tmp"
@@ -287,7 +329,8 @@ class TestOptimizeCommand:
                      "--out", str(out)]) == 0
         assert stale.read_text() == "someone else's file\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "toy.inst", "x.scheme", "x.scheme.diag.json", "x.scheme.tmp"]
+            "toy.inst", "toy.inst.planted.scheme", "x.scheme",
+            "x.scheme.diag.json", "x.scheme.tmp"]
         # The output gets the mode of a plain write, not the temp file's 0600.
         assert out.stat().st_mode & 0o777 == stale.stat().st_mode & 0o777
 
@@ -339,6 +382,13 @@ class TestEvaluateCommand:
               "--scheme", "single-stream", "--out", str(out)])
         payload = json.loads(out.read_text())
         assert payload["read_cost"]["total"] > 0
+        # Set-up is timed and sized as optimize's and sweep's diags are.
+        assert set(payload["timings"]) == {"load_s", "fold_s", "dedupe_s",
+                                           "user_s", "sys_s"}
+        assert all(isinstance(t, float) and t >= 0.0
+                   for t in payload["timings"].values())
+        assert payload["max_rss_mb"] > 0.0
+        assert payload["kernel"] == kernel_block(*load_instance(instance_path))
 
     def test_missing_instance_is_data_error(self, tmp_path, capsys):
         code = main(["evaluate", "--instance", str(tmp_path / "nope"),

@@ -112,6 +112,11 @@ class TestReadCost:
         with pytest.raises(DataError, match="does not match catalog"):
             SchemeScorer(None, cat, fold=fold_modules(inc, one_module))
 
+    def test_scorer_needs_the_incidence_or_its_fold(self):
+        _, cat = three_line_instance()
+        with pytest.raises(ValueError, match="incidence or its fold"):
+            SchemeScorer(None, cat)
+
     def test_module_level_evaluation_agrees(self):
         rng = np.random.default_rng(24)
         for _ in range(10):
