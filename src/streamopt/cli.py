@@ -208,7 +208,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True,
                    help="instance file path; the planted grouping goes to "
                         "<out>.planted.scheme")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, companions=(".planted.scheme",))
 
     p = sub.add_parser("optimize", parents=[size],
                        help="optimize a scheme and write it with diagnostics")
@@ -221,7 +221,7 @@ def build_parser() -> _Parser:
                         "weighted:<w>")
     p.add_argument("--out", required=True,
                    help="scheme file path; diagnostics go to <out>.diag.json")
-    p.set_defaults(func=cmd_optimize)
+    p.set_defaults(func=cmd_optimize, companions=(".diag.json",))
 
     p = sub.add_parser("evaluate", parents=[size],
                        help="print read-cost and storage breakdowns")
@@ -249,7 +249,7 @@ def build_parser() -> _Parser:
     p.add_argument("--baseline",
                    help="scheme used to normalize the T and S columns")
     p.add_argument("--out", help="write the table as CSV instead of stdout")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, companions=(".diag.json",))
 
     p = sub.add_parser("calibrate", parents=[size],
                        help="fit model terms against measurements")
@@ -423,9 +423,9 @@ def cmd_sweep(args) -> int:
     points = sweep_streams(scorer, args.streams, config)
     rows = [header]
     for point in points:
-        if point.descent_s is not None:
+        if point.result.descent_s is not None:
             logger.debug("%d streams: descent %.3f s", point.n_streams,
-                         point.descent_s)
+                         point.result.descent_s)
         t = point.result.best_cost_discrete.total
         s = point.storage.total
         row = f"{point.n_streams},{t:.6g},{s:.6g}"
@@ -442,7 +442,7 @@ def cmd_sweep(args) -> int:
             "points": [
                 {
                     "n_streams": point.n_streams,
-                    "descent_s": point.descent_s,
+                    "descent_s": point.result.descent_s,
                     "restarts": [_restart_diag(r)
                                  for r in point.result.per_restart],
                 }
@@ -466,6 +466,9 @@ def cmd_calibrate(args) -> int:
         scheme_id, _, path = token.partition("=")
         if not path:
             raise DataError(f"--scheme-file expects ID=PATH, got '{token}'")
+        if scheme_id in schemes:
+            raise DataError(f"--scheme-file given twice for scheme "
+                            f"'{scheme_id}'")
         schemes[scheme_id] = path
 
     report: dict = {"t_initial": args.t_initial}
@@ -533,10 +536,17 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(message)s")
     logging.getLogger("streamopt").setLevel(args.log_level)
     try:
-        # Checked first, so that a long run cannot end in an unwritable name.
-        if args.out and not Path(args.out).parent.is_dir():
-            raise DataError(f"cannot write '{args.out}': no directory "
-                            f"'{Path(args.out).parent}'")
+        # Checked first, so that a long run cannot end in an unwritable name:
+        # --out and the command's companion files, such as <out>.diag.json.
+        if args.out:
+            out = str(args.out)
+            if not Path(out).parent.is_dir():
+                raise DataError(f"cannot write '{out}': no directory "
+                                f"'{Path(out).parent}'")
+            for suffix in ("", *getattr(args, "companions", ())):
+                if Path(out + suffix).is_dir():
+                    raise DataError(f"cannot write '{out}{suffix}': it is a "
+                                    "directory")
         return args.func(args)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,9 +33,10 @@ compacted when restarts leave.  The restart table holds, in arrays by
 restart index, each restart's best rounded cost, the step that found it and
 its assignment; a restart's ``RestartRecord`` is built where it stops.
 
-A sweep runs its stream counts' descents in worker processes, one task per
-stream count.  The descents share no state and each seeds its own generator
-from its config, so the points equal a serial sweep's bit for bit.
+A sweep maps ``optimize`` over its distinct stream counts, in worker
+processes when more than one needs a descent, one task per count.  The
+descents share no state and each seeds its own generator from its config, so
+the points equal a serial sweep's bit for bit.
 """
 
 from __future__ import annotations
@@ -113,23 +114,24 @@ class RestartRecord:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The best scheme of a run and every restart's record.  ``descent_s``
+    is the wall time of the ``optimize`` call, or None for the K=1 and
+    K=modules shortcuts; it is a measurement, not a result, so equality
+    ignores it."""
+
     best_scheme: Scheme
     best_loss_relaxed: float
     best_cost_discrete: CostBreakdown
     per_restart: tuple[RestartRecord, ...]
     seed: int
+    descent_s: float | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One stream count's result.  ``descent_s`` is the wall time of its
-    descent, or None for the K=1 and K=modules shortcuts; it is a
-    measurement, not a result, so equality ignores it."""
-
     n_streams: int
     result: OptimizationResult
     storage: StorageBreakdown
-    descent_s: float | None = field(default=None, compare=False)
 
 
 def _settle_sum(entropy: float) -> float:
@@ -174,6 +176,7 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
     restart index).  Restarts that produce a non-finite loss are discarded
     but reported.
     """
+    start = time.perf_counter()
     scorer = SchemeScorer(None, catalog, fold=module_incidence)
     n_modules, n_streams = module_incidence.n_modules, config.n_streams
     _check_feasible(n_streams, n_modules)
@@ -280,7 +283,8 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
     best = survivors[first_minimum([r.discrete_cost for r in survivors])]
     breakdown = scorer.read_cost(best.scheme)
     return OptimizationResult(best.scheme, best.relaxed_loss, breakdown,
-                              tuple(records), config.seed)
+                              tuple(records), config.seed,
+                              time.perf_counter() - start)
 
 
 # The fold and catalog of the sweep a worker process serves, set once by the
@@ -293,21 +297,9 @@ def _adopt(module_incidence: ModuleIncidence, catalog: LineCatalog):
     _worker_instance = (module_incidence, catalog)
 
 
-def _timed_optimize(module_incidence, catalog, config):
-    start = time.perf_counter()
-    result = optimize(module_incidence, catalog, config)
-    return result, time.perf_counter() - start
-
-
 def _descend(config: OptimizerConfig):
-    """Pool task: one stream count's descent on the adopted instance."""
-    return _timed_optimize(*_worker_instance, config)
-
-
-def _descents(stream_counts, n_modules: int) -> list[int]:
-    """The distinct stream counts that need a descent, in first-seen order."""
-    return list(dict.fromkeys(k for k in stream_counts
-                              if _needs_descent(k, n_modules)))
+    """Pool task: ``optimize`` of one stream count on the adopted instance."""
+    return optimize(*_worker_instance, config)
 
 
 def sweep_workers(stream_counts, n_modules: int) -> int:
@@ -317,19 +309,21 @@ def sweep_workers(stream_counts, n_modules: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         cpus = os.cpu_count() or 1
-    return min(len(_descents(stream_counts, n_modules)), cpus)
+    return min(len({k for k in stream_counts
+                    if _needs_descent(k, n_modules)}), cpus)
 
 
 def sweep_streams(scorer: SchemeScorer, stream_counts,
                   config: OptimizerConfig) -> list[SweepPoint]:
-    """Optimize once per requested stream count and report T and S.
+    """Optimize once per distinct stream count and report T and S.
 
-    The descents run in ``sweep_workers`` worker processes, which receive
-    the scorer's fold and catalog once, through the pool's initializer;
-    each task carries only its config.  Every count, and that S is
-    finite, is checked before any descent.  The shortcuts, and the storage
-    costs from the scorer, are computed here.  Points come in the requested
-    order.
+    Each count, shortcuts included, is one ``optimize`` task, handed out
+    largest first so that the longest descents start first.  With more than
+    one descent the tasks run in ``sweep_workers`` worker processes, which
+    receive the scorer's fold and catalog once, through the pool's
+    initializer; each task carries only its config.  Every count, and that
+    S is finite, is checked before any task runs.  The storage costs come
+    from the scorer, here.  Points come in the requested order.
     """
     counts = [int(k) for k in stream_counts]
     if any(k < 1 for k in counts):
@@ -341,14 +335,14 @@ def sweep_streams(scorer: SchemeScorer, stream_counts,
     # Merging streams never raises S, so the single stream stores least:
     # if its S overflows, every point's does, and no descent need run.
     scorer.storage_cost(extreme_schemes(catalog)[0])
-    descents = _descents(counts, n_modules)
+    distinct = sorted(set(counts), reverse=True)
     workers = sweep_workers(counts, n_modules)
     # Grouped before any worker starts, so that forked workers inherit the
-    # fold's cached row groups; every descent builds its own evaluator.
+    # fold's cached row groups; every task builds its own evaluator.
     module_incidence.row_groups()
     with contextlib.ExitStack() as stack:
         mapper = map
-        task = functools.partial(_timed_optimize, module_incidence, catalog)
+        task = functools.partial(optimize, module_incidence, catalog)
         if workers > 1:
             # Imported here, because it loads multiprocessing (about 0.25 MB
             # resident), which no other command needs.
@@ -357,17 +351,8 @@ def sweep_streams(scorer: SchemeScorer, stream_counts,
                 workers, initializer=_adopt,
                 initargs=(module_incidence, catalog)))
             mapper, task = pool.map, _descend
-        timed = dict(zip(descents, mapper(
-            task, [replace(config, n_streams=k) for k in descents])))
-
-    points = []
-    for k in counts:
-        if k in timed:
-            result, seconds = timed[k]
-        else:
-            result, seconds = optimize(module_incidence, catalog,
-                                       replace(config, n_streams=k)), None
-        points.append(SweepPoint(k, result,
-                                 scorer.storage_cost(result.best_scheme),
-                                 seconds))
-    return points
+        results = dict(zip(distinct, mapper(
+            task, [replace(config, n_streams=k) for k in distinct])))
+    return [SweepPoint(k, results[k],
+                       scorer.storage_cost(results[k].best_scheme))
+            for k in counts]

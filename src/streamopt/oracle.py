@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import (DEFAULT_BASE_KB, DEFAULT_SHARED_KB, SchemeScorer,
-                   _stream_of_units)
+                   _stream_of_units, first_minimum)
 from .errors import InfeasibleError
 from .model import (EventLineIncidence, LineCatalog, Scheme,
                     _require_consistent)
@@ -88,8 +88,9 @@ def enumerate_optimal(incidence: EventLineIncidence, catalog: LineCatalog,
                       shared_kb: float = DEFAULT_SHARED_KB) -> OracleResult:
     """Exactly minimize the discrete objective over all schemes.
 
-    Ties are broken toward the lexicographically smallest canonical partition
-    code.  Raises when the instance exceeds the enumeration caps.
+    Ties (within ``cost.TIE_RTOL``, the rule that ranks ``optimize``'s
+    restarts) are broken toward the lexicographically smallest canonical
+    partition code.  Raises when the instance exceeds the enumeration caps.
     """
     n_modules = catalog.n_modules
     if n_streams < 1:
@@ -105,8 +106,7 @@ def enumerate_optimal(incidence: EventLineIncidence, catalog: LineCatalog,
     codes = restricted_growth_strings(n_modules, n_streams)
     costs = scorer.values(codes, n_streams, objective)
 
-    # argmin keeps the first of equal costs in enumeration order.
-    best = int(np.argmin(costs))
+    best = first_minimum(costs)
     return OracleResult(Scheme(n_streams, tuple(codes[best].tolist())),
                         float(costs[best]), len(codes))
 

@@ -320,6 +320,28 @@ class TestOptimizeCommand:
             f"error: cannot write '{out}': no directory '{out.parent}'\n")
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("command, suffix", [
+        ("optimize", ".diag.json"), ("sweep", ".diag.json"),
+        ("generate", ".planted.scheme"), ("optimize", "")])
+    def test_directory_in_the_way_fails_before_the_run(
+            self, instance_path, tmp_path, capsys, monkeypatch, command,
+            suffix):
+        def run(*args, **kwargs):
+            raise AssertionError("ran before checking --out")
+        for name in ("optimize", "sweep_streams", "gen_synthetic"):
+            monkeypatch.setattr(streamopt.cli, name, run)
+        out = tmp_path / "out" / "x"
+        blocked = tmp_path / "out" / ("x" + suffix)
+        blocked.mkdir(parents=True)
+        argv = {"optimize": ["--streams", "2"], "sweep": ["--streams", "1,2"],
+                "generate": []}[command]
+        if command != "generate":
+            argv += ["--instance", str(instance_path)]
+        assert main([command, *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write '{blocked}': it is a directory\n")
+        assert list((tmp_path / "out").rglob("*")) == [blocked]
+
     def test_existing_tmp_file_left_untouched(self, instance_path, tmp_path):
         out = tmp_path / "x.scheme"
         stale = tmp_path / "x.scheme.tmp"
@@ -547,7 +569,7 @@ class TestSweepCommand:
         monkeypatch.setattr(optimize_module, "optimize", refuse_in_worker)
         assert main(["sweep", "--instance", str(instance_path), "--streams",
                      "1,2,3", "--restarts", "2"]) == 3
-        assert "worker refused 2" in capsys.readouterr().err
+        assert "worker refused 3" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
 
     def test_zero_storage_baseline_is_data_error(self, tmp_path, capsys):
@@ -626,6 +648,7 @@ class TestCalibrateCommand:
         ("no scheme file", "no --scheme-file given for scheme 'other'"),
         ("stream out of range", "measurement stream 2 out of range for "
                                 "scheme 'run1'"),
+        ("repeated id", "--scheme-file given twice for scheme 'run1'"),
     ])
     def test_scheme_file_errors(self, instance_path, tmp_path, capsys, case,
                                 message):
@@ -644,6 +667,10 @@ class TestCalibrateCommand:
                 f"run1={scheme}"]
         if case != "no instance":
             argv += ["--instance", str(instance_path)]
+        if case == "repeated id":
+            other = tmp_path / "other.scheme"
+            other.write_text(scheme.read_text())
+            argv += ["--scheme-file", f"run1={other}"]
         out = tmp_path / "report.json"
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import functools
 import importlib
 import multiprocessing
@@ -71,6 +72,19 @@ class TestOptimize:
         assert result.per_restart[0].iterations == 0
         assert result.best_cost_discrete.total == \
             read_cost(inc, cat, Scheme(1, (0, 0, 0))).total
+
+    def test_times_descents_only(self):
+        # descent_s is a measurement: None for the shortcuts, the call's
+        # wall time for a descent, and ignored by equality.
+        inc, cat = three_line_instance()
+        folded = fold_modules(inc, cat)
+        for k in (1, 3):
+            assert optimize(folded, cat, OptimizerConfig(k)).descent_s is None
+        config = OptimizerConfig(n_streams=2, n_restarts=2, seed=1)
+        result = optimize(folded, cat, config)
+        assert result.descent_s > 0.0
+        assert result == dataclasses.replace(result, descent_s=None)
+        assert result == optimize(folded, cat, config)
 
     def test_duplicate_modules_stay_together(self):
         # Keeping the duplicates together is strictly optimal
@@ -317,7 +331,7 @@ class TestSweep:
         # RestartRecord and the StorageBreakdown, field for field.
         assert ([(p.n_streams, p.result, p.storage) for p in points]
                 == serial_points(inc, cat, self.COUNTS, config))
-        assert [p.descent_s is None for p in points] == [
+        assert [p.result.descent_s is None for p in points] == [
             k in (1, 6) for k in self.COUNTS]
 
     def test_parallel_points_equal_serial_optimize(self, monkeypatch):
@@ -350,6 +364,39 @@ class TestSweep:
                                  seed=3)
         self.check_equals_serial(inc, cat, config)
         assert optimize_module.sweep_workers(self.COUNTS, 6) == 1
+
+    def test_shortcuts_alone_start_no_pool(self, monkeypatch):
+        inc, cat = clustered_sweep_instance()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a sweep without a descent started a pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        points = sweep_streams(SchemeScorer(inc, cat), [1, 6, 1],
+                               OptimizerConfig(n_streams=1, seed=3))
+        assert [p.n_streams for p in points] == [1, 6, 1]
+        single, per_unit = extreme_schemes(cat)
+        assert [p.result.best_scheme for p in points] == [single, per_unit,
+                                                          single]
+        assert optimize_module.sweep_workers([1, 6, 1], 6) == 0
+
+    def test_tasks_handed_out_largest_first(self, monkeypatch):
+        inc, cat = clustered_sweep_instance()
+        handed, original = [], optimize_module.optimize
+
+        def record(module_incidence, catalog, config):
+            handed.append(config.n_streams)
+            return original(module_incidence, catalog, config)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(optimize_module, "optimize", record)
+        config = OptimizerConfig(n_streams=1, n_restarts=2, max_iters=50,
+                                 seed=3)
+        points = sweep_streams(SchemeScorer(inc, cat), self.COUNTS, config)
+        assert handed == [6, 4, 3, 2, 1]
+        assert [p.n_streams for p in points] == self.COUNTS
 
     def test_spawned_pool_points_equal_serial_optimize(self, monkeypatch):
         # The spawn start method, the default on macOS and Windows, pickles

@@ -74,6 +74,20 @@ class TestEnumerateOptimal:
         assert result.n_evaluated == 4
         assert sorted(partition_costs(inc, cat, 2)) == [6.0, 7.0, 8.0, 9.0]
 
+    def test_ties_go_to_the_first_code(self):
+        # (0, 0, 1, 1, 2) and (0, 0, 1, 2, 2) both cost 929/25 exactly, but
+        # the kernel scores the first one ulp above the second; the first
+        # in enumeration order wins, as among optimize's restarts.
+        cat = build_catalog([(f"l{i}", p, True, False, f"l{i}")
+                             for i, p in enumerate((1.0, 1.0, 0.3, 0.3, 0.3))])
+        entries = ([(e, line) for e in range(4) for line in (0, 1)]
+                   + [(e, line) for e in range(4, 10) for line in range(5)]
+                   + [(e, line) for e in range(10, 17) for line in (2, 3, 4)])
+        inc = EventLineIncidence(17, 5, entries)
+        result = enumerate_optimal(inc, cat, 3)
+        assert result.best_scheme.assignment == (0, 0, 1, 1, 2)
+        assert result.best_cost == pytest.approx(929 / 25, rel=1e-12)
+
     def test_single_stream_single_evaluation(self):
         inc, cat = three_line_instance()
         result = enumerate_optimal(inc, cat, 1)
