@@ -284,7 +284,7 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     instance.write(args.out)
-    write_scheme(str(args.out) + ".planted.scheme", _planted_scheme(spec),
+    write_scheme(str(args.out) + args.companions[0], _planted_scheme(spec),
                  instance.catalog)
     print(f"wrote {args.out}: {instance.incidence.n_events} events, "
           f"{instance.catalog.n_lines} lines, "
@@ -352,7 +352,8 @@ def cmd_optimize(args) -> int:
         "restarts": [_restart_diag(r) for r in result.per_restart],
     }
     write_scheme(args.out, best, scorer.catalog)
-    _write_text(str(args.out) + ".diag.json", json.dumps(diag, indent=2) + "\n")
+    _write_text(str(args.out) + args.companions[0],
+                json.dumps(diag, indent=2) + "\n")
     print(f"wrote {args.out} (read cost {best_read_cost:.6g})")
     if best.empty_streams():
         print(f"note: streams {list(best.empty_streams())} ended up empty")
@@ -450,7 +451,7 @@ def cmd_sweep(args) -> int:
             ],
         }
         _write_text(args.out, table)
-        _write_text(str(args.out) + ".diag.json",
+        _write_text(str(args.out) + args.companions[0],
                     json.dumps(diag, indent=2) + "\n")
         print(f"wrote {args.out}")
     else:
