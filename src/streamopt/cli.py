@@ -22,8 +22,6 @@ try:
 except ImportError:  # a platform without getrusage, such as Windows
     resource = None
 
-import numpy as np
-
 from .calibrate import DEFAULT_T_INITIAL, corrected_read_cost, fit_linear
 from .cost import (DEFAULT_BASE_KB, DEFAULT_SHARED_KB, SchemeScorer,
                    extreme_schemes, first_minimum, parse_objective)
@@ -120,14 +118,25 @@ def _resource_usage(children: bool = False, since=(0.0, 0.0, None)):
             sum(u.ru_maxrss for u in usages) * unit / 2**20)
 
 
+# The names of the built-in schemes, in the order of extreme_schemes.
+BUILTIN_SCHEMES = ("single-stream", "per-module")
+
+
 def _load_named_scheme(token: str, catalog) -> Scheme:
     """A scheme file path or one of the built-ins single-stream/per-module."""
-    single, per_unit = extreme_schemes(catalog)
-    if token == "single-stream":
-        return single
-    if token == "per-module":
-        return per_unit
+    if token in BUILTIN_SCHEMES:
+        return extreme_schemes(catalog)[BUILTIN_SCHEMES.index(token)]
     return load_scheme(token, catalog)
+
+
+def _input_files(args) -> list[tuple[str, str]]:
+    """The command's existing input files, each with the option naming it."""
+    inputs = [(f"--{name}", getattr(args, name, None))
+              for name in ("instance", "scheme", "baseline", "measurements")]
+    inputs += [("--scheme-file", token.partition("=")[2])
+               for token in getattr(args, "scheme_file", ())]
+    return [(option, path) for option, path in inputs
+            if path and path not in BUILTIN_SCHEMES and Path(path).exists()]
 
 
 def _set_up(args, storage: bool = True) -> tuple[SchemeScorer, dict]:
@@ -180,7 +189,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    descent = OptimizerConfig(n_streams=1)  # its defaults are the CLI's
+    descent = OptimizerConfig  # the defaults of its fields are the CLI's
     size = argparse.ArgumentParser(add_help=False)
     size_kb = _at_least(0.0, float)
     size.add_argument("--base-kb", type=size_kb, default=DEFAULT_BASE_KB,
@@ -307,8 +316,6 @@ def _restart_diag(r) -> dict:
 
 
 def cmd_optimize(args) -> int:
-    if args.streams < 1:
-        raise InfeasibleError("stream counts must be >= 1")
     _, s_weight = parse_objective(args.objective)
     usage_start = _resource_usage()
     scorer, timings = _set_up(args, storage=s_weight != 0)
@@ -325,14 +332,9 @@ def cmd_optimize(args) -> int:
     best_read_cost = result.best_cost_discrete.total
     if s_weight:
         # Re-rank the restarts by the objective, ties to the lowest index.
-        # The scorer checks S, so only the weight can overflow T + w * S.
         survivors = [r for r in result.per_restart if not r.failed]
         costs = scorer.values([r.scheme.assignment for r in survivors],
                               args.streams, args.objective)
-        if not np.isfinite(costs).any():
-            raise InfeasibleError(
-                f"objective {args.objective} is not finite for any restart; "
-                "use a smaller weight")
         chosen = survivors[first_minimum(costs)]
         best, relaxed_loss, best_read_cost = (
             chosen.scheme, chosen.relaxed_loss, chosen.discrete_cost)
@@ -419,9 +421,9 @@ def cmd_sweep(args) -> int:
         # Checked before the sweep, so an unusable baseline fails fast.
         t_b, s_b = _baseline_breakdowns(scorer, args.baseline)
         header += ",read_vs_baseline,storage_vs_baseline"
-    config = OptimizerConfig(n_streams=1, n_restarts=args.restarts,
-                             seed=args.seed)
-    points = sweep_streams(scorer, args.streams, config)
+    points = sweep_streams(scorer, [
+        OptimizerConfig(k, args.restarts, seed=args.seed)
+        for k in args.streams])
     rows = [header]
     for point in points:
         if point.result.descent_s is not None:
@@ -502,6 +504,13 @@ def cmd_calibrate(args) -> int:
         else:
             for item in enriched:
                 groups.setdefault(item[0].scheme_id, []).append(item)
+        # Every group is checked before the first fit prints its line.
+        for group_id, items in groups.items():
+            if len(items) < 2:
+                name = ("the pooled group" if args.pool_schemes
+                        else f"scheme '{group_id}'")
+                raise DataError(f"{name} has {len(items)} measurement; a fit "
+                                "needs at least 2")
         report["fits"] = {}
         for group_id, items in groups.items():
             time_fit = fit_linear([m for _, m, _ in items],
@@ -537,17 +546,27 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(message)s")
     logging.getLogger("streamopt").setLevel(args.log_level)
     try:
-        # Checked first, so that a long run cannot end in an unwritable name:
-        # --out and the command's companion files, such as <out>.diag.json.
+        # Checked first, so that a long run cannot end in an unwritable name
+        # or overwrite its own input: --out and the command's companion
+        # files, such as <out>.diag.json.
         if args.out:
             out = str(args.out)
             if not Path(out).parent.is_dir():
                 raise DataError(f"cannot write '{out}': no directory "
                                 f"'{Path(out).parent}'")
-            for suffix in ("", *getattr(args, "companions", ())):
-                if Path(out + suffix).is_dir():
-                    raise DataError(f"cannot write '{out}{suffix}': it is a "
+            for target in (out + suffix for suffix in
+                           ("", *getattr(args, "companions", ()))):
+                if Path(target).is_dir():
+                    raise DataError(f"cannot write '{target}': it is a "
                                     "directory")
+                for option, path in _input_files(args):
+                    if Path(target).exists() and Path(target).samefile(path):
+                        raise DataError(f"cannot write '{target}': it is the "
+                                        f"command's {option}")
+        counts = getattr(args, "streams", [])  # an int for optimize
+        counts = counts if isinstance(counts, list) else [counts]
+        if any(k < 1 for k in counts):
+            raise InfeasibleError("stream counts must be >= 1")
         return args.func(args)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -273,7 +273,8 @@ class SchemeScorer:
         """The objective (see :func:`parse_objective`) of the hard schemes
         of integer ``assignments``, shape ``(batch, modules)``, in kernel
         calls whose temporaries stay under ``_BATCH_ELEMS`` elements.  Only
-        terms of nonzero weight are computed; T + w * S may overflow to inf."""
+        terms of nonzero weight are computed.  T + w * S may overflow to inf,
+        but a batch where it does on every scheme is refused."""
         t_weight, s_weight = parse_objective(objective)
         read = self.evaluator if t_weight else None
         shared, turbo, _ = self._storage if s_weight else (None,) * 3
@@ -290,4 +291,7 @@ class SchemeScorer:
                     chunk += s_weight * _finite_storage(
                         self.base_kb * turbo + self.shared_kb
                         * shared.expected_events(probs).sum(axis=1))
+        if len(values) and not np.isfinite(values).any():
+            raise InfeasibleError(f"objective {objective} is not finite for "
+                                  "any scheme; use a smaller weight")
         return values

@@ -33,8 +33,8 @@ compacted when restarts leave.  The restart table holds, in arrays by
 restart index, each restart's best rounded cost, the step that found it and
 its assignment; a restart's ``RestartRecord`` is built where it stops.
 
-A sweep maps ``optimize`` over its distinct stream counts, in worker
-processes when more than one needs a descent, one task per count.  The
+A sweep maps ``optimize`` over its distinct configs, in worker processes
+when more than one stream count needs a descent, one task per config.  The
 descents share no state and each seeds its own generator from its config, so
 the points equal a serial sweep's bit for bit.
 """
@@ -46,7 +46,7 @@ import functools
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -298,7 +298,7 @@ def _adopt(module_incidence: ModuleIncidence, catalog: LineCatalog):
 
 
 def _descend(config: OptimizerConfig):
-    """Pool task: ``optimize`` of one stream count on the adopted instance."""
+    """Pool task: ``optimize`` of one config on the adopted instance."""
     return optimize(*_worker_instance, config)
 
 
@@ -313,30 +313,28 @@ def sweep_workers(stream_counts, n_modules: int) -> int:
                     if _needs_descent(k, n_modules)}), cpus)
 
 
-def sweep_streams(scorer: SchemeScorer, stream_counts,
-                  config: OptimizerConfig) -> list[SweepPoint]:
-    """Optimize once per distinct stream count and report T and S.
+def sweep_streams(scorer: SchemeScorer, configs) -> list[SweepPoint]:
+    """Optimize once per distinct config and report T and S.
 
-    Each count, shortcuts included, is one ``optimize`` task, handed out
-    largest first so that the longest descents start first.  With more than
-    one descent the tasks run in ``sweep_workers`` worker processes, which
-    receive the scorer's fold and catalog once, through the pool's
-    initializer; each task carries only its config.  Every count, and that
-    S is finite, is checked before any task runs.  The storage costs come
-    from the scorer, here.  Points come in the requested order.
+    ``configs`` holds one config per point, repeats allowed.  Each distinct
+    config, shortcuts included, is one ``optimize`` task, handed out largest
+    stream count first (ties as first seen) so that the longest descents
+    start first.  With more than one descent the tasks run in
+    ``sweep_workers`` worker processes, which receive the scorer's fold and
+    catalog once, through the pool's initializer; each task carries only its
+    config.  Every count, and that S is finite, is checked before any task
+    runs.  The storage costs come from the scorer, here.  Points come in the
+    order of ``configs``.
     """
-    counts = [int(k) for k in stream_counts]
-    if any(k < 1 for k in counts):
-        raise InfeasibleError("stream counts must be >= 1")
     module_incidence, catalog = scorer.fold, scorer.catalog
     n_modules = module_incidence.n_modules
-    for k in counts:
-        _check_feasible(k, n_modules)
+    for config in configs:
+        _check_feasible(config.n_streams, n_modules)
     # Merging streams never raises S, so the single stream stores least:
     # if its S overflows, every point's does, and no descent need run.
     scorer.storage_cost(extreme_schemes(catalog)[0])
-    distinct = sorted(set(counts), reverse=True)
-    workers = sweep_workers(counts, n_modules)
+    distinct = sorted(dict.fromkeys(configs), key=lambda c: -c.n_streams)
+    workers = sweep_workers([c.n_streams for c in distinct], n_modules)
     # Grouped before any worker starts, so that forked workers inherit the
     # fold's cached row groups; every task builds its own evaluator.
     module_incidence.row_groups()
@@ -351,8 +349,7 @@ def sweep_streams(scorer: SchemeScorer, stream_counts,
                 workers, initializer=_adopt,
                 initargs=(module_incidence, catalog)))
             mapper, task = pool.map, _descend
-        results = dict(zip(distinct, mapper(
-            task, [replace(config, n_streams=k) for k in distinct])))
-    return [SweepPoint(k, results[k],
-                       scorer.storage_cost(results[k].best_scheme))
-            for k in counts]
+        results = dict(zip(distinct, mapper(task, distinct)))
+    return [SweepPoint(c.n_streams, results[c],
+                       scorer.storage_cost(results[c].best_scheme))
+            for c in configs]

@@ -256,7 +256,9 @@ class TestOptimizeCommand:
                          "--streams", "2", "--restarts", "3",
                          "--objective", "weighted:1e308", "--out", str(out)])
         assert code == 3
-        assert "weighted:1e308" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: objective weighted:1e308 is not finite for any scheme; "
+            "use a smaller weight\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "toy.inst", "toy.inst.planted.scheme"]
 
@@ -572,6 +574,22 @@ class TestSweepCommand:
         assert "worker refused 3" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
 
+    def test_rejects_bad_counts_before_set_up(self, tmp_path, capsys,
+                                              monkeypatch):
+        def load(*args, **kwargs):
+            raise AssertionError("loaded the instance")
+
+        monkeypatch.setattr(streamopt.cli, "load_instance", load)
+        missing = str(tmp_path / "missing.inst")
+        out = tmp_path / "x.csv"
+        for argv in (["sweep", "--streams", "0,3"],
+                     ["sweep", "--streams", "0,3", "--out", str(out)],
+                     ["optimize", "--streams", "0", "--out", str(out)]):
+            assert main(argv + ["--instance", missing]) == 3
+            assert capsys.readouterr().err == (
+                "error: stream counts must be >= 1\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_storage_baseline_is_data_error(self, tmp_path, capsys):
         inst = tmp_path / "bare.inst"
         assert main(["generate", "--events", "100", "--modules", "4",
@@ -640,6 +658,31 @@ class TestCalibrateCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "[a] time fit" in out and "[b] time fit" in out
+
+    @pytest.mark.parametrize("pool, message", [
+        ("--no-pool-schemes", "scheme 'B' has 1 measurement; a fit needs at "
+                              "least 2"),
+        ("--pool-schemes", "the pooled group has 1 measurement; a fit needs "
+                           "at least 2")])
+    def test_group_too_small_to_fit_is_named(self, instance_path, tmp_path,
+                                             capsys, pool, message):
+        _, catalog = load_instance(instance_path)
+        scheme = tmp_path / "two.scheme"
+        write_scheme(scheme, Scheme(2, (0, 1) * (catalog.n_modules // 2)),
+                     catalog)
+        rows = ("A,0,3,19.0,120.5\nA,1,3,14.0,60.25\nB,0,3,12.0,50.0\n"
+                if pool == "--no-pool-schemes" else "B,0,3,12.0,50.0\n")
+        meas = tmp_path / "m.csv"
+        meas.write_text(MEASUREMENT_HEADER + rows)
+        out = tmp_path / "report.json"
+        assert main(["calibrate", "--measurements", str(meas), pool,
+                     "--instance", str(instance_path),
+                     "--scheme-file", f"A={scheme}",
+                     "--scheme-file", f"B={scheme}", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "fit" not in captured.out
+        assert not out.exists()
 
     @pytest.mark.parametrize("case, message", [
         ("no id", "--scheme-file expects ID=PATH, got 'run1'"),
@@ -944,6 +987,64 @@ class TestUsageErrors:
         assert err.endswith(f"error: {message}\n")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestOutNamesAnInput:
+    @pytest.mark.parametrize("argv, out, target, option", [
+        (["optimize", "--instance", "{inst}", "--streams", "2"], "{inst}",
+         "{inst}", "--instance"),
+        # The companion <out>.diag.json is the instance.
+        (["optimize", "--instance", "{companion}", "--streams", "2"],
+         "{run}", "{companion}", "--instance"),
+        (["evaluate", "--instance", "{inst}", "--scheme", "{scheme}"],
+         "{scheme}", "{scheme}", "--scheme"),
+        # Another spelling of the same file.
+        (["compare", "--instance", "{inst}", "--scheme", "single-stream",
+          "--baseline", "{scheme}"], "{alias}", "{alias}", "--baseline"),
+        (["sweep", "--instance", "{inst}", "--streams", "1,2"], "{inst}",
+         "{inst}", "--instance"),
+        (["sweep", "--instance", "{inst}", "--streams", "1,2", "--baseline",
+          "{scheme}"], "{scheme}", "{scheme}", "--baseline"),
+        (["calibrate", "--measurements", "{meas}"], "{meas}", "{meas}",
+         "--measurements"),
+        (["calibrate", "--measurements", "{meas}", "--instance", "{inst}",
+          "--scheme-file", "run1={scheme}"], "{scheme}", "{scheme}",
+         "--scheme-file"),
+    ], ids=["optimize", "optimize-companion", "evaluate", "compare", "sweep",
+            "sweep-baseline", "calibrate", "calibrate-scheme-file"])
+    def test_refused_before_set_up(self, instance_path, tmp_path, capsys,
+                                   monkeypatch, argv, out, target, option):
+        def load(*args, **kwargs):
+            raise AssertionError("loaded an input")
+
+        _, catalog = load_instance(instance_path)
+        for name in ("load_instance", "load_measurements"):
+            monkeypatch.setattr(streamopt.cli, name, load)
+        names = {"inst": instance_path, "run": tmp_path / "run",
+                 "companion": tmp_path / "run.diag.json",
+                 "scheme": tmp_path / "x.scheme",
+                 "alias": tmp_path / "." / "x.scheme",
+                 "meas": tmp_path / "m.csv"}
+        names["companion"].write_bytes(instance_path.read_bytes())
+        write_scheme(names["scheme"], Scheme(1, (0,) * catalog.n_modules),
+                     catalog)
+        names["meas"].write_text(MEASUREMENT_HEADER + "run1,0,4,19.0,1.5\n")
+        files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        argv = [a.format(**names) for a in argv]
+        assert main(argv + ["--out", out.format(**names)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write '{target.format(**names)}': it is the "
+            f"command's {option}\n")
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+    def test_builtin_scheme_names_no_file(self, instance_path, tmp_path,
+                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "single-stream").write_text("not an input\n")
+        assert main(["evaluate", "--instance", str(instance_path), "--scheme",
+                     "single-stream", "--out", "single-stream"]) == 0
+        assert "read_cost" in json.loads(
+            (tmp_path / "single-stream").read_text())
 
 
 class TestStorageOverflow:

@@ -255,6 +255,24 @@ class TestObjective:
                                        shared_kb=1e308)
         assert oracle == enumerate_optimal(inc, cat, 2, "T")
 
+    def test_overflow_on_some_schemes_stays_inf(self):
+        # A weight at which T + w * S is finite for the single stream, whose
+        # S is least, and overflows for one stream per module.
+        rng = np.random.default_rng(32)
+        inc, cat = random_instance(rng, max_modules=5, pr_prob=1.0)
+        scorer = SchemeScorer(inc, cat)
+        schemes = extreme_schemes(cat)
+        single, per_unit = (scorer.storage_cost(s).total for s in schemes)
+        assert per_unit > 1.1 * single
+        weight = 1.7e308 / single
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = scorer.values([s.assignment for s in schemes],
+                                   cat.n_modules, f"weighted:{weight!r}")
+        assert values[0] == pytest.approx(
+            scorer.read_cost(schemes[0]).total + weight * single, rel=1e-12)
+        assert values[1] == math.inf
+
     @pytest.mark.parametrize("flags", [
         None, dict(is_persist_reco=False), dict(is_turbo=False)],
         ids=["random-flags", "no-persist-reco", "no-turbo"])

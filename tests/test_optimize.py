@@ -307,17 +307,22 @@ def clustered_sweep_instance():
     return instance.incidence, instance.catalog
 
 
-def serial_points(inc, cat, counts, config):
-    """Per-K ``optimize`` and storage, one after another.  The storage comes
-    from a scorer, as the sweep's does: this checks the pool, not the
+def serial_points(inc, cat, configs):
+    """Per-config ``optimize`` and storage, one after another.  The storage
+    comes from a scorer, as the sweep's does: this checks the pool, not the
     formula."""
     scorer = SchemeScorer(inc, cat)
     points = []
-    for k in counts:
-        result = optimize(scorer.fold, cat, OptimizerConfig(
-            k, config.n_restarts, config.max_iters, config.seed))
-        points.append((k, result, scorer.storage_cost(result.best_scheme)))
+    for config in configs:
+        result = optimize(scorer.fold, cat, config)
+        points.append((config.n_streams, result,
+                       scorer.storage_cost(result.best_scheme)))
     return points
+
+
+def sweep_configs(counts, **kwargs):
+    """One config per stream count, the rest of each from ``kwargs``."""
+    return [OptimizerConfig(k, **kwargs) for k in counts]
 
 
 class TestSweep:
@@ -325,14 +330,14 @@ class TestSweep:
     # both shortcuts, so that the order of the points is tested too.
     COUNTS = [4, 1, 2, 3, 6, 2]
 
-    def check_equals_serial(self, inc, cat, config):
-        points = sweep_streams(SchemeScorer(inc, cat), self.COUNTS, config)
+    def check_equals_serial(self, inc, cat, configs):
+        points = sweep_streams(SchemeScorer(inc, cat), configs)
         # Dataclass equality: the best scheme and costs, every
         # RestartRecord and the StorageBreakdown, field for field.
         assert ([(p.n_streams, p.result, p.storage) for p in points]
-                == serial_points(inc, cat, self.COUNTS, config))
+                == serial_points(inc, cat, configs))
         assert [p.result.descent_s is None for p in points] == [
-            k in (1, 6) for k in self.COUNTS]
+            c.n_streams in (1, 6) for c in configs]
 
     def test_parallel_points_equal_serial_optimize(self, monkeypatch):
         inc, cat = clustered_sweep_instance()
@@ -346,9 +351,8 @@ class TestSweep:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             CountingPool)
-        config = OptimizerConfig(n_streams=1, n_restarts=3, max_iters=800,
-                                 seed=3)
-        self.check_equals_serial(inc, cat, config)
+        self.check_equals_serial(inc, cat, sweep_configs(
+            self.COUNTS, n_restarts=3, max_iters=800, seed=3))
         assert pools == [(2,)]
 
     def test_single_cpu_starts_no_pool(self, monkeypatch):
@@ -360,10 +364,17 @@ class TestSweep:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             no_pool)
-        config = OptimizerConfig(n_streams=1, n_restarts=3, max_iters=800,
-                                 seed=3)
-        self.check_equals_serial(inc, cat, config)
+        self.check_equals_serial(inc, cat, sweep_configs(
+            self.COUNTS, n_restarts=3, max_iters=800, seed=3))
         assert optimize_module.sweep_workers(self.COUNTS, 6) == 1
+
+    def test_one_count_with_two_seeds_gives_two_points(self):
+        inc, cat = clustered_sweep_instance()
+        configs = [OptimizerConfig(3, n_restarts=3, max_iters=800, seed=seed)
+                   for seed in (3, 4, 3)]
+        points = sweep_streams(SchemeScorer(inc, cat), configs)
+        assert ([(p.n_streams, p.result, p.storage) for p in points]
+                == serial_points(inc, cat, configs))
 
     def test_shortcuts_alone_start_no_pool(self, monkeypatch):
         inc, cat = clustered_sweep_instance()
@@ -374,8 +385,8 @@ class TestSweep:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             no_pool)
-        points = sweep_streams(SchemeScorer(inc, cat), [1, 6, 1],
-                               OptimizerConfig(n_streams=1, seed=3))
+        points = sweep_streams(SchemeScorer(inc, cat),
+                               sweep_configs([1, 6, 1], seed=3))
         assert [p.n_streams for p in points] == [1, 6, 1]
         single, per_unit = extreme_schemes(cat)
         assert [p.result.best_scheme for p in points] == [single, per_unit,
@@ -387,16 +398,20 @@ class TestSweep:
         handed, original = [], optimize_module.optimize
 
         def record(module_incidence, catalog, config):
-            handed.append(config.n_streams)
+            handed.append((config.n_streams, config.seed))
             return original(module_incidence, catalog, config)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(optimize_module, "optimize", record)
-        config = OptimizerConfig(n_streams=1, n_restarts=2, max_iters=50,
-                                 seed=3)
-        points = sweep_streams(SchemeScorer(inc, cat), self.COUNTS, config)
-        assert handed == [6, 4, 3, 2, 1]
-        assert [p.n_streams for p in points] == self.COUNTS
+        # Distinct configs of one count go in the order first seen.
+        configs = sweep_configs(self.COUNTS, n_restarts=2, max_iters=50,
+                                seed=3)
+        configs.insert(1, OptimizerConfig(2, n_restarts=2, max_iters=50,
+                                          seed=9))
+        points = sweep_streams(SchemeScorer(inc, cat), configs)
+        assert handed == [(6, 3), (4, 3), (3, 3), (2, 9), (2, 3), (1, 3)]
+        assert [p.n_streams for p in points] == [4, 2, 1, 2, 3, 6, 2]
+        assert [p.result.seed for p in points] == [3, 9, 3, 3, 3, 3, 3]
 
     def test_spawned_pool_points_equal_serial_optimize(self, monkeypatch):
         # The spawn start method, the default on macOS and Windows, pickles
@@ -408,9 +423,8 @@ class TestSweep:
                             functools.partial(
                                 concurrent.futures.ProcessPoolExecutor,
                                 mp_context=spawn))
-        config = OptimizerConfig(n_streams=1, n_restarts=3, max_iters=800,
-                                 seed=3)
-        self.check_equals_serial(inc, cat, config)
+        self.check_equals_serial(inc, cat, sweep_configs(
+            self.COUNTS, n_restarts=3, max_iters=800, seed=3))
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpu_count, workers", [(8, 3), (2, 2), (None, 1)])
@@ -432,16 +446,15 @@ class TestSweep:
                             no_descent)
         monkeypatch.setattr(optimize_module, "optimize", no_descent)
         with pytest.raises(InfeasibleError, match="n_streams=7"):
-            sweep_streams(SchemeScorer(inc, cat), [2, 3, 7],
-                          OptimizerConfig(n_streams=1, seed=0))
+            sweep_streams(SchemeScorer(inc, cat),
+                          sweep_configs([2, 3, 7], seed=0))
 
     def test_endpoints_match_extremes(self):
         rng = np.random.default_rng(48)
         inc, cat = random_instance(rng, max_modules=4, max_events=120)
         single, per_unit = extreme_schemes(cat)
-        config = OptimizerConfig(n_streams=1, n_restarts=20, seed=6)
-        points = sweep_streams(SchemeScorer(inc, cat), [1, cat.n_modules],
-                               config)
+        points = sweep_streams(SchemeScorer(inc, cat), sweep_configs(
+            [1, cat.n_modules], n_restarts=20, seed=6))
         assert points[0].result.best_cost_discrete.total == pytest.approx(
             read_cost(inc, cat, single).total, rel=1e-9)
         assert points[-1].result.best_cost_discrete.total == pytest.approx(
@@ -450,16 +463,9 @@ class TestSweep:
     def test_reports_storage_of_best_scheme(self):
         rng = np.random.default_rng(49)
         inc, cat = random_instance(rng, max_modules=5)
-        config = OptimizerConfig(n_streams=1, n_restarts=5, seed=6)
-        points = sweep_streams(SchemeScorer(inc, cat), [2], config)
+        points = sweep_streams(SchemeScorer(inc, cat),
+                               sweep_configs([2], n_restarts=5, seed=6))
         point = points[0]
         assert point.n_streams == 2
         assert point.storage.total == pytest.approx(
             storage_cost(inc, cat, point.result.best_scheme).total, rel=1e-12)
-
-    def test_rejects_bad_counts(self):
-        rng = np.random.default_rng(50)
-        inc, cat = random_instance(rng)
-        with pytest.raises(InfeasibleError):
-            sweep_streams(SchemeScorer(inc, cat), [0],
-                          OptimizerConfig(n_streams=1, seed=0))

@@ -152,6 +152,13 @@ class TestEnumerateOptimal:
             monkeypatch.undo()
             assert got == want
 
+    def test_objective_infinite_for_every_scheme_is_refused(self):
+        inc, cat = three_line_instance()
+        with pytest.raises(InfeasibleError, match="^objective weighted:1e308 "
+                           "is not finite for any scheme; use a smaller "
+                           "weight$"):
+            enumerate_optimal(inc, cat, 2, objective="weighted:1e308")
+
     def test_module_cap(self):
         rng = np.random.default_rng(56)
         cat = build_catalog([(f"l{i}", 1.0, True, False, f"l{i}")
