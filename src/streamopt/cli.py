@@ -495,6 +495,12 @@ def cmd_calibrate(args) -> int:
                 raise DataError(
                     f"measurement stream {rec.stream_id} out of range for "
                     f"scheme '{rec.scheme_id}'")
+            n_lines = t.per_stream[rec.stream_id].n_lines
+            if rec.n_lines != n_lines:
+                raise DataError(
+                    f"measurement for scheme '{rec.scheme_id}' stream "
+                    f"{rec.stream_id} says {rec.n_lines} lines; the scheme's "
+                    f"stream has {n_lines}")
             enriched.append((rec, t.per_stream[rec.stream_id].contribution,
                              s.per_stream[rec.stream_id]))
 

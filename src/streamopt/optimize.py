@@ -32,6 +32,10 @@ restart index) holds one slice per restart still in the batch, and only it is
 compacted when restarts leave.  The restart table holds, in arrays by
 restart index, each restart's best rounded cost, the step that found it and
 its assignment; a restart's ``RestartRecord`` is built where it stops.
+A step makes one ``LossEvaluator.loss_and_gradient`` call and works in place
+in fixed buffers: the softmax, and AdaMax, whose temporaries go into a
+scratch array compacted with the descent state.  The rounding runs only when
+some argmax moved, and the stop checks only when a restart may stop.
 
 A sweep maps ``optimize`` over its distinct configs, in worker processes
 when more than one stream count needs a descent, one task per config.  The
@@ -202,6 +206,7 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
                         size=(n_restarts, n_modules, n_streams))
     moment = np.zeros_like(logits)
     inf_norm = np.zeros_like(logits)
+    scratch = np.empty_like(logits)
     previous = np.full((n_restarts, n_modules), -1, dtype=np.int64)
     origin = np.arange(n_restarts)
 
@@ -220,9 +225,9 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
         # softmax_rows in place, keeping the row sums for the settle check
         # below.  Its finiteness check is left out: a restart whose loss
         # turns non-finite leaves the batch.
-        probs = logits - logits.max(axis=2, keepdims=True)
+        probs = logits - np.maximum.reduce(logits, axis=2, keepdims=True)
         np.exp(probs, out=probs)
-        sums = probs.sum(axis=2, keepdims=True)
+        sums = np.add.reduce(probs, axis=2, keepdims=True)
         probs /= sums
         loss, grad = evaluator.loss_and_gradient(probs)
 
@@ -230,8 +235,9 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
         # batched one-hot call and keep each restart's best; argmax breaks
         # ties toward the lowest stream.
         rounded = probs.argmax(axis=2)
-        moved = (rounded != previous).any(axis=1).nonzero()[0]
-        if moved.size:
+        if rounded.tobytes() != previous.tobytes():
+            moved = np.logical_or.reduce(rounded != previous,
+                                         axis=1).nonzero()[0]
             costs = evaluator.loss(one_hot(rounded[moved], n_streams))
             better = costs < best_cost[origin[moved]]
             j, k = moved[better], origin[moved[better]]
@@ -240,15 +246,18 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
         previous = rounded
 
         # Every restart stops here: when its loss is not finite, when it has
-        # settled, or at the cap.  Entropy is taken only when some restart
-        # may have settled, and at the cap for its record.
+        # settled, or at the cap.  Nothing is checked unless this is the cap,
+        # some restart's largest row sum is below the bound or the loss sum
+        # is not finite; the least of those row sums and the loss sum are
+        # taken over lists, which costs less than numpy reductions here.
         last = step == config.max_iters
-        retire = failed = ~np.isfinite(loss)
-        if last or sums.max(axis=1).min() < settle_sum:
-            entropy = _row_entropy(probs).max(axis=1)
+        peaks = np.maximum.reduce(sums, axis=1).ravel().tolist()
+        if (last or min(peaks) < settle_sum
+                or not math.isfinite(sum(loss.tolist()))):
+            failed = ~np.isfinite(loss)
+            entropy = np.maximum.reduce(_row_entropy(probs), axis=1)
             settled = entropy < SETTLED_ENTROPY
             retire = failed | settled | last
-        if retire.any():
             for j in retire.nonzero()[0].tolist():
                 # A non-finite run keeps no scheme.
                 k = int(origin[j])
@@ -262,18 +271,22 @@ def optimize(module_incidence: ModuleIncidence, catalog: LineCatalog,
                                            int(best_step[k]))
             if retire.all():
                 break
-            keep = ~retire
-            logits, moment, inf_norm = logits[keep], moment[keep], inf_norm[keep]
-            grad, previous, origin = grad[keep], previous[keep], origin[keep]
+            if np.logical_or.reduce(retire):
+                keep = ~retire
+                logits, moment, inf_norm, scratch, grad, previous, origin = (
+                    a[keep] for a in (logits, moment, inf_norm, scratch, grad,
+                                      previous, origin))
 
         # AdaMax in place, in the same order of operations as
-        # m = b1 m + (1 - b1) g; u = max(b2 u, |g|); x -= c m / (u + eps).
+        # m = b1 m + (1 - b1) g; u = max(b2 u, |g|); x -= c m / (u + eps),
+        # with both temporaries in ``scratch``.
         beta1_power *= BETA1
         moment *= BETA1
-        moment += (1.0 - BETA1) * grad
+        moment += np.multiply(1.0 - BETA1, grad, out=scratch)
         inf_norm *= BETA2
         np.maximum(inf_norm, np.abs(grad, out=grad), out=inf_norm)
-        step_term = (STEP_SIZE / (1.0 - beta1_power)) * moment
+        step_term = np.multiply(STEP_SIZE / (1.0 - beta1_power), moment,
+                                out=scratch)
         step_term /= np.add(inf_norm, EPSILON, out=grad)
         logits -= step_term
 

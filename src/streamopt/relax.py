@@ -47,9 +47,13 @@ restarts from the batch without moving the others' trajectories.
 Each step's large temporaries go into a workspace: flat buffers that the
 evaluator keeps, grown to the widest batch seen, of which a narrower batch
 uses a prefix.  The sparse products call scipy's compiled routine, the one
-its ``@`` calls, on plain CSR and CSC arrays (H^T is H's read as CSC) with
-an output buffer, so results are the same to the bit.  That routine is
-loaded on its own, as importing ``scipy.sparse`` costs about 0.2 s and 20 MB.
+its ``@`` calls, on plain CSR and CSC arrays (H^T is H's read as CSC),
+writing into the workspace's 2-D views as they are, so results are the same
+to the bit.  That routine is loaded on its own, as importing
+``scipy.sparse`` costs about 0.2 s and 20 MB.  At small sizes a call's time
+is mostly its fixed count of numpy calls, so the reductions call the ufuncs'
+``reduce`` directly, not the array methods that wrap it.  The descent calls
+``loss_and_gradient`` exactly once per step, through its public checks.
 No returned array shares the workspace, but an evaluator is not reentrant:
 do not share one across threads.
 """
@@ -58,7 +62,6 @@ from __future__ import annotations
 
 import os
 import sys
-from contextlib import nullcontext
 from importlib import import_module, machinery, util
 
 import numpy as np
@@ -111,12 +114,14 @@ def _operand(form: str, indptr, indices, data, shape) -> tuple:
 
 
 def _product(operand, x: np.ndarray, out: np.ndarray | None = None):
-    """``operand @ x`` into the C-contiguous ``out``, zeroed first, or new."""
+    """``operand @ x`` into ``out``, zeroed first, or new; the compiled
+    routine reads and writes the 2-D arrays themselves."""
     matvecs, n_row, n_col, indptr, indices, data = operand
-    out = np.empty((n_row, x.shape[1])) if out is None else out
-    out.fill(0.0)
-    matvecs(n_row, n_col, x.shape[1], indptr, indices, data, x.ravel(),
-            out.ravel())
+    if out is None:
+        out = np.zeros((n_row, x.shape[1]))
+    else:
+        out.fill(0.0)
+    matvecs(n_row, n_col, x.shape[1], indptr, indices, data, x, out)
     return out
 
 
@@ -133,7 +138,7 @@ class LossEvaluator:
         line_counts = np.asarray(line_counts, dtype=float)
         if line_counts.shape != (self.n_modules,):
             raise ValueError("line_counts must have one entry per module")
-        self._line_counts = line_counts
+        self._count_column = line_counts[:, None]
         groups = module_incidence.row_groups()
         hits, weights = groups.hits, groups.weights
         n_rows, n_columns = self._n_rows, self._n_columns = hits.shape
@@ -197,9 +202,13 @@ class LossEvaluator:
         neg_taken *= self._neg_column_value
         # v_c L is below 1 unless both are exactly 1 (a NaN also takes the
         # zero-factor branch, which then finds no zeros).
-        has_zero = not neg_taken.min(initial=0.0) > -1.0
-        with np.errstate(divide="ignore") if has_zero else nullcontext():
-            _product(self._hits, np.log1p(neg_taken, out=log_factor), log_miss)
+        has_zero = not np.minimum.reduce(neg_taken, None, initial=0.0) > -1.0
+        if not has_zero:
+            np.log1p(neg_taken, out=log_factor)
+        else:
+            with np.errstate(divide="ignore"):
+                np.log1p(neg_taken, out=log_factor)
+        _product(self._hits, log_factor, log_miss)
         return has_zero
 
     def _events(self, n_batch: int) -> np.ndarray:
@@ -219,13 +228,13 @@ class LossEvaluator:
 
     def expected_lines(self, probs) -> np.ndarray:
         probs, squeeze = self._check_probs(probs)
-        lines = (self._line_counts[:, None] * probs).sum(axis=1)
+        lines = np.add.reduce(self._count_column * probs, axis=1)
         return lines[0] if squeeze else lines
 
     def loss(self, probs):
         lines = self.expected_lines(probs)
         events = self.expected_events(probs)
-        value = np.sum(lines * events, axis=-1)
+        value = np.add.reduce(lines * events, axis=-1)
         return float(value) if np.ndim(value) == 0 else value
 
     def loss_and_gradient(self, probs):
@@ -234,7 +243,7 @@ class LossEvaluator:
         Returns ``(loss, grad)`` with batch shapes matching the input.
         """
         probs, squeeze = self._check_probs(probs)
-        counts = self._line_counts
+        counts = self._count_column
         n_batch, n_modules, n_streams = probs.shape
 
         has_zero = self._forward(probs)
@@ -256,13 +265,13 @@ class LossEvaluator:
         devents = _product(self._to_modules, column).reshape(
             n_modules, n_batch, n_streams).transpose(1, 0, 2)
 
-        lines = (counts[:, None] * probs).sum(axis=1)
-        loss = (lines * events).sum(axis=-1)
+        lines = np.add.reduce(counts * probs, axis=1)
+        loss = np.add.reduce(lines * events, axis=-1)
         # d loss / d L, then through the softmax.
-        grad = counts[:, None] * events[:, None, :]
+        grad = counts * events[:, None, :]
         devents *= lines[:, None, :]
         grad += devents
-        grad -= (grad * probs).sum(axis=-1, keepdims=True)
+        grad -= np.add.reduce(grad * probs, axis=-1, keepdims=True)
         grad *= probs
         if squeeze:
             return float(loss[0]), grad[0]

@@ -1,9 +1,20 @@
 """Shared instance builders for the test suite."""
 
+import math
+import time
+
 import numpy as np
 
 from streamopt import (EventLineIncidence, LineCatalog, LineRecord, Scheme,
                        SyntheticSpec, gen_synthetic)
+from streamopt.cost import SchemeScorer, extreme_schemes, first_minimum
+from streamopt.errors import StreamOptError
+from streamopt.model import _row_entropy
+from streamopt.optimize import (BETA1, BETA2, EPSILON, INIT_SCALE,
+                                SETTLED_ENTROPY, STEP_SIZE,
+                                OptimizationResult, RestartRecord,
+                                _check_feasible, _needs_descent, _settle_sum)
+from streamopt.relax import one_hot
 
 
 def build_catalog(rows):
@@ -163,3 +174,119 @@ def reference_validate_dataset(incidence, catalog):
         seen.add(rec.name)
     return violations
 
+
+def reference_optimize(module_incidence, catalog, config):
+    """:func:`streamopt.optimize` with its step loop as first written, kept
+    to pin the descent: every trajectory of ``optimize`` must equal this
+    one's bit for bit.  Each step takes its reductions through the array
+    methods, tests every restart for a moved argmax, checks the loss's
+    finiteness and allocates AdaMax's temporaries afresh."""
+    start = time.perf_counter()
+    scorer = SchemeScorer(None, catalog, fold=module_incidence)
+    n_modules, n_streams = module_incidence.n_modules, config.n_streams
+    _check_feasible(n_streams, n_modules)
+    evaluator = scorer.evaluator
+    if not _needs_descent(n_streams, n_modules):
+        # Both boundary cases are settled without optimization: one stream is
+        # the only scheme, and one stream per module is provably optimal
+        # (every other scheme merges some of its streams, and merging never
+        # lowers the read cost).
+        single, per_unit = extreme_schemes(catalog)
+        scheme = single if n_streams == 1 else per_unit
+        breakdown = scorer.read_cost(scheme)
+        record = RestartRecord(0, breakdown.total, breakdown.total, 0, 0.0,
+                               scheme, "settled", 0)
+        return OptimizationResult(scheme, breakdown.total, breakdown,
+                                  (record,), config.seed)
+
+    # The descent state, one slice per restart in the batch; origin[j] is
+    # the restart index of slice j.
+    rng = np.random.default_rng(config.seed)
+    n_restarts = config.n_restarts
+    logits = rng.normal(0.0, INIT_SCALE,
+                        size=(n_restarts, n_modules, n_streams))
+    moment = np.zeros_like(logits)
+    inf_norm = np.zeros_like(logits)
+    previous = np.full((n_restarts, n_modules), -1, dtype=np.int64)
+    origin = np.arange(n_restarts)
+
+    # The restart table, by restart index.
+    best_cost = np.full(n_restarts, np.inf)
+    best_step = np.zeros(n_restarts, dtype=np.int64)
+    best_assignment = np.zeros((n_restarts, n_modules), dtype=np.int64)
+    records: list[RestartRecord | None] = [None] * n_restarts
+
+    # A restart can have settled only once every softmax row sum (1 / the
+    # row's largest probability) is below this; the 0.01 margin covers
+    # rounding.
+    settle_sum = _settle_sum(SETTLED_ENTROPY + 0.01)
+    beta1_power = 1.0
+    for step in range(1, config.max_iters + 1):
+        # softmax_rows in place, keeping the row sums for the settle check
+        # below.  Its finiteness check is left out: a restart whose loss
+        # turns non-finite leaves the batch.
+        probs = logits - logits.max(axis=2, keepdims=True)
+        np.exp(probs, out=probs)
+        sums = probs.sum(axis=2, keepdims=True)
+        probs /= sums
+        loss, grad = evaluator.loss_and_gradient(probs)
+
+        # Round the restarts whose argmax pattern moved, cost them in one
+        # batched one-hot call and keep each restart's best; argmax breaks
+        # ties toward the lowest stream.
+        rounded = probs.argmax(axis=2)
+        moved = (rounded != previous).any(axis=1).nonzero()[0]
+        if moved.size:
+            costs = evaluator.loss(one_hot(rounded[moved], n_streams))
+            better = costs < best_cost[origin[moved]]
+            j, k = moved[better], origin[moved[better]]
+            best_cost[k], best_step[k] = costs[better], step
+            best_assignment[k] = rounded[j]
+        previous = rounded
+
+        # Every restart stops here: when its loss is not finite, when it has
+        # settled, or at the cap.  Entropy is taken only when some restart
+        # may have settled, and at the cap for its record.
+        last = step == config.max_iters
+        retire = failed = ~np.isfinite(loss)
+        if last or sums.max(axis=1).min() < settle_sum:
+            entropy = _row_entropy(probs).max(axis=1)
+            settled = entropy < SETTLED_ENTROPY
+            retire = failed | settled | last
+        if retire.any():
+            for j in retire.nonzero()[0].tolist():
+                # A non-finite run keeps no scheme.
+                k = int(origin[j])
+                cost, row_entropy, scheme, reason = (
+                    (math.inf, math.nan, None, "non_finite") if failed[j] else
+                    (float(best_cost[k]), float(entropy[j]),
+                     Scheme(n_streams, tuple(best_assignment[k].tolist())),
+                     "settled" if settled[j] else "max_iters"))
+                records[k] = RestartRecord(k, float(loss[j]), cost, step,
+                                           row_entropy, scheme, reason,
+                                           int(best_step[k]))
+            if retire.all():
+                break
+            keep = ~retire
+            logits, moment, inf_norm = logits[keep], moment[keep], inf_norm[keep]
+            grad, previous, origin = grad[keep], previous[keep], origin[keep]
+
+        # AdaMax in place, in the same order of operations as
+        # m = b1 m + (1 - b1) g; u = max(b2 u, |g|); x -= c m / (u + eps).
+        beta1_power *= BETA1
+        moment *= BETA1
+        moment += (1.0 - BETA1) * grad
+        inf_norm *= BETA2
+        np.maximum(inf_norm, np.abs(grad, out=grad), out=inf_norm)
+        step_term = (STEP_SIZE / (1.0 - beta1_power)) * moment
+        step_term /= np.add(inf_norm, EPSILON, out=grad)
+        logits -= step_term
+
+    survivors = [r for r in records if not r.failed]
+    if not survivors:
+        raise StreamOptError("every restart diverged to a non-finite loss")
+    best = survivors[first_minimum([r.discrete_cost for r in survivors])]
+    breakdown = scorer.read_cost(best.scheme)
+    return OptimizationResult(best.scheme, best.relaxed_loss, breakdown,
+                              tuple(records), config.seed,
+                              time.perf_counter() - start)

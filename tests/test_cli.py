@@ -31,6 +31,12 @@ MEASUREMENT_HEADER = ("scheme_id,stream_id,n_lines,measured_time_s,"
                       "measured_size_kb\n")
 
 
+def stream_lines(catalog, scheme) -> list[int]:
+    """Each stream's line count, which a measurement of the stream gives."""
+    return np.bincount(scheme.assignment, catalog.module_line_counts,
+                       scheme.n_streams).astype(int).tolist()
+
+
 def two_cpus(monkeypatch):
     """Let a sweep use two worker processes, whatever the host has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -667,11 +673,13 @@ class TestCalibrateCommand:
     def test_group_too_small_to_fit_is_named(self, instance_path, tmp_path,
                                              capsys, pool, message):
         _, catalog = load_instance(instance_path)
-        scheme = tmp_path / "two.scheme"
-        write_scheme(scheme, Scheme(2, (0, 1) * (catalog.n_modules // 2)),
-                     catalog)
-        rows = ("A,0,3,19.0,120.5\nA,1,3,14.0,60.25\nB,0,3,12.0,50.0\n"
-                if pool == "--no-pool-schemes" else "B,0,3,12.0,50.0\n")
+        scheme, two = tmp_path / "two.scheme", Scheme(
+            2, (0, 1) * (catalog.n_modules // 2))
+        write_scheme(scheme, two, catalog)
+        n0, n1 = stream_lines(catalog, two)
+        rows = (f"A,0,{n0},19.0,120.5\nA,1,{n1},14.0,60.25\n"
+                if pool == "--no-pool-schemes" else "")
+        rows += f"B,0,{n0},12.0,50.0\n"
         meas = tmp_path / "m.csv"
         meas.write_text(MEASUREMENT_HEADER + rows)
         out = tmp_path / "report.json"
@@ -692,19 +700,23 @@ class TestCalibrateCommand:
         ("stream out of range", "measurement stream 2 out of range for "
                                 "scheme 'run1'"),
         ("repeated id", "--scheme-file given twice for scheme 'run1'"),
+        ("lines differ", "measurement for scheme 'run1' stream 1 says 99 "
+                         "lines; the scheme's stream has 9"),
     ])
     def test_scheme_file_errors(self, instance_path, tmp_path, capsys, case,
                                 message):
         _, catalog = load_instance(instance_path)
-        scheme = tmp_path / "two.scheme"
-        write_scheme(scheme, Scheme(2, (0, 1) * (catalog.n_modules // 2)),
-                     catalog)
+        scheme, two = tmp_path / "two.scheme", Scheme(
+            2, (0, 1) * (catalog.n_modules // 2))
+        write_scheme(scheme, two, catalog)
+        n0, n1 = stream_lines(catalog, two)
         row = {"no scheme file": "other,0", "stream out of range": "run1,2"
                }.get(case, "run1,1")
         meas = tmp_path / "m.csv"
         meas.write_text(
             "scheme_id,stream_id,n_lines,measured_time_s,measured_size_kb\n"
-            f"run1,0,3,19.0,120.5\n{row},3,14.0,60.25\n")
+            f"run1,0,{n0},19.0,120.5\n"
+            f"{row},{99 if case == 'lines differ' else n1},14.0,60.25\n")
         argv = ["calibrate", "--measurements", str(meas),
                 "--scheme-file", "run1" if case == "no id" else
                 f"run1={scheme}"]
@@ -716,7 +728,7 @@ class TestCalibrateCommand:
             argv += ["--scheme-file", f"run1={other}"]
         out = tmp_path / "report.json"
         assert main(argv + ["--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
     def test_time_below_startup_is_data_error(self, tmp_path, capsys):
@@ -744,9 +756,7 @@ class TestScoring:
                         monkeypatch.setattr(module, key, line_level)
         inst, scheme = str(instance_path), str(tmp_path / "c.scheme")
         measured = tmp_path / "m.csv"
-        measured.write_text(
-            "scheme_id,stream_id,n_lines,measured_time_s,measured_size_kb\n"
-            "run1,0,4,19.0,120.5\nrun1,1,2,14.0,60.25\n")
+        incidence, catalog = load_instance(instance_path)
         evaluated = tmp_path / "eval.json"
         for argv in (
                 ["optimize", "--instance", inst, "--streams", "3",
@@ -760,14 +770,17 @@ class TestScoring:
                 ["compare", "--instance", inst, "--scheme", scheme,
                  "--baseline", "single-stream"],
                 ["sweep", "--instance", inst, "--streams", "1,3",
-                 "--restarts", "2", "--baseline", "single-stream"],
-                ["calibrate", "--measurements", str(measured),
-                 "--instance", inst, "--scheme-file", f"run1={scheme}"]):
+                 "--restarts", "2", "--baseline", "single-stream"]):
             assert main(argv) == 0, argv
+        written = load_scheme(scheme, catalog)
+        n0, n1 = stream_lines(catalog, written)[:2]
+        measured.write_text(MEASUREMENT_HEADER + f"run1,0,{n0},19.0,120.5\n"
+                            f"run1,1,{n1},14.0,60.25\n")
+        assert main(["calibrate", "--measurements", str(measured),
+                     "--instance", inst, "--scheme-file",
+                     f"run1={scheme}"]) == 0
 
         monkeypatch.undo()
-        incidence, catalog = load_instance(instance_path)
-        written = load_scheme(scheme, catalog)
         totals = json.loads(evaluated.read_text())
         assert totals["read_cost"]["total"] == pytest.approx(
             read_cost(incidence, catalog, written).total, rel=1e-9)
@@ -867,11 +880,9 @@ STARTUP_SCRIPT = """
 import sys
 import numpy
 unloaded = {"scipy.sparse", "numpy.ma"} - set(sys.modules)
+from streamopt import load_instance, load_scheme
 from streamopt.cli import main
 
-with open("measured.csv", "w") as f:
-    f.write("scheme_id,stream_id,n_lines,measured_time_s,measured_size_kb\\n"
-            "run1,0,4,19.0,120.5\\nrun1,1,2,14.0,60.25\\n")
 common = ["--instance", "a.inst"]
 for argv in (
         ["generate", "--events", "200", "--modules", "5", "--clusters", "2",
@@ -882,10 +893,18 @@ for argv in (
         ["compare", *common, "--scheme", "a.scheme",
          "--baseline", "single-stream"],
         ["sweep", *common, "--streams", "1,2,3", "--restarts", "2",
-         "--out", "sweep.csv"],
-        ["calibrate", *common, "--measurements", "measured.csv",
-         "--scheme-file", "run1=a.scheme"]):
+         "--out", "sweep.csv"]):
     assert main(argv) == 0, argv
+# The measurements give each stream's true line count.
+_, catalog = load_instance("a.inst")
+scheme = load_scheme("a.scheme", catalog)
+lines = [sum(catalog.module_line_counts[m] for m, k
+             in enumerate(scheme.assignment) if k == s) for s in (0, 1)]
+with open("measured.csv", "w") as f:
+    f.write("scheme_id,stream_id,n_lines,measured_time_s,measured_size_kb\\n"
+            "run1,0,%d,19.0,120.5\\nrun1,1,%d,14.0,60.25\\n" % tuple(lines))
+assert main(["calibrate", *common, "--measurements", "measured.csv",
+             "--scheme-file", "run1=a.scheme"]) == 0
 assert not unloaded & set(sys.modules), unloaded & set(sys.modules)
 
 import scipy.sparse
@@ -1028,7 +1047,8 @@ class TestOutNamesAnInput:
         names["companion"].write_bytes(instance_path.read_bytes())
         write_scheme(names["scheme"], Scheme(1, (0,) * catalog.n_modules),
                      catalog)
-        names["meas"].write_text(MEASUREMENT_HEADER + "run1,0,4,19.0,1.5\n")
+        names["meas"].write_text(MEASUREMENT_HEADER +
+                                 f"run1,0,{catalog.n_lines},19.0,1.5\n")
         files = {path: path.read_bytes() for path in tmp_path.iterdir()}
         argv = [a.format(**names) for a in argv]
         assert main(argv + ["--out", out.format(**names)]) == 2
@@ -1072,10 +1092,11 @@ class TestStorageOverflow:
         monkeypatch.setattr(optimize_module, "optimize", no_descent)
         _, catalog = load_instance(instance_path)
         scheme, meas = tmp_path / "two.scheme", tmp_path / "m.csv"
-        write_scheme(scheme, Scheme(2, (0, 1) * (catalog.n_modules // 2)),
-                     catalog)
-        meas.write_text(MEASUREMENT_HEADER + "run1,0,3,19.0,120.5\n"
-                        "run1,1,3,14.0,60.25\n")
+        two = Scheme(2, (0, 1) * (catalog.n_modules // 2))
+        write_scheme(scheme, two, catalog)
+        n0, n1 = stream_lines(catalog, two)
+        meas.write_text(MEASUREMENT_HEADER + f"run1,0,{n0},19.0,120.5\n"
+                        f"run1,1,{n1},14.0,60.25\n")
         argv = [a.format(meas=meas, scheme=scheme) for a in argv]
         out = tmp_path / "out"
         with warnings.catch_warnings():

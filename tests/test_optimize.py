@@ -4,6 +4,7 @@ import functools
 import importlib
 import multiprocessing
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from streamopt import (EventLineIncidence, InfeasibleError, OptimizerConfig,
                        extreme_schemes, fold_modules, gen_synthetic, optimize,
                        read_cost, storage_cost, sweep_streams)
 from streamopt.model import _row_entropy
-from helpers import build_catalog, random_clustered_instance, random_instance
+from helpers import (build_catalog, random_clustered_instance, random_instance,
+                     reference_optimize)
 
 # The package binds the name ``optimize`` to the function.
 optimize_module = importlib.import_module("streamopt.optimize")
@@ -296,6 +298,97 @@ class TestSettledStop:
         for probs in inputs:
             assert np.isin(probs, (0.0, 1.0)).all()
             assert (probs.sum(axis=-1) == 1.0).all()
+
+
+def exact(value):
+    """``value`` with every float as its bytes, so that NaN equals NaN of the
+    same bits and -0.0 differs from 0.0; ``descent_s`` is left out."""
+    if dataclasses.is_dataclass(value):
+        return tuple(exact(getattr(value, f.name))
+                     for f in dataclasses.fields(value) if f.compare)
+    if isinstance(value, (tuple, list)):
+        return tuple(map(exact, value))
+    return struct.pack("d", value) if isinstance(value, float) else value
+
+
+def mixed_prescale_instance():
+    spec = SyntheticSpec(n_events=300, n_modules=7, lines_per_module=(1, 3),
+                         n_latent_clusters=3, intra_cluster_pass_rate=0.4,
+                         cross_cluster_pass_rate=0.03,
+                         prescale_options=(1.0, 0.5, 0.8), seed=17)
+    instance = gen_synthetic(spec)
+    return instance.incidence, instance.catalog
+
+
+class TestReferenceDescent:
+    """``optimize`` follows the reference step loop bit for bit: settled,
+    capped, retiring at different steps and with a non-finite restart."""
+
+    def assert_same(self, inc, cat, config):
+        folded = fold_modules(inc, cat)
+        result = optimize(folded, cat, config)
+        reference = reference_optimize(folded, cat, config)
+        assert exact(result) == exact(reference)
+        if not any(r.failed for r in result.per_restart):
+            # A failed restart's NaN loss is unequal even to itself.
+            assert result == reference
+        return result
+
+    def test_three_line_instance(self):
+        # Its restarts keep a module split, so they run to the cap.
+        inc, cat = three_line_instance()
+        for seed in range(6):
+            self.assert_same(inc, cat, OptimizerConfig(n_streams=2,
+                                                       n_restarts=5,
+                                                       seed=seed))
+
+    def test_restarts_retire_at_different_steps(self):
+        result = self.assert_same(*mixed_prescale_instance(), OptimizerConfig(
+            n_streams=3, n_restarts=6, seed=4))
+        assert len({r.iterations for r in result.per_restart}) > 1
+
+    def test_capped(self):
+        rng = np.random.default_rng(31)
+        inc, cat = random_instance(rng)
+        result = self.assert_same(inc, cat, OptimizerConfig(
+            n_streams=3, n_restarts=5, max_iters=7, seed=8))
+        assert {r.stop_reason for r in result.per_restart} == {"max_iters"}
+
+    def test_non_finite_restart(self, monkeypatch):
+        real = relax.LossEvaluator.loss_and_gradient
+
+        def poisoned(self, probs):
+            loss, grad = real(self, probs)
+            if probs.shape[0] == 3:
+                # Restart 1 diverges on the first step of the full batch.
+                loss = loss.copy()
+                loss[1] = np.nan
+            return loss, grad
+
+        monkeypatch.setattr(relax.LossEvaluator, "loss_and_gradient", poisoned)
+        inc, cat = three_line_instance()
+        result = self.assert_same(inc, cat, OptimizerConfig(
+            n_streams=2, n_restarts=3, seed=2))
+        assert [r.stop_reason == "non_finite" for r in result.per_restart] \
+            == [False, True, False]
+
+
+@pytest.mark.parametrize("n_restarts", [1, 4])
+def test_one_loss_and_gradient_call_per_step(monkeypatch, n_restarts):
+    # A profile counts the descent's steps by these calls.
+    calls = []
+    real = relax.LossEvaluator.loss_and_gradient
+
+    def counting(self, probs):
+        calls.append(probs.shape[0])
+        return real(self, probs)
+
+    monkeypatch.setattr(relax.LossEvaluator, "loss_and_gradient", counting)
+    inc, cat = mixed_prescale_instance()
+    result = optimize(fold_modules(inc, cat), cat, OptimizerConfig(
+        n_streams=3, n_restarts=n_restarts, seed=3))
+    assert len(calls) == max(r.iterations for r in result.per_restart)
+    assert calls[0] == n_restarts
 
 
 def clustered_sweep_instance():
